@@ -1,37 +1,29 @@
 """Exact truncated formal power series and the generating-function catalog.
 
 Series hold exact rational coefficients for exponents 0..order-1 and every
-ring operation truncates at the shorter operand.  Multiplication scales both
-operands to integer vectors and convolves; for large orders the convolution
-is done by Kronecker substitution (pack the coefficient vector into one big
-integer, multiply, slice the product back out), which turns a quadratic
-coefficient loop into a single big-integer product.  gmpy2 supplies the big
-multiply when available; a plain-int fallback is kept and both paths are
-exercised by the tests.
+ring operation truncates at the shorter operand.  Multiplication, division
+and square root are the plain coefficient recurrences.  The kernel checks
+use them, and the tests compare the catalog expansion with them.
 
 The catalog section collects the closed generating functions this package
 is built to verify: the size generating functions of
 L-convex, centered, Z-convex, 4-stack and convex polyominoes, the refined
 class functions C'0, L'0, S'0, S', C', L', N' with their scalar evaluations,
 the centered/rectangular/ascending series H, Rect, A, and the difference
-classes C22, C21.  Floating point appears only in the asymptotic-ratio
-report at the very bottom.
+classes C22, C21.  Each one is R0(t) + R1(t) (1-4t)^(-1/2) with R0 and R1
+rational, written as a short list of terms c P(t)/Q(t) (1-4t)^(-j/2) and
+expanded by integer recurrences: the central binomials binom(2k, k) for
+(1-4t)^(-1/2), a sparse multiply by P and the linear recurrence of 1/Q.
+Floating point appears only in the asymptotic-ratio report at the very
+bottom.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = None
 
 DEFAULT_ORDER = 300
-
-_KRONECKER_MIN = 64
 
 
 class SeriesError(ValueError):
@@ -52,62 +44,6 @@ class MissingParam(SeriesError):
 
 class DegenerateParam(SeriesError):
     """A parameter value hits a divided difference's pole."""
-
-
-def _convolve_nonneg(a: list[int], b: list[int], n: int) -> list[int]:
-    # Kronecker substitution; requires non-negative entries.
-    bits = max((x.bit_length() for x in a), default=1) + max(
-        (x.bit_length() for x in b), default=1
-    )
-    stride = (bits + n.bit_length() + 2 + 7) & ~7
-    width = stride >> 3
-    packed_a = int.from_bytes(
-        b"".join(x.to_bytes(width, "little") for x in a), "little"
-    )
-    packed_b = int.from_bytes(
-        b"".join(x.to_bytes(width, "little") for x in b), "little"
-    )
-    if _mpz is not None:
-        product = int(_mpz(packed_a) * _mpz(packed_b))
-    else:
-        product = packed_a * packed_b
-    raw = product.to_bytes((len(a) + len(b)) * width, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(n)
-    ]
-
-
-def _convolve_naive(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b[: n - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
-    """Truncated integer convolution, dispatching on problem size."""
-    if n < _KRONECKER_MIN:
-        return _convolve_naive(a, b, n)
-    pos_a = [x if x > 0 else 0 for x in a]
-    neg_a = [-x if x < 0 else 0 for x in a]
-    pos_b = [x if x > 0 else 0 for x in b]
-    neg_b = [-x if x < 0 else 0 for x in b]
-    out = [0] * n
-    for sa, va in ((1, pos_a), (-1, neg_a)):
-        if not any(va):
-            continue
-        for sb, vb in ((1, pos_b), (-1, neg_b)):
-            if not any(vb):
-                continue
-            part = _convolve_nonneg(va, vb, n)
-            s = sa * sb
-            for k in range(n):
-                out[k] += s * part[k]
-    return out
 
 
 class Series:
@@ -164,10 +100,6 @@ class Series:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def first_nonzero(self) -> int | None:
-        """Order of the first nonzero coefficient (None if identically 0)."""
-        return self.valuation()
-
     def __add__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
         return Series._raw(
@@ -199,11 +131,16 @@ class Series:
         n = min(self.order, other.order)
         da = math.lcm(*(c.denominator for c in self.coeffs[:n])) if n else 1
         db = math.lcm(*(c.denominator for c in other.coeffs[:n])) if n else 1
-        ia = [int(c * da) for c in self.coeffs[:n]]
         ib = [int(c * db) for c in other.coeffs[:n]]
-        conv = _convolve(ia, ib, n)
+        out = [0] * n
+        for i, c in enumerate(self.coeffs[:n]):
+            if c:
+                ai = int(c * da)
+                for j, bj in enumerate(ib[: n - i]):
+                    if bj:
+                        out[i + j] += ai * bj
         d = da * db
-        return Series._raw(tuple(Fraction(c, d) for c in conv))
+        return Series._raw(tuple(Fraction(c, d) for c in out))
 
     def square(self) -> "Series":
         return self * self
@@ -222,25 +159,18 @@ class Series:
         return result
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse by Newton doubling; needs a unit constant."""
+        """Multiplicative inverse; needs a unit constant."""
         if self.order == 0 or self.coeffs[0] == 0:
             raise NonUnitDivisor("constant term is zero")
-        n = self.order
-        inv = Series([1 / self.coeffs[0]])
-        k = 1
-        while k < n:
-            k = min(2 * k, n)
-            b = self.truncate(k)
-            inv = Series(inv.coeffs + (Fraction(0),) * (k - inv.order))
-            inv = inv.scale(2) - (b * inv * inv)
-        return inv.truncate(n)
+        return one(self.order) / self
 
     def __truediv__(self, other: "Series") -> "Series":
         """Exact division; a common power of t is cancelled first.
 
         When the divisor's constant term vanishes, both operands must be
         divisible by the divisor's leading power of t, and the result loses
-        that many terms of truncation order.
+        that many terms of truncation order.  The quotient q solves
+        sum_j b_j q_{k-j} = a_k term by term, in O(n deg b) steps.
         """
         n = min(self.order, other.order)
         a, b = self.truncate(n), other.truncate(n)
@@ -250,22 +180,25 @@ class Series:
                 raise NonUnitDivisor("division by zero series")
             a = a.shift(-v)
             b = b.shift(-v)
-        return a * b.inverse()
+        if b.order == 0:
+            raise NonUnitDivisor("constant term is zero")
+        taps = [(j, c) for j, c in enumerate(b.coeffs) if j and c]
+        inv0 = 1 / b.coeffs[0]
+        q = []
+        for k, ak in enumerate(a.coeffs):
+            q.append((ak - sum(c * q[k - j] for j, c in taps if j <= k)) * inv0)
+        return Series._raw(tuple(q))
 
     def sqrt(self) -> "Series":
-        """Square root by successive approximation, doubling the correct
-        order each step (inverse-sqrt Newton iteration, seeded at 1)."""
+        """Square root with constant term 1, from r^2 = a term by term:
+        2 r_k = a_k - sum_{0<i<k} r_i r_{k-i}."""
         if self.order == 0 or self.coeffs[0] != 1:
             raise BadConstantTerm("sqrt requires constant term 1")
-        n = self.order
-        r = Series([Fraction(1)])
-        k = 1
-        while k < n:
-            k = min(2 * k, n)
-            a = self.truncate(k)
-            r = Series(r.coeffs + (Fraction(0),) * (k - r.order))
-            r = (r.scale(3) - a * r * r * r).scale(Fraction(1, 2))
-        return (self.truncate(n) * r).truncate(n)
+        a = self.coeffs
+        r = [Fraction(1)]
+        for k in range(1, self.order):
+            r.append((a[k] - sum(r[i] * r[k - i] for i in range(1, k))) / 2)
+        return Series._raw(tuple(r))
 
     def compare(self, other: "Series") -> int | None:
         """First order where the two series differ, or None if they agree
@@ -296,207 +229,239 @@ def tpoly(n: int, coeffs) -> Series:
     return Series(cs)
 
 
-@lru_cache(maxsize=8)
-def _sqrt_1m4t(n: int) -> Series:
-    return tpoly(n, [1, -4]).sqrt()
-
-
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _gf_lconvex(n):
+def _pmul(*polys) -> list:
+    """Product of polynomials given as coefficient sequences."""
+    out = [1]
+    for p in polys:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _tp(k: int, c=1) -> tuple:
+    """The monomial c t^k."""
+    return (0,) * k + (c,)
+
+
+_M1, _M2, _M3, _M4 = (1, -1), (1, -2), (1, -3), (1, -4)   # 1 - kt
+_L = (1, -4, 2)                                           # 1 - 4t + 2t^2
+_W = (1, -5, 6, -1)                                       # 1 - 5t + 6t^2 - t^3
+_H = Fraction(1, 2)
+
+
+def _term(c, num, den=(), j=0):
+    """The term c * prod(num) / prod(den) * (1-4t)^(-j/2) as (c, P, Q, e).
+
+    It equals c * P/Q * B^e with B = (1-4t)^(-1/2) and e = j mod 2: the
+    even part of j becomes whole powers of 1-4t in P (j < 0) or Q (j > 0).
+    A power of t dividing Q is cancelled against P, and Q is made to start
+    with 1, so that 1/Q is a linear recurrence with no division.
+    """
+    e = j % 2
+    half = (j - e) // 2
+    p = _pmul(*num, *[_M4] * -half)   # a list times a negative count is []
+    q = _pmul(*den, *[_M4] * half)
+    v = next(i for i, a in enumerate(q) if a)
+    if any(p[:v]):
+        raise NonUnitDivisor("the term has a pole at t = 0")
+    p, q = p[v:], q[v:]
+    if q[0] != 1:
+        c, q = Fraction(c) / q[0], [Fraction(a) / q[0] for a in q]
+    return c, p, q, e
+
+
+def _central_binomials(n: int) -> list[int]:
+    """binom(2k, k) for k < n, the coefficients of (1-4t)^(-1/2)."""
+    out = [1] * n
+    for k in range(1, n):
+        out[k] = out[k - 1] * 2 * (2 * k - 1) // k
+    return out
+
+
+def _expand(terms, n: int) -> Series:
+    """The first n coefficients of a sum of terms (c, P, Q, e).
+
+    Every term costs O(n (len P + len Q)) steps.  With integer P and Q the
+    work stays in Python ints over the common denominator of the c's;
+    rational parameters bring in Fractions.
+    """
+    den = math.lcm(*(Fraction(c).denominator for c, _, _, _ in terms))
+    central = _central_binomials(n) if any(e for *_, e in terms) else None
+    total = [0] * n
+    for c, p, q, e in terms:
+        if e:
+            y = [0] * n
+            for i, a in enumerate(p[:n]):
+                if a:
+                    y[i:] = [s + a * b for s, b in zip(y[i:], central)]
+        else:
+            y = list(p[:n]) + [0] * (n - len(p))
+        taps = [(j, -b) for j, b in enumerate(q) if j and b]
+        for k in range(1, n):
+            y[k] += sum(b * y[k - j] for j, b in taps if j <= k)
+        m = int(Fraction(c) * den)
+        total = [s + m * a for s, a in zip(total, y)]
+    return Series._raw(tuple(Fraction(s, den) for s in total))
+
+
+def _gf_lconvex():
     # t^2 (t^2 - 2t + 1) / (2t^2 - 4t + 1)
-    return tpoly(n, [0, 0, 1, -2, 1]) / tpoly(n, [1, -4, 2])
+    return [_term(1, [_tp(2), (1, -2, 1)], [_L])]
 
 
-def _gf_centered(n):
+def _gf_centered():
     # t^2 (1-t)(1-3t) / ((1-2t)(1-4t))
-    num = tpoly(n, [0, 0, 1]) * tpoly(n, [1, -1]) * tpoly(n, [1, -3])
-    return num / (tpoly(n, [1, -2]) * tpoly(n, [1, -4]))
+    return [_term(1, [_tp(2), _M1, _M3], [_M2], 2)]
 
 
-def _gf_dcat(n):
+def _gf_dcat():
     # d(t) = (1 - 2t - sqrt(1-4t)) / 2
-    return (tpoly(n, [1, -2]) - _sqrt_1m4t(n)).scale(Fraction(1, 2))
+    return [_term(_H, [_M2]), _term(-_H, [], [], -1)]
 
 
-def _gf_zconvex(n):
+def _gf_zconvex():
     # 2 t^4 (1-2t)^2 d(t) / ((1-4t)^2 (1-3t)(1-t))
-    #   + t^2 (1 - 6t + 10t^2 - 2t^3 - t^4) / ((1-4t)(1-3t)(1-t))
-    m4 = tpoly(n, [1, -4])
-    common = tpoly(n, [1, -3]) * tpoly(n, [1, -1])
-    first = (
-        tpoly(n, [0, 0, 0, 0, 2]) * tpoly(n, [1, -2]).square() * _gf_dcat(n)
-    ) / (m4.square() * common)
-    second = tpoly(n, [0, 0, 1, -6, 10, -2, -1]) / (m4 * common)
-    return first + second
+    #   + t^2 (1 - 6t + 10t^2 - 2t^3 - t^4) / ((1-4t)(1-3t)(1-t)),
+    # with 2 d(t) = 1 - 2t - sqrt(1-4t)
+    return [
+        _term(1, [_tp(4), _M2, _M2, _M2], [_M3, _M1], 4),
+        _term(-1, [_tp(4), _M2, _M2], [_M3, _M1], 3),
+        _term(1, [_tp(2), (1, -6, 10, -2, -1)], [_M3, _M1], 2),
+    ]
 
 
-def _gf_fourstack(n):
+def _gf_fourstack():
     # t^2 (1-3t)^2 / ((1-4t)^{3/2} (1-2t))
-    num = tpoly(n, [0, 0, 1]) * tpoly(n, [1, -3]).square()
-    den = tpoly(n, [1, -4]) * _sqrt_1m4t(n) * tpoly(n, [1, -2])
-    return num / den
+    return [_term(1, [_tp(2), _M3, _M3], [_M2], 3)]
 
 
-def _gf_convex(n):
+def _gf_convex():
     # t^2 (1 - 6t + 11t^2 - 4t^3)/(1-4t)^2 - 4 t^4/(1-4t)^{3/2}
-    m4 = tpoly(n, [1, -4])
-    first = tpoly(n, [0, 0, 1, -6, 11, -4]) / m4.square()
-    second = tpoly(n, [0, 0, 0, 0, 4]) / (m4 * _sqrt_1m4t(n))
-    return first - second
+    return [_term(1, [_tp(2), (1, -6, 11, -4)], [], 4), _term(-4, [_tp(4)], [], 3)]
 
 
-def _gf_h(n):
+def _gf_h():
     # H(t) = t(1-t)/(2 sqrt(1-4t)) - t(1-t)/2
-    tm = tpoly(n, [0, 1, -1])
-    return (tm / _sqrt_1m4t(n)).scale(Fraction(1, 2)) - tm.scale(Fraction(1, 2))
+    return [_term(_H, [_tp(1), _M1], [], 1), _term(-_H, [_tp(1), _M1])]
 
 
-def _gf_rect(n):
+def _gf_rect():
     # t^2 / sqrt(1-4t)
-    return tpoly(n, [0, 0, 1]) / _sqrt_1m4t(n)
+    return [_term(1, [_tp(2)], [], 1)]
 
 
-def _gf_ascending(n):
+def _gf_ascending():
     # t^2 (2 - 12t + 19t^2 - 4t^3)/(2(1-4t)^2)
     #   - t^4 (5 - 8t)/(2(1-2t)(1-4t)^{3/2})
-    m4 = tpoly(n, [1, -4])
-    first = tpoly(n, [0, 0, 2, -12, 19, -4]) / m4.square().scale(2)
-    second = tpoly(n, [0, 0, 0, 0, 5, -8]) / (
-        tpoly(n, [1, -2]) * m4 * _sqrt_1m4t(n)
-    ).scale(2)
-    return first - second
+    return [
+        _term(_H, [_tp(2), (2, -12, 19, -4)], [], 4),
+        _term(-_H, [_tp(4), (5, -8)], [_M2], 3),
+    ]
 
 
-def _gf_c22(n):
+def _gf_c22():
     # t^4/((1-2t)(1-4t)^{3/2}) - t^4/((1-4t)(2t^2 - 4t + 1))
-    t4 = tpoly(n, [0, 0, 0, 0, 1])
-    m4 = tpoly(n, [1, -4])
-    first = t4 / (tpoly(n, [1, -2]) * m4 * _sqrt_1m4t(n))
-    second = t4 / (m4 * tpoly(n, [1, -4, 2]))
-    return first - second
+    return [_term(1, [_tp(4)], [_M2], 3), _term(-1, [_tp(4)], [_L], 2)]
 
 
-def _gf_c21(n):
+def _gf_c21():
     # (8t^3 - 15t^2 + 10t - 2) t^4 / (2(1-t)(1-3t)(1-4t)^{3/2}(1-2t))
     #   - t^4 (8t^5 - 6t^4 + 4t^3 - 25t^2 + 14t - 2)
     #       / (2(2t^2-4t+1)(1-4t)^2 (1-3t)(1-t))
-    t4 = tpoly(n, [0, 0, 0, 0, 1])
-    m4 = tpoly(n, [1, -4])
-    common = tpoly(n, [1, -1]) * tpoly(n, [1, -3])
-    first = (t4 * tpoly(n, [-2, 10, -15, 8])) / (
-        common * m4 * _sqrt_1m4t(n) * tpoly(n, [1, -2])
-    ).scale(2)
-    second = (t4 * tpoly(n, [-2, 14, -25, 4, -6, 8])) / (
-        tpoly(n, [1, -4, 2]) * m4.square() * common
-    ).scale(2)
-    return first - second
+    return [
+        _term(_H, [_tp(4), (-2, 10, -15, 8)], [_M1, _M3, _M2], 3),
+        _term(-_H, [_tp(4), (-2, 14, -25, 4, -6, 8)], [_L, _M3, _M1], 4),
+    ]
 
 
-def _dy(n, y):
+def _dy(y):
     # 1 - t - 2ty + t^2 y^2, the stack-family kernel polynomial
-    return tpoly(n, [1, -1 - 2 * y, y * y])
+    return (1, -1 - 2 * y, y * y)
 
 
-def _dz(n, z):
+def _dz(z):
     # 1 - 3t + t^2 - 2tz + 4t^2 z + t^2 z^2 - t^3 z^2
-    return tpoly(n, [1, -3 - 2 * z, 1 + 4 * z + z * z, -(z * z)])
+    return (1, -3 - 2 * z, 1 + 4 * z + z * z, -(z * z))
 
 
-def _gf_c0p(n, x, y):
-    num = tpoly(n, [0, 0, 0, x * x * y]) * tpoly(n, [1, -1]) * tpoly(n, [1, -y])
-    return num / (tpoly(n, [1, -x]) * _dy(n, y))
+def _gf_c0p(x, y):
+    return [_term(1, [_tp(3, x * x * y), _M1, (1, -y)], [(1, -x), _dy(y)])]
 
 
-def _gf_l0p(n, x, y):
-    return tpoly(n, [0, 0, x * y]) * tpoly(n, [1, -y - 1]) / _dy(n, y)
+def _gf_l0p(x, y):
+    return [_term(1, [_tp(2, x * y), (1, -y - 1)], [_dy(y)])]
 
 
-def _gf_s0p(n, x, y):
-    return tpoly(n, [0, 0, 0, 0, x * y * y]) / _dy(n, y)
+def _gf_s0p(x, y):
+    return [_term(1, [_tp(4, x * y * y)], [_dy(y)])]
 
 
-def _gf_sp(n, x, y, z):
-    num = tpoly(n, [0, 0, 0, 0, 0, x * y * z]) * tpoly(n, [1, -1 - z, -y + z])
-    return num / (_dy(n, y) * _dz(n, z))
+def _gf_sp(x, y, z):
+    return [_term(1, [_tp(5, x * y * z), (1, -1 - z, -y + z)], [_dy(y), _dz(z)])]
 
 
-def _gf_cp(n, x, y, z):
-    num = (
-        tpoly(n, [0, 0, 0, 0, 0, x * x * y * z])
-        * tpoly(n, [1, -1])
-        * tpoly(n, [1, -y - z, y - z + y * z])
-    )
-    return num / (tpoly(n, [1, -x]) * _dy(n, y) * _dz(n, z))
+def _gf_cp(x, y, z):
+    num = [_tp(5, x * x * y * z), _M1, (1, -y - z, y - z + y * z)]
+    return [_term(1, num, [(1, -x), _dy(y), _dz(z)])]
 
 
-def _gf_lp(n, x, y, z):
-    num = tpoly(n, [0, 0, 0, 0, x * y * z]) * tpoly(
-        n, [1, -2 - y - z, 1 + 2 * y + z + y * z, -y * z]
-    )
-    return num / (_dy(n, y) * _dz(n, z))
+def _gf_lp(x, y, z):
+    num = [_tp(4, x * y * z), (1, -2 - y - z, 1 + 2 * y + z + y * z, -y * z)]
+    return [_term(1, num, [_dy(y), _dz(z)])]
 
 
-def _gf_np(n, z):
-    kernel = tpoly(n, [1 - z, z * z])  # 1 - z + t z^2
-    first = tpoly(n, [0, 0, 0, z]) / (_sqrt_1m4t(n) * kernel)
-    second = (
-        tpoly(n, [0, 0, 0, z]) * tpoly(n, [1, -z]) * tpoly(n, [1, -1 - z])
-    ) / (kernel * _dz(n, z))
-    return first - second
+def _gf_np(z):
+    # t^3 z / (sqrt(1-4t) K) - t^3 z (1-zt)(1-(1+z)t) / (K dz), where the
+    # kernel K = 1 - z + t z^2 is t at z = 1 and cancels against t^3
+    kernel = (1 - z, z * z)
+    return [
+        _term(1, [_tp(3, z)], [kernel], 1),
+        _term(-1, [_tp(3, z), (1, -z), (1, -1 - z)], [kernel, _dz(z)]),
+    ]
 
 
-def _scalar_s111(n):
-    sq = _sqrt_1m4t(n)
-    m2 = tpoly(n, [1, -2])
-    first = tpoly(n, [0, 1, -5, 6, -1]) / (m2 * sq).scale(2)
-    second = tpoly(n, [0, 1, -8, 23, -28, 14, -4, 1]) / (
-        m2 * tpoly(n, [1, -5, 6, -1])
-    ).scale(2)
-    return first - second
+def _scalar_s111():
+    return [
+        _term(_H, [(0, 1, -5, 6, -1)], [_M2], 1),
+        _term(-_H, [(0, 1, -8, 23, -28, 14, -4, 1)], [_M2, _W]),
+    ]
 
 
-def _scalar_r1(n):
-    m2 = tpoly(n, [1, -2])
-    num = tpoly(n, [0, 0, 0, 1, -1])
-    return num / (m2 * _sqrt_1m4t(n)).scale(2) - num / m2.scale(2)
+def _scalar_r1():
+    num = (0, 0, 0, 1, -1)
+    return [_term(_H, [num], [_M2], 1), _term(-_H, [num], [_M2])]
 
 
-def _scalar_c1at1(n):
-    m2 = tpoly(n, [1, -2])
-    t4 = tpoly(n, [0, 0, 0, 0, 1])
-    return t4 / (m2 * _sqrt_1m4t(n)).scale(2) - t4 / m2.scale(2)
+def _scalar_c1at1():
+    return [_term(_H, [_tp(4)], [_M2], 1), _term(-_H, [_tp(4)], [_M2])]
 
 
-def _scalar_c111(n):
-    m2 = tpoly(n, [1, -2])
-    first = tpoly(n, [0, 0, 1, -3, 1]) / (m2 * _sqrt_1m4t(n)).scale(2)
-    second = tpoly(n, [0, 0, 1, -6, 12, -8, 1, -1]) / (
-        m2 * tpoly(n, [1, -5, 6, -1])
-    ).scale(2)
-    return first - second
+def _scalar_c111():
+    return [
+        _term(_H, [(0, 0, 1, -3, 1)], [_M2], 1),
+        _term(-_H, [(0, 0, 1, -6, 12, -8, 1, -1)], [_M2, _W]),
+    ]
 
 
-def _scalar_l111(n):
-    first = tpoly(n, [0, 0, 1]) / _sqrt_1m4t(n).scale(2)
-    second = tpoly(n, [0, 0, 1, -3, 2, -1]) / tpoly(n, [1, -5, 6, -1]).scale(2)
-    return first - second
+def _scalar_l111():
+    return [_term(_H, [_tp(2)], [], 1), _term(-_H, [(0, 0, 1, -3, 2, -1)], [_W])]
 
 
-def _scalar_n1(n):
-    m4 = tpoly(n, [1, -4])
-    first = tpoly(n, [0, 1, -10, 31, -16, -68, 90, -27, 4]) / (
-        m4.square() * tpoly(n, [1, -5, 6, -1])
-    ).scale(2)
-    second = tpoly(n, [0, 1, -5, 2, 13, -8]) / (
-        tpoly(n, [1, -2]) * m4 * _sqrt_1m4t(n)
-    ).scale(2)
-    return first - second
+def _scalar_n1():
+    return [
+        _term(_H, [(0, 1, -10, 31, -16, -68, 90, -27, 4)], [_W], 4),
+        _term(-_H, [(0, 1, -5, 2, 13, -8)], [_M2], 3),
+    ]
 
 
-# (builder, required parameter names)
+# (builder, required parameter names); a builder returns the entry's terms
 _CATALOG = {
     "Lgf": (_gf_lconvex, ()),
     "Egf": (_gf_centered, ()),
@@ -543,10 +508,6 @@ _ALIASES = {
 
 GF_NAMES = tuple(_CATALOG) + tuple(_SCALARS)
 
-# Slack absorbed by intermediate divisions that cancel a power of t
-# (only the Np kernel at z=1 does, losing one term).
-_PAD = 4
-
 
 def resolve_name(name: str) -> str:
     canon = _ALIASES.get(name, name)
@@ -573,7 +534,7 @@ def gf(name: str, terms: int = DEFAULT_ORDER, x=None, y=None, z=None) -> Series:
         if supplied[p] is None:
             raise MissingParam(f"{canon} requires parameter {p}")
         params.append(Fraction(supplied[p]))
-    return builder(terms + _PAD, *params).truncate(terms)
+    return _expand(builder(*params), terms)
 
 
 def scalar_gf(name: str, terms: int = DEFAULT_ORDER) -> Series:
@@ -581,7 +542,7 @@ def scalar_gf(name: str, terms: int = DEFAULT_ORDER) -> Series:
     canon = resolve_name(name)
     if canon not in _SCALARS:
         raise KeyError(f"{name!r} is not a scalar catalog entry")
-    return _SCALARS[canon](terms + _PAD).truncate(terms)
+    return _expand(_SCALARS[canon](), terms)
 
 
 def h_formula(n: int) -> int:
@@ -610,7 +571,7 @@ def rect_formula(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _check(description: str, delta: Series):
-    return (description, delta.is_zero(), delta.first_nonzero())
+    return (description, delta.is_zero(), delta.valuation())
 
 
 def kernel_checks(terms: int = 100) -> list[tuple[str, bool, int | None]]:
@@ -627,7 +588,7 @@ def kernel_checks(terms: int = 100) -> list[tuple[str, bool, int | None]]:
     n = terms + 2
     results = []
 
-    half = (one(n) - _sqrt_1m4t(n)).scale(Fraction(1, 2))  # valuation 1
+    half = (one(n) - tpoly(n, [1, -4]).sqrt()).scale(Fraction(1, 2))  # valuation 1
     z0 = half.shift(-1)
     results.append(
         _check("1 - z + t z^2 vanishes at z0 = (1-sqrt(1-4t))/(2t)",
@@ -653,7 +614,7 @@ def kernel_checks(terms: int = 100) -> list[tuple[str, bool, int | None]]:
     )
 
     results.append(
-        _check("t z0 = d(t) + t", half - (_gf_dcat(n) + t(n)))
+        _check("t z0 = d(t) + t", half - (_expand(_gf_dcat(), n) + t(n)))
     )
     return results
 
@@ -668,40 +629,39 @@ def functional_equation_checks(
         raise DegenerateParam("divided differences need y != 1 and z != 1")
     if terms < 4:
         raise ValueError("terms must be >= 4")
-    n = terms + _PAD
 
-    c0p = lambda xx, yy: _gf_c0p(n, xx, yy)
-    l0p = lambda xx, yy: _gf_l0p(n, xx, yy)
-    s0p = lambda xx, yy: _gf_s0p(n, xx, yy)
-    cp = lambda xx, yy, zz: _gf_cp(n, xx, yy, zz)
-    lp = lambda xx, yy, zz: _gf_lp(n, xx, yy, zz)
-    sp = lambda xx, yy, zz: _gf_sp(n, xx, yy, zz)
-    np_ = lambda zz: _gf_np(n, zz)
-    tt = t(n)
+    c0p = lambda xx, yy: _expand(_gf_c0p(xx, yy), terms)
+    l0p = lambda xx, yy: _expand(_gf_l0p(xx, yy), terms)
+    s0p = lambda xx, yy: _expand(_gf_s0p(xx, yy), terms)
+    cp = lambda xx, yy, zz: _expand(_gf_cp(xx, yy, zz), terms)
+    lp = lambda xx, yy, zz: _expand(_gf_lp(xx, yy, zz), terms)
+    sp = lambda xx, yy, zz: _expand(_gf_sp(xx, yy, zz), terms)
+    np_ = lambda zz: _expand(_gf_np(zz), terms)
+    tt = t(terms)
 
     results = []
 
     lhs = c0p(x, y)
     rhs = (tt * (c0p(x, y) + l0p(x, y) + s0p(x, y))).scale(x)
-    results.append(_check("C'0 = tx C'0 + tx L'0 + tx S'0", (lhs - rhs).truncate(terms)))
+    results.append(_check("C'0 = tx C'0 + tx L'0 + tx S'0", lhs - rhs))
 
     lhs = l0p(x, y)
     rhs = (
-        tpoly(n, [0, 0, x * y])
+        tpoly(terms, [0, 0, x * y])
         + (tt * c0p(1, y)).scale(x * y)
         + (tt * (l0p(x, y) + s0p(x, y))).scale(y)
     )
     results.append(
-        _check("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0", (lhs - rhs).truncate(terms))
+        _check("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0", lhs - rhs)
     )
 
     lhs = s0p(x, y)
     rhs = (tt * c0p(1, y)).scale(x * y) + (tt * s0p(x, y)).scale(y)
-    results.append(_check("S'0 = txy C'0(1,y) + ty S'0", (lhs - rhs).truncate(terms)))
+    results.append(_check("S'0 = txy C'0(1,y) + ty S'0", lhs - rhs))
 
     lhs = cp(x, y, z)
     rhs = (tt * (cp(x, y, z) + lp(x, y, z) + sp(x, y, z))).scale(x)
-    results.append(_check("C' = tx C' + tx L' + tx S'", (lhs - rhs).truncate(terms)))
+    results.append(_check("C' = tx C' + tx L' + tx S'", lhs - rhs))
 
     lhs = lp(x, y, z)
     bracket_c = (cp(1, 1, z).scale(z) - cp(z, 1, z)).scale(Fraction(1, 1 - z))
@@ -714,7 +674,7 @@ def functional_equation_checks(
     )
     results.append(
         _check("L' = txy C'(1,y,z) + divided differences + ty L' + ty S'",
-               (lhs - rhs).truncate(terms))
+               lhs - rhs)
     )
 
     lhs = sp(x, y, z)
@@ -723,7 +683,7 @@ def functional_equation_checks(
     rhs = (tt * b1).scale(z) + (tt * b2).scale(y * z)
     results.append(
         _check("S' = tz/(1-y)[y S'0(x,1) - S'0(x,y)] + tyz/(1-y)[S'(x,1,z) - S'(x,y,z)]",
-               (lhs - rhs).truncate(terms))
+               lhs - rhs)
     )
 
     lhs = np_(z)
@@ -734,10 +694,9 @@ def functional_equation_checks(
         + (tt * (sp(1, 1, 1) - sp(1, 1, z))).scale(z * scale_zz)
         + (tt * (np_(1) - np_(z).scale(z))).scale(z * scale_zz)
     )
-    # np_(1) divides out one power of t, so compare on the shared range
     results.append(
         _check("N' = tz/(1-z)[C'+L'+S' differences] + tz/(1-z)[N'(1) - z N'(z)]",
-               (lhs - rhs).truncate(terms))
+               lhs - rhs)
     )
     return results
 

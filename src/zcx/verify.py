@@ -85,12 +85,13 @@ def _census(n: int) -> classify.CensusRow:
     return classify.census(n, workers=_WORKERS)
 
 
-def _coeff(name: str, n: int, _cache={}) -> int:
-    order = 32 if n < 32 else n + 1
-    key = (name, order)
-    if key not in _cache:
-        _cache[key] = series.gf(name, order)
-    return _cache[key].integer_coefficient(n)
+@lru_cache(maxsize=32)
+def _gf(name: str, order: int) -> series.Series:
+    return series.gf(name, order)
+
+
+def _coeff(name: str, n: int) -> int:
+    return _gf(name, 32 if n < 32 else n + 1).integer_coefficient(n)
 
 
 def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
@@ -154,12 +155,12 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     delta = c - a.scale(2) - c22 + l
     rep.record(
         f"series: C = 2A + C22 - L to order {order}",
-        delta.is_zero(), f"first difference at order {delta.first_nonzero()}",
+        delta.is_zero(), f"first difference at order {delta.valuation()}",
     )
     delta = c21.scale(2) + c22 + l - z
     rep.record(
         f"series: Z = L + 2*C21 + C22 to order {order}",
-        delta.is_zero(), f"first difference at order {delta.first_nonzero()}",
+        delta.is_zero(), f"first difference at order {delta.valuation()}",
     )
     for name in ("Lgf", "Egf", "Zgf", "S4gf", "Cgf", "Hgf", "RectGf",
                  "Agf", "C22gf", "C21gf"):

@@ -141,27 +141,33 @@ def test_sqrt_squares_back(coeffs):
     assert (s * s).coeffs == a.coeffs
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=90),
-    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=90),
-)
-def test_kronecker_matches_naive(a, b):
-    n = min(len(a), len(b))
-    assert S._convolve(a[:n], b[:n], n) == S._convolve_naive(a[:n], b[:n], n)
-
-
-def test_kronecker_path_large_order():
-    # force both paths above the dispatch threshold
-    a = [(-3) ** (i % 5) * i for i in range(80)]
-    b = [7**(i % 3) - i for i in range(80)]
-    assert S._convolve(a, b, 80) == S._convolve_naive(a, b, 80)
-
-
 def test_pow():
     p = tpoly(10, [1, 1])
     assert (p**4).coeffs == tpoly(10, [1, 4, 6, 4, 1]).coeffs
     assert (p**0).coeffs == one(10).coeffs
+
+
+# ---- catalog expansion against the ring ------------------------------------
+
+UNPARAMETERIZED = [name for name, (_, params) in S._CATALOG.items() if not params]
+
+
+@pytest.mark.parametrize("name", UNPARAMETERIZED + list(S._SCALARS))
+def test_expansion_matches_ring_oracle(name):
+    # the same (c, P, Q, e) terms, evaluated as c P B^e / Q with the ring's
+    # division and square root, B = 1/sqrt(1-4t)
+    n = 120
+    builder = S._SCALARS.get(name) or S._CATALOG[name][0]
+    b = one(n) / tpoly(n, [1, -4]).sqrt()
+    ring = S.zero(n)
+    for c, p, q, e in builder():
+        ring = ring + (tpoly(n, p) * b**e / tpoly(n, q)).scale(c)
+    assert gf(name, n) == ring
+
+
+def test_catalog_term_with_pole_at_zero_rejected():
+    with pytest.raises(NonUnitDivisor):
+        S._term(1, [(1, 1)], [(0, 1)])
 
 
 # ---- frozen catalog reference values ---------------------------------------
@@ -202,6 +208,78 @@ def test_c21_series_prefix():
 
 def test_convex_series_prefix():
     assert _ints("Cgf", 2, 9) == [1, 2, 7, 28, 120, 528, 2344, 10416]
+
+
+# Polynomial hashes sum(c_k * R^k) mod 2^61 - 1 of every coefficient, with a
+# rational c_k read as numerator * denominator^-1 mod the prime.  Frozen
+# from an independent expansion of the same closed forms (Newton square
+# root and inverse of the composed series), so the recurrences are held to
+# it at high order.
+HASH_PRIME = (1 << 61) - 1
+HASH_R = 1_000_003
+
+FROZEN_1025 = {
+    "Lgf": 666955174238933906,
+    "Egf": 1080782784407913203,
+    "Zgf": 1543980809644824833,
+    "S4gf": 1738161337983118992,
+    "Cgf": 2005241701235382369,
+    "dCat": 2187329603732539834,
+    "Hgf": 1986034856558061574,
+    "RectGf": 594786177709913363,
+    "Agf": 1589223069801428653,
+    "C22gf": 1799593745085152920,
+    "C21gf": 691637449767215979,
+    "S111": 1547262203876503891,
+    "R1": 1401860011238487930,
+    "C1at1": 792738914156119994,
+    "C111": 1181324700726473073,
+    "L111": 2092013228231133430,
+    "N1": 896766861503878825,
+}
+
+_XY1 = {"x": Fraction(2, 3), "y": Fraction(3, 5)}
+_XYZ1 = {**_XY1, "z": Fraction(5, 7)}
+_XY2 = {"x": Fraction(-1, 2), "y": Fraction(2, 7)}
+_XYZ2 = {**_XY2, "z": Fraction(3, 4)}
+
+FROZEN_200 = [
+    ("C0p", _XY1, 666848944129601864),
+    ("L0p", _XY1, 1691282620122980579),
+    ("S0p", _XY1, 1456995839362498438),
+    ("Sp", _XYZ1, 733044049691022979),
+    ("Cp", _XYZ1, 1855462883410570549),
+    ("Lp", _XYZ1, 4942605483499568),
+    ("C0p", _XY2, 180750395061818326),
+    ("L0p", _XY2, 1453855878144515462),
+    ("S0p", _XY2, 2113951617811983579),
+    ("Sp", _XYZ2, 691929745189486201),
+    ("Cp", _XYZ2, 1498210683349115122),
+    ("Lp", _XYZ2, 1121478666504574075),
+    ("Np", {"z": Fraction(1)}, 122032392730423952),
+    ("Np", {"z": Fraction(2, 3)}, 436399905377479827),
+]
+
+
+def _hash(s):
+    acc = 0
+    for c in reversed(s.coeffs):
+        acc = (acc * HASH_R + c.numerator * pow(c.denominator, -1, HASH_PRIME)) % HASH_PRIME
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_1025))
+def test_frozen_hash_order_1025(name):
+    g = gf(name, 1025)
+    assert g.order == 1025
+    assert _hash(g) == FROZEN_1025[name]
+
+
+@pytest.mark.parametrize("name,params,expected", FROZEN_200)
+def test_frozen_hash_refined_order_200(name, params, expected):
+    g = gf(name, 200, **params)
+    assert g.order == 200
+    assert _hash(g) == expected
 
 
 def test_h_formula_values():
@@ -302,6 +380,7 @@ def test_degenerate_params_rejected():
 
 def test_np_at_z_equal_1_is_well_defined():
     np1 = gf("Np", 50, z=1)
+    assert np1.order == 50
     # N'(1) counts rectangular non-centered ascending polyominoes
     expected = gf("RectGf", 50) - (
         gf("C0p", 50, x=1, y=1) + gf("L0p", 50, x=1, y=1) + gf("S0p", 50, x=1, y=1)
