@@ -19,7 +19,9 @@ oracle over all cell pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .core import Polyomino, mirror
 
@@ -250,103 +252,87 @@ def is_z_convex(p: Polyomino) -> bool:
     return degree_pair(p).degree <= 2
 
 
+class Signature(NamedTuple):
+    """Everything the census records about one shape."""
+
+    ne: int
+    nw: int
+    centered: bool
+    four_stack: bool
+    ascending: bool
+    descending: bool
+    directed_convex: bool
+    top_rect: bool  # the top row ends in the rightmost column
+
+
+# Every census column, in JSON order: its name, its place among the CSV
+# columns (None: JSON only) and the shapes it counts, as a test on the
+# signature.  The last three are joint aggregates for the structure suite.
+COLUMNS: dict[str, tuple[int | None, Callable[[Signature], bool]]] = {
+    "total_convex": (1, lambda s: True),
+    "l_convex": (2, lambda s: s.ne <= 1 and s.nw <= 1),
+    "z_convex": (5, lambda s: s.ne <= 2 and s.nw <= 2),
+    "centered": (3, lambda s: s.centered),
+    "four_stack": (4, lambda s: s.four_stack),
+    "ascending": (6, lambda s: s.ascending),
+    "descending": (7, lambda s: s.descending),
+    "ascending_and_descending": (None, lambda s: s.ascending and s.descending),
+    "c22": (10, lambda s: s.ne == 2 and s.nw == 2),
+    "c21": (9, lambda s: s.ne == 2 and s.nw <= 1),
+    "c12": (8, lambda s: s.nw == 2 and s.ne <= 1),
+    "directed_convex": (11, lambda s: s.directed_convex),
+    "c22_four_stack": (None, lambda s: s.ne == s.nw == 2 and s.four_stack),
+    "prop4_mismatch": (None, lambda s: s.ascending != (s.nw <= 1)),
+    "rect_ascending": (None, lambda s: s.ascending and s.top_rect),
+}
+
+
 @dataclass
 class CensusRow:
-    """Aggregated classification counts for one size."""
+    """Histogram of shape signatures for one size; each column of
+    :data:`COLUMNS` reads as an attribute (``row.c22``)."""
 
     size: int
-    total_convex: int = 0
-    by_degree_pair: dict[tuple[int, int], int] = field(default_factory=dict)
-    l_convex: int = 0
-    z_convex: int = 0
-    centered: int = 0
-    four_stack: int = 0
-    ascending: int = 0
-    descending: int = 0
-    ascending_and_descending: int = 0
-    c22: int = 0
-    c21: int = 0
-    c12: int = 0
-    directed_convex: int = 0
-    # joint aggregates feeding the structural property suites
-    c22_four_stack: int = 0
-    prop4_mismatch: int = 0
-    rect_ascending: int = 0
+    counts: Counter[Signature] = field(default_factory=Counter)
 
     def add(self, p: Polyomino) -> None:
         d = degree_pair(p)
-        key = (d.ne, d.nw)
-        self.total_convex += 1
-        self.by_degree_pair[key] = self.by_degree_pair.get(key, 0) + 1
-        deg = d.degree
-        if deg <= 1:
-            self.l_convex += 1
-        if deg <= 2:
-            self.z_convex += 1
-        four = is_four_stack(p)
-        if d.ne == 2 and d.nw == 2:
-            self.c22 += 1
-            self.c22_four_stack += four
-        if d.ne == 2 and d.nw <= 1:
-            self.c21 += 1
-        if d.nw == 2 and d.ne <= 1:
-            self.c12 += 1
-        if is_centered(p):
-            self.centered += 1
-        if four:
-            self.four_stack += 1
-        asc = is_ascending(p)
-        desc = is_descending(p)
-        self.ascending += asc
-        self.descending += desc
-        self.ascending_and_descending += asc and desc
-        self.prop4_mismatch += asc != (d.nw <= 1)
-        self.rect_ascending += asc and p.rows[-1][1] == p.width - 1
-        self.directed_convex += is_directed_convex(p)
+        self.counts[Signature(
+            d.ne, d.nw, is_centered(p), is_four_stack(p), is_ascending(p),
+            is_descending(p), is_directed_convex(p),
+            p.rows[-1][1] == p.width - 1,
+        )] += 1
+
+    def __getattr__(self, name: str) -> int:
+        if name not in COLUMNS:
+            raise AttributeError(name)
+        test = COLUMNS[name][1]
+        return sum(v for s, v in self.counts.items() if test(s))
+
+    @property
+    def by_degree_pair(self) -> dict[tuple[int, int], int]:
+        """The (ne, nw) marginal of the histogram, in sorted order."""
+        pairs: Counter[tuple[int, int]] = Counter()
+        for s, v in self.counts.items():
+            pairs[s.ne, s.nw] += v
+        return dict(sorted(pairs.items()))
 
     def merge(self, other: "CensusRow") -> "CensusRow":
         if other.size != self.size:
             raise ValueError("cannot merge censuses of different sizes")
-        merged = CensusRow(self.size)
-        for name in (
-            "total_convex", "l_convex", "z_convex", "centered", "four_stack",
-            "ascending", "descending", "ascending_and_descending",
-            "c22", "c21", "c12", "directed_convex",
-            "c22_four_stack", "prop4_mismatch", "rect_ascending",
-        ):
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        merged.by_degree_pair = dict(self.by_degree_pair)
-        for key, v in other.by_degree_pair.items():
-            merged.by_degree_pair[key] = merged.by_degree_pair.get(key, 0) + v
-        return merged
+        return CensusRow(self.size, self.counts + other.counts)
 
     def validate(self) -> None:
         if sum(self.by_degree_pair.values()) != self.total_convex:
             raise AssertionError("degree histogram does not sum to the total")
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "total_convex": str(self.total_convex),
-            "l_convex": str(self.l_convex),
-            "z_convex": str(self.z_convex),
-            "centered": str(self.centered),
-            "four_stack": str(self.four_stack),
-            "ascending": str(self.ascending),
-            "descending": str(self.descending),
-            "ascending_and_descending": str(self.ascending_and_descending),
-            "c22": str(self.c22),
-            "c21": str(self.c21),
-            "c12": str(self.c12),
-            "directed_convex": str(self.directed_convex),
-            "c22_four_stack": str(self.c22_four_stack),
-            "prop4_mismatch": str(self.prop4_mismatch),
-            "rect_ascending": str(self.rect_ascending),
-            "by_degree_pair": {
-                f"{ne},{nw}": str(v)
-                for (ne, nw), v in sorted(self.by_degree_pair.items())
-            },
+        out: dict = {"size": self.size}
+        out.update((name, str(getattr(self, name))) for name in COLUMNS)
+        out["by_degree_pair"] = {
+            f"{ne},{nw}": str(v) for (ne, nw), v in self.by_degree_pair.items()
         }
+        return out
 
 
 def census_partition(n: int, r: int, c: int) -> CensusRow:
@@ -372,7 +358,7 @@ def census(n: int, workers: int = 1) -> CensusRow:
     if workers > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.Pool(workers) as pool:
             rows = pool.starmap(census_partition, parts)
     else:
         rows = [census_partition(*args) for args in parts]
@@ -383,24 +369,21 @@ def census(n: int, workers: int = 1) -> CensusRow:
     return out
 
 
-CSV_COLUMNS = (
-    "size", "total", "l_convex", "centered", "four_stack", "z_convex",
-    "ascending", "descending", "c12", "c21", "c22", "directed_convex",
-)
+_CSV_COLUMNS = [name for _, name in sorted(
+    (place, name) for name, (place, _) in COLUMNS.items() if place)]
 
 
 def census_csv(rows: list[CensusRow]) -> str:
-    """CSV with the fixed columns followed by deg_<ne>_<nw> histogram
-    columns for every degree pair observed in any row."""
+    """CSV with size and the CSV columns of :data:`COLUMNS` (total_convex
+    headed "total"), then deg_<ne>_<nw> histogram columns for every degree
+    pair observed in any row."""
     pairs = sorted({key for row in rows for key in row.by_degree_pair})
-    header = list(CSV_COLUMNS) + [f"deg_{ne}_{nw}" for ne, nw in pairs]
+    header = ["size", "total"] + _CSV_COLUMNS[1:]
+    header += [f"deg_{ne}_{nw}" for ne, nw in pairs]
     lines = [",".join(header)]
     for row in rows:
-        base = [
-            row.size, row.total_convex, row.l_convex, row.centered,
-            row.four_stack, row.z_convex, row.ascending, row.descending,
-            row.c12, row.c21, row.c22, row.directed_convex,
-        ]
-        hist = [row.by_degree_pair.get(pair, 0) for pair in pairs]
-        lines.append(",".join(str(v) for v in base + hist))
+        hist = row.by_degree_pair
+        values = [row.size] + [getattr(row, name) for name in _CSV_COLUMNS]
+        values += [hist.get(pair, 0) for pair in pairs]
+        lines.append(",".join(str(v) for v in values))
     return "\n".join(lines) + "\n"

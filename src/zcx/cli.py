@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import classify, gentree, series, verify
@@ -74,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True,
                    help="catalog name, e.g. A, H, Rect, C22, C21, Cp, Np, S111")
     p.add_argument("--terms", type=int, default=series.DEFAULT_ORDER)
-    p.add_argument("--x", type=_fraction, default=None)
-    p.add_argument("--y", type=_fraction, default=None)
-    p.add_argument("--z", type=_fraction, default=None)
+    for stat in ("x", "y", "z"):
+        p.add_argument(f"--{stat}", type=_fraction, default=None,
+                       help=f"rational {stat}, e.g. 2/3; write a negative "
+                       f"value as --{stat}=-1/2")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("gentree", help="generating-tree levels for ascending polyominoes")
@@ -174,42 +176,22 @@ def _cmd_gentree(args) -> tuple[str, int]:
         )
     if args.mode == "labels":
         levels = gentree.count_levels(args.max_size)
-        level_counts = {
-            lv.level: lv.counts for lv in levels
-        }
-        summary = [
-            {
-                "level": lv.level,
-                "total": str(lv.total),
-                "centered": str(lv.centered_total),
-                "non_centered": str(lv.non_centered_total),
-                "rectangular": str(lv.rectangular_total),
-            }
-            for lv in levels
-        ]
     else:
-        levels = gentree.constructive_levels(args.max_size)
-        level_counts = {}
-        summary = []
-        for level in levels:
-            n = size(level[0])
-            counts: dict[gentree.TreeLabel, int] = {}
-            rect = centered = 0
-            for p in level:
-                lab = gentree.label_of(p)
-                counts[lab] = counts.get(lab, 0) + 1
-                rect += lab.rect
-                centered += lab.family != "NC"
-            level_counts[n] = counts
-            summary.append(
-                {
-                    "level": n,
-                    "total": str(len(level)),
-                    "centered": str(centered),
-                    "non_centered": str(len(level) - centered),
-                    "rectangular": str(rect),
-                }
-            )
+        levels = [
+            gentree.LabelLevel(size(level[0]), Counter(map(gentree.label_of, level)))
+            for level in gentree.constructive_levels(args.max_size)
+        ]
+    level_counts = {lv.level: lv.counts for lv in levels}
+    summary = [
+        {
+            "level": lv.level,
+            "total": str(lv.total),
+            "centered": str(lv.centered_total),
+            "non_centered": str(lv.non_centered_total),
+            "rectangular": str(lv.rectangular_total),
+        }
+        for lv in levels
+    ]
     dump = None
     if args.dump_level is not None:
         if args.dump_level not in level_counts:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import Polyomino, from_rows, size
-from .classify import is_ascending
+from .classify import is_ascending, is_centered
 
 
 class NotAscending(ValueError):
@@ -250,7 +250,7 @@ def parent(p: Polyomino) -> tuple[str, Polyomino] | None:
             else:
                 shrunk.append((l, r))
         q = from_rows(shrunk)
-        op = OP_NC if is_centered_rows(q) else OP_NC_STAR
+        op = OP_NC if is_centered(q) else OP_NC_STAR
         return op, q
 
     base_bot, base_top = full[0], full[-1]
@@ -272,11 +272,6 @@ def parent(p: Polyomino) -> tuple[str, Polyomino] | None:
         return OP_RIGHT_CELL, from_rows(shrunk)
     # Case 2.3: remove the row immediately above the base.
     return OP_SHIFT, from_rows(rows[: base_top + 1] + rows[base_top + 2 :])
-
-
-def is_centered_rows(p: Polyomino) -> bool:
-    w = p.width - 1
-    return any(l == 0 and r == w for l, r in p.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     """The counting identity, the partition claims, and their series forms."""
     rep = SuiteReport("identities")
     t0 = time.perf_counter()
-    for n in range(2, min(max_n, 12) + 1):
+    for n in range(2, max_n + 1):
         row = _census(n)
         a, k, l = row.ascending, row.c22, row.l_convex
         rep.record(
@@ -408,11 +408,10 @@ def suite_structure(max_n: int = 12, oracle_max_n: int = 7) -> SuiteReport:
             ),
             sorted(row.by_degree_pair.items()),
         )
-        if n <= 11:
-            rep.record(
-                f"n={n}: ascending row characterization = (nw <= 1)",
-                row.prop4_mismatch == 0, (n, row.prop4_mismatch),
-            )
+        rep.record(
+            f"n={n}: ascending row characterization = (nw <= 1)",
+            row.prop4_mismatch == 0, (n, row.prop4_mismatch),
+        )
         rep.record(
             f"n={n}: rectangular-ascending = directed-convex = binom(2n-4, n-2)",
             row.rect_ascending == row.directed_convex == series.rect_formula(n),

@@ -255,8 +255,7 @@ def test_remaining_module_invariants_at_full_size(
         assert not any(
             nw > 1 and nw < ne and ne > 2 for ne, nw in row.by_degree_pair
         )
-        if n <= 11:
-            assert row.prop4_mismatch == 0
+        assert row.prop4_mismatch == 0
     assert rows[10].c21 == 11919
 
     levels, _ = tree_levels

@@ -3,10 +3,14 @@ the generating functions."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 
+import zcx
 from zcx.classify import (
     CensusRow,
     census,
@@ -187,6 +191,20 @@ def test_census_merge_matches_single_pass():
 
 def test_census_parallel_equals_serial():
     assert census(7, workers=2).to_dict() == census(7, workers=1).to_dict()
+
+
+def test_census_parallel_under_spawn():
+    # Spawned workers start from a fresh import, so the pool must not
+    # depend on state inherited through fork.
+    script = (
+        "import multiprocessing as mp\n"
+        "from zcx.classify import census\n"
+        "mp.set_start_method('spawn')\n"
+        "assert census(7, workers=2) == census(7, workers=1)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
 
 def test_census_merge_rejects_size_mismatch():

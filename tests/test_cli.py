@@ -104,6 +104,17 @@ def test_series_rational_fractions_kept_exact(capsys):
     assert any("/" in c for c in payload["coeffs"])
 
 
+def test_series_negative_param_attached_form(capsys):
+    code, out, _ = _run(
+        capsys, "series", "--name", "S0p", "--x=-1/2", "--y", "2/7",
+        "--terms", "6",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"] == {"x": "-1/2", "y": "2/7", "z": None}
+    assert payload["coeffs"][4:] == ["-2/49", "-22/343"]
+
+
 def test_series_missing_param_is_usage_error(capsys):
     code, _, err = _run(capsys, "series", "--name", "Cp", "--terms", "5")
     assert code == 2 and "requires parameter" in err
