@@ -163,17 +163,9 @@ def _label_lines(counts: dict[gentree.TreeLabel, int]) -> list[str]:
     return sorted(lines)
 
 
-_CONSTRUCT_CAP = 11
-
-
 def _cmd_gentree(args) -> tuple[str, int]:
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
-    if args.mode == "construct" and args.max_size > _CONSTRUCT_CAP:
-        raise PolyominoError(
-            f"construct mode materializes whole levels and is capped at "
-            f"--max-size {_CONSTRUCT_CAP}; use --mode labels beyond that"
-        )
     if args.mode == "labels":
         levels = gentree.count_levels(args.max_size)
     else:

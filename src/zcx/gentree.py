@@ -97,12 +97,6 @@ class TreeLabel(NamedTuple):
             raise InvalidLabel("NC labels are stored as (1, 0, r) with r >= 1")
         return self
 
-    def short(self) -> str:
-        mark = "'" if self.rect else ""
-        if self.family == "NC":
-            return f"({self.r}){mark}"
-        return f"({self.b},{self.w},{self.r}){mark}_{self.family}"
-
 
 ROOT_LABEL = TreeLabel("L0", 1, 1, 0, True)
 
@@ -350,13 +344,9 @@ def succ(label: TreeLabel) -> list[tuple[TreeLabel, int]]:
             out.append((TreeLabel("S", 1, j, r + 1, rect), 1))
         out.extend(_nc_part(r, rect))
     elif f == "NC":
+        out.extend(_nc_part(r, rect))
         if rect:
-            for rp in range(1, r + 2):
-                out.append((TreeLabel("NC", 1, 0, rp, True), 1))
-            for rp in range(1, r):
-                out.append((TreeLabel("NC", 1, 0, rp, False), r - rp))
-        else:
-            out.extend(_nc_part(r, False))
+            out.append((TreeLabel("NC", 1, 0, r + 1, True), 1))
     return [(child, m) for child, m in out if m > 0]
 
 
@@ -401,11 +391,21 @@ def count_levels(max_size: int) -> list[LabelLevel]:
     return levels
 
 
+# Largest size constructive_levels builds: every level is held in full,
+# and the level at 12 is about four times the level at 11.
+CONSTRUCT_CAP = 11
+
+
 def constructive_levels(max_size: int) -> list[list[Polyomino]]:
     """Materialize the tree levels as polyominoes, each level sorted by
-    encoding.  Intended for sizes up to about 11."""
+    encoding.  Raises ValueError above ``CONSTRUCT_CAP``."""
     from .core import decode
 
+    if max_size > CONSTRUCT_CAP:
+        raise ValueError(
+            f"constructive levels are materialized whole and capped at size "
+            f"{CONSTRUCT_CAP} (asked {max_size}); the label DP has no cap"
+        )
     level = [decode("0-0")]
     out = [level]
     while size(level[0]) < max_size:

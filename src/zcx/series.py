@@ -200,15 +200,6 @@ class Series:
             r.append((a[k] - sum(r[i] * r[k - i] for i in range(1, k))) / 2)
         return Series._raw(tuple(r))
 
-    def compare(self, other: "Series") -> int | None:
-        """First order where the two series differ, or None if they agree
-        on the shared truncation range."""
-        n = min(self.order, other.order)
-        for i in range(n):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
-
 
 def zero(n: int) -> Series:
     return Series([0] * n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -146,12 +147,12 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
         )
 
     order = series_order
-    c = series.gf("Cgf", order)
-    a = series.gf("Agf", order)
-    l = series.gf("Lgf", order)
-    z = series.gf("Zgf", order)
-    c22 = series.gf("C22gf", order)
-    c21 = series.gf("C21gf", order)
+    c = _gf("Cgf", order)
+    a = _gf("Agf", order)
+    l = _gf("Lgf", order)
+    z = _gf("Zgf", order)
+    c22 = _gf("C22gf", order)
+    c21 = _gf("C21gf", order)
     delta = c - a.scale(2) - c22 + l
     rep.record(
         f"series: C = 2A + C22 - L to order {order}",
@@ -164,7 +165,7 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     )
     for name in ("Lgf", "Egf", "Zgf", "S4gf", "Cgf", "Hgf", "RectGf",
                  "Agf", "C22gf", "C21gf"):
-        g = series.gf(name, order)
+        g = _gf(name, order)
         bad = None
         for i in range(order):
             coeff = g.coefficient(i)
@@ -179,7 +180,9 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     return rep
 
 
-def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
+def suite_gentree(
+    max_construct: int = gentree.CONSTRUCT_CAP, max_labels: int = 60
+) -> SuiteReport:
     """Bijection, unique parentage, label consistency, and DP totals."""
     rep = SuiteReport("gentree")
     t0 = time.perf_counter()
@@ -289,88 +292,59 @@ _REFINED_PARAMS = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
 def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
     """Refined (b, w, r)-statistics against the closed class functions.
 
-    Rectangular classes are compared coefficient-wise at the rational
-    parameters; non-rectangular classes against the closed scalar
-    evaluations at x = y = z = 1.
+    The ascending shapes of each size are counted once into a histogram of
+    their tree labels.  Each check sums a weight over the labels of one
+    (family, rectangular) class: x^b y^w z^r against the class function at
+    the rational parameters, z^r against Np, and 1 against the scalar
+    evaluation at x = y = z = 1 for the non-rectangular classes.
     """
     x, y, z = (Fraction(v) for v in params)
     rep = SuiteReport("refined")
     t0 = time.perf_counter()
 
-    rect_stats: dict[str, list[Fraction]] = {
-        k: [Fraction(0)] * (max_n + 1) for k in ("C0", "L0", "S0", "C", "L", "S")
+    labels = {
+        n: Counter(
+            gentree.label_of(p) for p in all_convex(n) if classify.is_ascending(p)
+        )
+        for n in range(2, max_n + 1)
     }
-    np_stats: dict[Fraction, list[Fraction]] = {
-        z: [Fraction(0)] * (max_n + 1),
-        Fraction(2, 3): [Fraction(0)] * (max_n + 1),
-    }
-    scalar_counts: dict[str, list[int]] = {
-        k: [0] * (max_n + 1) for k in ("C", "L", "S", "R", "C1", "NC")
-    }
-    for n in range(2, max_n + 1):
-        for p in all_convex(n):
-            if not classify.is_ascending(p):
-                continue
-            lab = gentree.label_of(p)
-            if lab.family == "NC":
-                if lab.rect:
-                    for zz in np_stats:
-                        np_stats[zz][n] += zz ** lab.r
-                else:
-                    scalar_counts["NC"][n] += 1
-                continue
-            if lab.rect:
-                rect_stats[lab.family][n] += x ** lab.b * y ** lab.w * z ** lab.r
-            else:
-                scalar_counts[lab.family][n] += 1
 
-    gf_args = {
-        "C0": ("C0p", {"x": x, "y": y}),
-        "L0": ("L0p", {"x": x, "y": y}),
-        "S0": ("S0p", {"x": x, "y": y}),
-        "C": ("Cp", {"x": x, "y": y, "z": z}),
-        "L": ("Lp", {"x": x, "y": y, "z": z}),
-        "S": ("Sp", {"x": x, "y": y, "z": z}),
-    }
-    for family, (name, kw) in gf_args.items():
-        g = series.gf(name, max_n + 1, **kw)
-        bad = None
-        for n in range(2, max_n + 1):
-            if g.coefficient(n) != rect_stats[family][n]:
-                bad = (n, str(g.coefficient(n)), str(rect_stats[family][n]))
-                break
-        rep.record(
+    order = max_n + 1
+    xy, xyz = {"x": x, "y": y}, {"x": x, "y": y, "z": z}
+    checks = []
+    for family, name, kw in (("C0", "C0p", xy), ("L0", "L0p", xy),
+                             ("S0", "S0p", xy), ("C", "Cp", xyz),
+                             ("L", "Lp", xyz), ("S", "Sp", xyz)):
+        checks.append((
             f"rectangular class {family}: statistic = {name}"
             f"({', '.join(f'{k}={v}' for k, v in kw.items())}), n <= {max_n}",
-            bad is None, bad,
-        )
-    for zz, stats in np_stats.items():
-        g = series.gf("Np", max_n + 1, z=zz)
-        bad = None
-        for n in range(2, max_n + 1):
-            if g.coefficient(n) != stats[n]:
-                bad = (n, str(g.coefficient(n)), str(stats[n]))
-                break
-        rep.record(
+            series.gf(name, order, **kw), (family, True),
+            lambda lab: x ** lab.b * y ** lab.w * z ** lab.r,
+        ))
+    for zz in dict.fromkeys((z, Fraction(2, 3))):
+        checks.append((
             f"rectangular non-centered: statistic = Np(z={zz}), n <= {max_n}",
-            bad is None, bad,
-        )
+            series.gf("Np", order, z=zz), ("NC", True),
+            lambda lab, zz=zz: zz ** lab.r,
+        ))
+    for family, name in (("C", "C111"), ("L", "L111"), ("S", "S111"),
+                         ("R", "R1"), ("C1", "C1at1"), ("NC", "N1")):
+        checks.append((
+            f"non-rectangular class {family}: count = {name}, n <= {max_n}",
+            series.scalar_gf(name, order), (family, False), lambda lab: 1,
+        ))
 
-    scalar_names = {
-        "C": "C111", "L": "L111", "S": "S111",
-        "R": "R1", "C1": "C1at1", "NC": "N1",
-    }
-    for family, name in scalar_names.items():
-        g = series.scalar_gf(name, max_n + 1)
+    for description, g, cls, weight in checks:
         bad = None
         for n in range(2, max_n + 1):
-            if g.coefficient(n) != scalar_counts[family][n]:
-                bad = (n, str(g.coefficient(n)), scalar_counts[family][n])
+            got = sum(
+                weight(lab) * m for lab, m in labels[n].items()
+                if (lab.family, lab.rect) == cls
+            )
+            if g.coefficient(n) != got:
+                bad = (n, str(g.coefficient(n)), str(got))
                 break
-        rep.record(
-            f"non-rectangular class {family}: count = {name}, n <= {max_n}",
-            bad is None, bad,
-        )
+        rep.record(description, bad is None, bad)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -530,30 +504,37 @@ SUITES = {
     "asymptotics": suite_asymptotics,
 }
 
+# Suites whose first parameter is the largest size they check.
+_SIZE_BOUNDED = ("identities", "gentree", "refined", "structure")
+
 
 def run_suites(
     names, max_size: int | None = None, fixtures: str | None = None
 ) -> list[SuiteReport]:
-    """Run the named suites (or all) in deterministic order."""
+    """Run the named suites (or all) in deterministic order.
+
+    ``max_size`` goes unchanged to the size-bounded suites; the others run
+    at their defaults.  Unknown names and sizes no suite can run raise
+    before any suite starts.
+    """
     if names == "all" or "all" in names:
         names = list(SUITES)
-    reports = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        fn = SUITES[name]
-        if max_size is None:
-            reports.append(fn())
-        elif name == "identities":
-            reports.append(suite_identities(max_n=max_size))
-        elif name == "gentree":
-            reports.append(suite_gentree(max_construct=min(max_size, 11)))
-        elif name == "refined":
-            reports.append(suite_refined_gf(max_n=min(max_size, 11)))
-        elif name == "structure":
-            reports.append(suite_structure(max_n=max_size))
-        else:
-            reports.append(fn())
+    if max_size is not None:
+        if max_size < 2:
+            raise ValueError("max size must be >= 2")
+        if "gentree" in names and max_size > gentree.CONSTRUCT_CAP:
+            raise ValueError(
+                f"the gentree suite builds whole tree levels and is capped at "
+                f"max size {gentree.CONSTRUCT_CAP} (asked {max_size})"
+            )
+    reports = [
+        SUITES[name](max_size)
+        if max_size is not None and name in _SIZE_BOUNDED else SUITES[name]()
+        for name in names
+    ]
     if fixtures is not None:
         reports.append(suite_fixtures(fixtures))
     return reports

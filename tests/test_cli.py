@@ -182,6 +182,21 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["gentree", "all"])
+def test_verify_above_construct_cap_is_usage_error(capsys, suite):
+    code, out, err = _run(capsys, "verify", "--suite", suite, "--max-size", "12")
+    assert code == 2 and out == ""
+    assert "capped at max size 11" in err
+
+
+def test_verify_max_size_below_2_is_usage_error(capsys):
+    code, out, err = _run(
+        capsys, "verify", "--suite", "identities,structure,refined", "--max-size", "1"
+    )
+    assert code == 2 and out == ""
+    assert "max size must be >= 2" in err
+
+
 def test_render(capsys):
     code, out, _ = _run(capsys, "render", "--encoding", "1-2;0-1")
     assert code == 0 and out == "##.\n.##\n"

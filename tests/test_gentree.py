@@ -12,6 +12,7 @@ from zcx.classify import is_ascending
 from zcx.core import decode, size
 from zcx.enumerate import all_convex
 from zcx.gentree import (
+    CONSTRUCT_CAP,
     InvalidLabel,
     NotAscending,
     ROOT_LABEL,
@@ -238,3 +239,8 @@ def test_constructive_levels_sorted():
     for level in constructive_levels(7):
         encs = [p.encode() for p in level]
         assert encs == sorted(encs)
+
+
+def test_constructive_levels_capped():
+    with pytest.raises(ValueError, match=f"capped at size {CONSTRUCT_CAP}"):
+        constructive_levels(CONSTRUCT_CAP + 1)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from zcx import verify
+from zcx import gentree, verify
 
 
 def test_identities_suite_passes_and_is_deterministic():
@@ -87,3 +87,28 @@ def test_run_suites_respects_max_size(tmp_path):
     )
     assert [r.suite for r in reports] == ["identities", "structure", "fixtures"]
     assert all(r.passed for r in reports)
+
+
+def test_run_suites_passes_max_size_unclamped(monkeypatch):
+    calls = []
+
+    def refined(max_n):
+        calls.append(max_n)
+        return verify.SuiteReport("refined")
+
+    monkeypatch.setitem(verify.SUITES, "refined", refined)
+    monkeypatch.setitem(verify.SUITES, "kernels", lambda: verify.SuiteReport("kernels"))
+    reports = verify.run_suites(["refined", "kernels"], max_size=13)
+    assert calls == [13]
+    assert [r.suite for r in reports] == ["refined", "kernels"]
+
+
+def test_run_suites_checks_gentree_cap_before_any_suite(monkeypatch):
+    def identities(*args, **kwargs):
+        raise AssertionError("identities suite ran")
+
+    monkeypatch.setitem(verify.SUITES, "identities", identities)
+    with pytest.raises(ValueError, match=f"capped at max size {gentree.CONSTRUCT_CAP}"):
+        verify.run_suites(["identities", "gentree"], max_size=gentree.CONSTRUCT_CAP + 1)
+    with pytest.raises(ValueError, match=">= 2"):
+        verify.run_suites(["identities"], max_size=1)
