@@ -137,6 +137,10 @@ def _cmd_census(args, workers: int) -> tuple[str, int]:
 
 
 def _cmd_series(args) -> tuple[str, int]:
+    canon = series.resolve_name(args.name)
+    for k in ("x", "y", "z"):
+        if getattr(args, k) is not None and k not in series.parameters(canon):
+            raise series.SeriesError(f"{canon} does not take parameter {k}")
     g = series.gf(args.name, args.terms, x=args.x, y=args.y, z=args.z)
     params = {
         k: (str(v) if v is not None else None)
@@ -147,7 +151,7 @@ def _cmd_series(args) -> tuple[str, int]:
         lines += [f"{i},{c}" for i, c in enumerate(g.coeffs)]
         return "\n".join(lines) + "\n", 0
     payload = {
-        "name": series.resolve_name(args.name),
+        "name": canon,
         "params": params,
         "terms": g.order,
         "coeffs": [str(c) for c in g.coeffs],
@@ -211,12 +215,7 @@ def _cmd_gentree(args) -> tuple[str, int]:
 def _cmd_verify(args, workers: int) -> tuple[str, int]:
     verify.set_workers(workers)
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    try:
-        reports = verify.run_suites(
-            names, max_size=args.max_size, fixtures=args.fixtures
-        )
-    except KeyError as exc:
-        raise PolyominoError(str(exc)) from exc
+    reports = verify.run_suites(names, max_size=args.max_size, fixtures=args.fixtures)
     all_pass = all(r.passed for r in reports)
     if args.format == "json":
         text = json.dumps(
@@ -236,7 +235,9 @@ def _cmd_render(args) -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    workers = args.threads if args.threads else _default_workers()
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be >= 1")
+    workers = args.threads or _default_workers()
     try:
         if args.command == "enumerate":
             text, code = _cmd_enumerate(args)
@@ -250,9 +251,11 @@ def main(argv=None) -> int:
             text, code = _cmd_verify(args, workers)
         else:
             text, code = _cmd_render(args)
-    except (PolyominoError, series.SeriesError, gentree.NotAscending,
-            gentree.InvalidLabel, KeyError, ValueError) as exc:
-        print(f"zcx: error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        # Every zcx error class is a ValueError.  str() of a KeyError quotes
+        # its message, so print the message itself.
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"zcx: error: {msg}", file=sys.stderr)
         return 2
     _emit(text, args.out)
     return code

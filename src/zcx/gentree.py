@@ -7,12 +7,13 @@ operations are:
 * Left Cell -- glue one cell to the left of a base row (the base being the
   maximal block of full-width rows); the child has a single cell in its
   leftmost column.
-* Right Cell -- glue one cell to the right of a base row; blocked when the
-  leftmost column holds a single cell, which keeps generation unambiguous.
+* Right Cell -- glue one cell to the right of a base row; blocked for the
+  L0 and L families, whose leftmost column holds a single cell, which
+  keeps generation unambiguous.
 * Row -- add one more full-width row to the base.
 * Shift -- insert a right-aligned shorter row immediately above the base;
-  only for base height 1, left offset w > 0 and at least two cells in the
-  leftmost column (other cases are reachable by Left Cell or Row).
+  only for the S0 and S families (other cases are reachable by Left Cell
+  or Row).
 * Nc -- append a new column of r' cells against the last column strictly
   above the base, leaving the centered world.
 
@@ -23,10 +24,12 @@ of the shape).
 Each polyomino carries a label: family (C0, C, C1, L0, L, R, S0, S for
 centered, NC for non-centered), base height b, left offset w, last-column
 excess r, and a rectangular flag (last column reaching the maximal height).
-``succ`` rewrites a label into the multiset of its children's labels;
-``count_levels`` iterates that rewriting symbolically, while ``children``
-and ``parent`` realize the same tree on actual polyominoes.  The tests
-check that the two views coincide level by level.
+The label decides how a polyomino grows.  ``succ`` rewrites a label into
+the multiset of its children's labels, and ``count_levels`` iterates that
+rewriting symbolically.  ``children`` and ``parent`` realize the same tree
+on actual polyominoes: both read the label and the base position from the
+one computation behind ``label_of`` and pick operations by family, as
+``succ`` does.  The tests check that the two views coincide level by level.
 """
 
 from __future__ import annotations
@@ -101,36 +104,28 @@ class TreeLabel(NamedTuple):
 ROOT_LABEL = TreeLabel("L0", 1, 1, 0, True)
 
 
-def _shape(p: Polyomino):
-    """Geometric quantities shared by the labeling and growth code."""
-    rows = p.rows
-    width = p.width
-    full = [y for y, (l, r) in enumerate(rows) if l == 0 and r == width - 1]
-    leftcol = sum(1 for l, _ in rows if l == 0)
-    top_rect = rows[-1][1] == width - 1
-    return rows, width, full, leftcol, top_rect
-
-
-def label_of(p: Polyomino) -> TreeLabel:
-    """Label per the family rules; raises NotAscending outside the class."""
+def _label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
+    """The unvalidated label of p, the index of its top base row (None when
+    p is non-centered) and the index of its last column; raises NotAscending
+    outside the class."""
     if not is_ascending(p):
         raise NotAscending(p.encode())
-    rows, width, full, leftcol, rect = _shape(p)
+    rows = p.rows
+    last = p.width - 1
+    rect = rows[-1][1] == last
+    full = [y for y, (l, r) in enumerate(rows) if l == 0 and r == last]
     if not full:
         # Non-centered: r counts the cells of the last column.
-        r = sum(1 for _, rr in rows if rr == width - 1)
-        return TreeLabel("NC", 1, 0, r, rect).validate()
-    base_top = full[-1]
+        r = sum(1 for _, rr in rows if rr == last)
+        return TreeLabel("NC", 1, 0, r, rect), None, last
+    top = full[-1]
     b = len(full)
-    flipped = base_top == len(rows) - 1
-    if flipped:
-        w = width
-    else:
-        w = rows[base_top + 1][0]
-    r = sum(1 for _, rr in rows[base_top + 1 :] if rr == width - 1)
+    flipped = top == len(rows) - 1
+    w = last + 1 if flipped else rows[top + 1][0]
+    r = sum(1 for _, rr in rows[top + 1 :] if rr == last)
     if b > 1:
         family = "C0" if flipped else ("C1" if w == 0 else "C")
-    elif leftcol == 1:
+    elif sum(1 for l, _ in rows if l == 0) == 1:
         family = "L0" if flipped else "L"
     elif w == 0:
         family = "R"
@@ -139,7 +134,12 @@ def label_of(p: Polyomino) -> TreeLabel:
     if family in ("C1", "R"):
         # These classes hold a single cell in the rightmost column.
         assert r == 0 and not rect, p.encode()
-    return TreeLabel(family, b, w, r, rect).validate()
+    return TreeLabel(family, b, w, r, rect), top, last
+
+
+def label_of(p: Polyomino) -> TreeLabel:
+    """Label per the family rules; raises NotAscending outside the class."""
+    return _label(p)[0].validate()
 
 
 def is_rectangular(p: Polyomino) -> bool:
@@ -149,30 +149,25 @@ def is_rectangular(p: Polyomino) -> bool:
 
 def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
     """All ascending polyominoes of the next size grown from p, tagged by
-    operation, in deterministic order."""
-    if not is_ascending(p):
-        raise NotAscending(p.encode())
-    rows, width, full, leftcol, _ = _shape(p)
+    operation, in deterministic order.  The label decides which operations
+    apply, as in ``succ``."""
+    (f, b, w, r, rect), top, last = _label(p)
+    rows = p.rows
     out: list[tuple[str, Polyomino]] = []
 
-    if full:
-        base_bot, base_top = full[0], full[-1]
-        b = len(full)
-        flipped = base_top == len(rows) - 1
-        w = width if flipped else rows[base_top + 1][0]
-        r_cnt = sum(1 for _, rr in rows[base_top + 1 :] if rr == width - 1)
-
+    if f != "NC":
+        base = range(top, top - b, -1)
         # Left Cell: one new cell left of each base row.
-        for k in range(base_top, base_bot - 1, -1):
+        for k in base:
             grown = [
                 (0, rr + 1) if y == k else (l + 1, rr + 1)
                 for y, (l, rr) in enumerate(rows)
             ]
             out.append((OP_LEFT_CELL, from_rows(grown)))
 
-        # Right Cell: blocked when the leftmost column has a single cell.
-        if leftcol >= 2:
-            for k in range(base_top, base_bot - 1, -1):
+        # Right Cell: blocked for L0 and L, whose leftmost column is one cell.
+        if f not in ("L0", "L"):
+            for k in base:
                 grown = [
                     (l, rr + 1) if y == k else (l, rr)
                     for y, (l, rr) in enumerate(rows)
@@ -180,43 +175,28 @@ def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
                 out.append((OP_RIGHT_CELL, from_rows(grown)))
 
         # Row: one more full-width row in the base.
-        grown = list(rows[: base_top + 1]) + [(0, width - 1)] + list(rows[base_top + 1 :])
+        grown = rows[: top + 1] + ((0, last),) + rows[top + 1 :]
         out.append((OP_ROW, from_rows(grown)))
 
         # Shift: insert a right-aligned row immediately above the base.
-        if w > 0 and leftcol >= 2 and b == 1:
-            offsets = range(1, w) if flipped else range(1, w + 1)
-            for j in offsets:
-                grown = (
-                    list(rows[: base_top + 1])
-                    + [(j, width - 1)]
-                    + list(rows[base_top + 1 :])
-                )
+        if f in ("S0", "S"):
+            for j in range(1, w if f == "S0" else w + 1):
+                grown = rows[: top + 1] + ((j, last),) + rows[top + 1 :]
                 out.append((OP_SHIFT, from_rows(grown)))
 
-        # Nc: append a column of r' cells strictly above the base.
-        for rp in range(1, r_cnt + 1):
-            for start in range(base_top + 1, base_top + r_cnt - rp + 2):
-                grown = [
-                    (l, rr + 1) if start <= y < start + rp else (l, rr)
-                    for y, (l, rr) in enumerate(rows)
-                ]
-                out.append((OP_NC, from_rows(grown)))
-    else:
-        # Non-centered: Nc* on the block of rows touching the last column.
-        touch = [y for y, (_, rr) in enumerate(rows) if rr == width - 1]
-        u0, u1 = touch[0], touch[-1]
-        r_cnt = u1 - u0 + 1
-        for rp in range(1, r_cnt + 1):
-            for start in range(u0, u1 - rp + 2):
-                grown = [
-                    (l, rr + 1) if start <= y < start + rp else (l, rr)
-                    for y, (l, rr) in enumerate(rows)
-                ]
-                out.append((OP_NC_STAR, from_rows(grown)))
-        if is_rectangular(p):
-            grown = list(rows) + [(width - 1, width - 1)]
-            out.append((OP_NC_STAR, from_rows(grown)))
+    # Nc / Nc*: append a column of r' cells against the r-row run of the
+    # last column, which starts just above the base of a centered shape.
+    op, first = (OP_NC_STAR, p.column(last)[0]) if f == "NC" else (OP_NC, top + 1)
+    for rp in range(1, r + 1):
+        for start in range(first, first + r - rp + 1):
+            grown = [
+                (l, rr + 1) if start <= y < start + rp else (l, rr)
+                for y, (l, rr) in enumerate(rows)
+            ]
+            out.append((op, from_rows(grown)))
+    # Nc*: one extra cell on top of a rectangular non-centered shape.
+    if f == "NC" and rect:
+        out.append((OP_NC_STAR, from_rows(rows + ((last, last),))))
 
     encodings = [c.encode() for _, c in out]
     if len(set(encodings)) != len(encodings):
@@ -226,46 +206,30 @@ def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
 
 def parent(p: Polyomino) -> tuple[str, Polyomino] | None:
     """The unique (operation, parent) producing p; None for the root."""
-    if not is_ascending(p):
-        raise NotAscending(p.encode())
+    (f, b, _, r, _), top, last = _label(p)
     if size(p) == 2:
         return None
-    rows, width, full, leftcol, _ = _shape(p)
+    rows = p.rows
 
-    if not full:
+    if f == "NC":
         # Case 1: the top cell of the rightmost column sticks out alone.
-        if rows[-1] == (width - 1, width - 1):
+        if rows[-1] == (last, last):
             return OP_NC_STAR, from_rows(rows[:-1])
         # Case 2: remove the whole last column.
-        shrunk = []
-        for l, r in rows:
-            if r == width - 1:
-                shrunk.append((l, r - 1))
-            else:
-                shrunk.append((l, r))
-        q = from_rows(shrunk)
-        op = OP_NC if is_centered(q) else OP_NC_STAR
-        return op, q
+        q = from_rows([(l, rr - 1) if rr == last else (l, rr) for l, rr in rows])
+        return (OP_NC if is_centered(q) else OP_NC_STAR), q
 
-    base_bot, base_top = full[0], full[-1]
-    b = len(full)
     if b > 1:
-        return OP_ROW, from_rows(rows[:base_top] + rows[base_top + 1 :])
-    if leftcol == 1:
+        return OP_ROW, from_rows(rows[:top] + rows[top + 1 :])
+    if f in ("L0", "L"):
         # Remove the base row's left cell (case 2.1).
-        shrunk = [
-            (1, r) if y == base_top else (l, r) for y, (l, r) in enumerate(rows)
-        ]
-        return OP_LEFT_CELL, from_rows(shrunk)
-    rightcol = sum(1 for _, r in rows if r == width - 1)
-    if rightcol == 1:
-        # Remove the base row's right cell (case 2.2).
-        shrunk = [
-            (l, r - 1) if y == base_top else (l, r) for y, (l, r) in enumerate(rows)
-        ]
-        return OP_RIGHT_CELL, from_rows(shrunk)
+        return OP_LEFT_CELL, from_rows(rows[:top] + ((1, last),) + rows[top + 1 :])
+    if r == 0:
+        # The base row alone reaches the last column: remove its right
+        # cell (case 2.2).
+        return OP_RIGHT_CELL, from_rows(rows[:top] + ((0, last - 1),) + rows[top + 1 :])
     # Case 2.3: remove the row immediately above the base.
-    return OP_SHIFT, from_rows(rows[: base_top + 1] + rows[base_top + 2 :])
+    return OP_SHIFT, from_rows(rows[: top + 1] + rows[top + 2 :])
 
 
 # ---------------------------------------------------------------------------

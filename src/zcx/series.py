@@ -507,6 +507,12 @@ def resolve_name(name: str) -> str:
     return canon
 
 
+def parameters(name: str) -> tuple[str, ...]:
+    """The rational parameters (of x, y, z) a catalog entry takes, in order."""
+    canon = resolve_name(name)
+    return _CATALOG[canon][1] if canon in _CATALOG else ()
+
+
 def gf(name: str, terms: int = DEFAULT_ORDER, x=None, y=None, z=None) -> Series:
     """Expand a catalog generating function to ``terms`` coefficients.
 

@@ -121,8 +121,20 @@ def test_series_missing_param_is_usage_error(capsys):
 
 
 def test_series_unknown_name_is_usage_error(capsys):
-    code, _, err = _run(capsys, "series", "--name", "bogus")
-    assert code == 2
+    code, out, err = _run(capsys, "series", "--name", "bogus")
+    assert code == 2 and out == ""
+    assert err == "zcx: error: unknown generating function 'bogus'\n"
+
+
+@pytest.mark.parametrize("argv,param", [
+    (("--name", "A", "--x", "1/2"), "x"),
+    (("--name", "Np", "--x", "1/2", "--z", "2/3"), "x"),
+    (("--name", "C111", "--z", "1"), "z"),
+])
+def test_series_unused_param_is_usage_error(capsys, argv, param):
+    code, out, err = _run(capsys, "series", *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"does not take parameter {param}\n")
 
 
 def test_gentree_labels_json(capsys):
@@ -178,8 +190,9 @@ def test_verify_failure_exit_code(capsys, tmp_path):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    code, _, err = _run(capsys, "verify", "--suite", "nope")
-    assert code == 2
+    code, out, err = _run(capsys, "verify", "--suite", "nope")
+    assert code == 2 and out == ""
+    assert err == "zcx: error: unknown suite 'nope'\n"
 
 
 @pytest.mark.parametrize("suite", ["gentree", "all"])
@@ -223,6 +236,14 @@ def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("ZCX_THREADS", "junk")
     code, out2, _ = _run(capsys, "census", "--max-size", "5")
     assert code == 0 and out == out2
+
+
+@pytest.mark.parametrize("k", ["0", "-4"])
+def test_threads_below_1_is_usage_error(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", k, "census", "--max-size", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("zcx: error: --threads must be >= 1\n")
 
 
 def test_usage_error_exit_2():

@@ -3,6 +3,7 @@ symbolic production system."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -134,6 +135,31 @@ def test_nc_child_count_law():
             else:
                 nc_kids = [c for op, c in kids if op == "nc"]
                 assert len(nc_kids) == math.comb(lab.r + 1, 2), p.encode()
+
+
+# SHA-256 over every ascending shape of size 2..9 in ``all_convex`` order:
+# its encoding, its label, its ordered (operation, child) list and its
+# parent, one line per shape.  It pins the growth code's full output: any
+# change of a label, the child order, an operation tag or a parent shows.
+GROWTH_SHA256 = "559c72da973becbb2da005a6bb4b9017052eb62e337dba04adae15318ea784f2"
+
+
+def test_growth_frozen_hash_up_to_9():
+    h = hashlib.sha256()
+    shapes = 0
+    for n in range(2, 10):
+        for p in _ascending(n):
+            shapes += 1
+            par = parent(p)
+            line = "|".join([
+                p.encode(),
+                ",".join(map(str, label_of(p))),
+                " ".join(f"{op}:{c.encode()}" for op, c in children(p)),
+                "root" if par is None else f"{par[0]}:{par[1].encode()}",
+            ])
+            h.update(line.encode() + b"\n")
+    assert shapes == 9014
+    assert h.hexdigest() == GROWTH_SHA256
 
 
 def test_parent_of_dominoes():

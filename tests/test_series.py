@@ -346,6 +346,14 @@ def test_missing_param():
         gf("Np", 10)
 
 
+def test_parameters():
+    assert S.parameters("Cp") == ("x", "y", "z")
+    assert S.parameters("Np") == ("z",)
+    assert S.parameters("A") == S.parameters("N1") == ()
+    with pytest.raises(KeyError):
+        S.parameters("nope")
+
+
 def test_unknown_name():
     with pytest.raises(KeyError):
         gf("nope", 10)
