@@ -11,11 +11,10 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import classify, gentree, series, verify
-from .core import PolyominoError, decode, size
+from .core import PolyominoError, decode
 from .enumerate import all_convex, count_convex
 
 
@@ -23,7 +22,7 @@ def _default_workers() -> int:
     env = os.environ.get("ZCX_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             pass
     return os.cpu_count() or 1
@@ -173,10 +172,7 @@ def _cmd_gentree(args) -> tuple[str, int]:
     if args.mode == "labels":
         levels = gentree.count_levels(args.max_size)
     else:
-        levels = [
-            gentree.LabelLevel(size(level[0]), Counter(map(gentree.label_of, level)))
-            for level in gentree.constructive_levels(args.max_size)
-        ]
+        levels = gentree.constructive_levels(args.max_size)
     level_counts = {lv.level: lv.counts for lv in levels}
     summary = [
         {
@@ -238,6 +234,8 @@ def main(argv=None) -> int:
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
     workers = args.threads or _default_workers()
+    if workers < 1:
+        parser.error("ZCX_THREADS must be >= 1")
     try:
         if args.command == "enumerate":
             text, code = _cmd_enumerate(args)

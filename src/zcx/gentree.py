@@ -29,12 +29,16 @@ the multiset of its children's labels, and ``count_levels`` iterates that
 rewriting symbolically.  ``children`` and ``parent`` realize the same tree
 on actual polyominoes: both read the label and the base position from the
 one computation behind ``label_of`` and pick operations by family, as
-``succ`` does.  The tests check that the two views coincide level by level.
+``succ`` does.  ``walk`` visits the tree of actual polyominoes depth first,
+holding one root path rather than a level, and ``constructive_levels``
+counts labels over it; the tests check that the two views coincide level
+by level.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import Counter
+from typing import Iterator, NamedTuple
 
 from .core import Polyomino, from_rows, size
 from .classify import is_ascending, is_centered
@@ -355,26 +359,30 @@ def count_levels(max_size: int) -> list[LabelLevel]:
     return levels
 
 
-# Largest size constructive_levels builds: every level is held in full,
-# and the level at 12 is about four times the level at 11.
-CONSTRUCT_CAP = 11
+def walk(max_size: int) -> Iterator[tuple[int, Polyomino, list[tuple[str, Polyomino]]]]:
+    """Depth-first walk of the tree from the size-2 root.
+
+    Yields ``(n, p, children(p))`` once for every shape p of size n in
+    2..max_size, with no children at max_size.  The stack holds the
+    unvisited children along one root path, so memory grows with the
+    depth, not with a level.  Raises ValueError below 2.
+    """
+    if max_size < 2:
+        raise ValueError("max_size must be >= 2")
+    # The size rides on the stack: recomputing it per shape costs more.
+    stack = [(2, from_rows(((0, 0),)))]
+    while stack:
+        n, p = stack.pop()
+        kids = children(p) if n < max_size else []
+        yield n, p, kids
+        stack.extend((n + 1, child) for _, child in kids)
 
 
-def constructive_levels(max_size: int) -> list[list[Polyomino]]:
-    """Materialize the tree levels as polyominoes, each level sorted by
-    encoding.  Raises ValueError above ``CONSTRUCT_CAP``."""
-    from .core import decode
-
-    if max_size > CONSTRUCT_CAP:
-        raise ValueError(
-            f"constructive levels are materialized whole and capped at size "
-            f"{CONSTRUCT_CAP} (asked {max_size}); the label DP has no cap"
-        )
-    level = [decode("0-0")]
-    out = [level]
-    while size(level[0]) < max_size:
-        nxt = [child for p in level for _, child in children(p)]
-        nxt.sort(key=Polyomino.encode)
-        out.append(nxt)
-        level = nxt
-    return out
+def constructive_levels(max_size: int) -> list[LabelLevel]:
+    """The label multiset of each level 2..max_size, counted over the
+    shapes ``walk`` visits; ``count_levels`` derives the same symbolically.
+    Raises ValueError below 2."""
+    counts = [Counter() for _ in range(max_size - 1)]
+    for n, p, _ in walk(max_size):
+        counts[n - 2][label_of(p)] += 1
+    return [LabelLevel(n, dict(c)) for n, c in enumerate(counts, 2)]

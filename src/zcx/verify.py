@@ -16,10 +16,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from . import classify, gentree, series
-from .core import size
-from .enumerate import all_convex
+from .core import Polyomino
+from .enumerate import all_convex, block_polyominoes, blocks
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,15 @@ def _census(n: int) -> classify.CensusRow:
 @lru_cache(maxsize=32)
 def _gf(name: str, order: int) -> series.Series:
     return series.gf(name, order)
+
+
+def _ascending(n: int) -> Iterator[Polyomino]:
+    """The ascending shapes of size n, unordered: a count or a histogram
+    needs no sorted stream."""
+    for r, c in blocks(n):
+        for p in block_polyominoes(r, c):
+            if classify.is_ascending(p):
+                yield p
 
 
 def _coeff(name: str, n: int) -> int:
@@ -180,78 +190,60 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     return rep
 
 
-def suite_gentree(
-    max_construct: int = gentree.CONSTRUCT_CAP, max_labels: int = 60
-) -> SuiteReport:
-    """Bijection, unique parentage, label consistency, and DP totals."""
+def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
+    """Bijection, unique parentage, label consistency and the label DP,
+    checked over one depth-first walk of the tree.
+
+    The walk visits each shape once: ``children`` rejects duplicate
+    children, and every edge is checked to be the one ``parent`` names.
+    ``label_of`` rejects shapes outside the ascending class, so a level
+    as large as the enumerator's ascending count is that class.
+    """
     rep = SuiteReport("gentree")
     t0 = time.perf_counter()
 
-    levels = gentree.constructive_levels(max_construct)
-    for level in levels:
-        n = size(level[0])
-        tree_encs = [p.encode() for p in level]
-        enum_encs = sorted(
-            p.encode() for p in all_convex(n) if classify.is_ascending(p)
-        )
-        ok = tree_encs == enum_encs
-        witness = None
-        if not ok:
-            extra = set(tree_encs) - set(enum_encs)
-            missing = set(enum_encs) - set(tree_encs)
-            witness = f"extra={sorted(extra)[:3]} missing={sorted(missing)[:3]}"
-        rep.record(f"n={n}: constructive level = ascending polyominoes", ok, witness)
+    tree = [Counter() for _ in range(max_construct - 1)]
+    bad_parent: dict[int, str] = {}
+    bad_succ = None
+    expanded = 0
+    for n, p, kids in gentree.walk(max_construct):
+        lab = gentree.label_of(p)
+        tree[n - 2][lab] += 1
+        if n == max_construct:
+            continue
+        for op, child in kids:
+            if gentree.parent(child) != (op, p):
+                bad_parent.setdefault(
+                    n + 1, f"{child.encode()} grown by {op} from {p.encode()}"
+                )
+        expanded += 1
+        want = Counter()
+        for child_lab, m in gentree.succ(lab):
+            want[child_lab] += m
+        if Counter(gentree.label_of(c) for _, c in kids) != want:
+            bad_succ = bad_succ or p.encode()
 
-    for level in levels[1:]:
-        bad = None
-        for p in level:
-            op, par = gentree.parent(p)
-            occurrences = [
-                c.encode() for _, c in gentree.children(par)
-            ].count(p.encode())
-            if occurrences != 1:
-                bad = f"{p.encode()} produced {occurrences} times by {par.encode()}"
-                break
-        n = size(level[0])
-        rep.record(f"n={n}: unique parent reconstruction", bad is None, bad)
-
-    consistency_cap = min(max_construct - 1, 10)
-    bad = None
-    checked = 0
-    for level in levels:
-        n = size(level[0])
-        if n > consistency_cap:
-            break
-        for p in level:
-            got: dict[gentree.TreeLabel, int] = {}
-            for _, child in gentree.children(p):
-                lab = gentree.label_of(child)
-                got[lab] = got.get(lab, 0) + 1
-            want: dict[gentree.TreeLabel, int] = {}
-            for lab, m in gentree.succ(gentree.label_of(p)):
-                want[lab] = want.get(lab, 0) + m
-            checked += 1
-            if got != want:
-                bad = p.encode()
-                break
-        if bad:
-            break
+    for n, counts in enumerate(tree, 2):
+        enumerated, built = sum(1 for _ in _ascending(n)), sum(counts.values())
+        rep.record(f"n={n}: constructive level = ascending polyominoes",
+                   built == enumerated, (n, enumerated, built))
+    for n in range(3, max_construct + 1):
+        rep.record(f"n={n}: unique parent reconstruction",
+                   n not in bad_parent, bad_parent.get(n))
     rep.record(
-        f"children labels match succ(label) for {checked} polyominoes"
-        f" up to n={consistency_cap}",
-        bad is None, bad,
+        f"children labels match succ(label) for {expanded} polyominoes"
+        f" up to n={max_construct - 1}",
+        bad_succ is None, bad_succ,
     )
 
     dp = gentree.count_levels(max_labels)
-    for lv in dp:
-        n = lv.level
-        if n <= max_construct:
-            constructive_total = len(levels[n - 2])
-            rep.record(
-                f"n={n}: DP total = constructive total",
-                lv.total == constructive_total,
-                (n, constructive_total, lv.total),
-            )
+    for lv, counts in zip(dp, tree):
+        rep.record(
+            f"n={lv.level}: DP label multiset = constructive label multiset",
+            lv.counts == counts,
+            f"n={lv.level}: tree has {sorted(counts.items() - lv.counts.items())[:3]}"
+            f" where the DP has {sorted(lv.counts.items() - counts.items())[:3]}",
+        )
     order = max_labels + 1
     a_gf = series.gf("Agf", order)
     h_gf = series.gf("Hgf", order)
@@ -303,9 +295,7 @@ def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
     t0 = time.perf_counter()
 
     labels = {
-        n: Counter(
-            gentree.label_of(p) for p in all_convex(n) if classify.is_ascending(p)
-        )
+        n: Counter(map(gentree.label_of, _ascending(n)))
         for n in range(2, max_n + 1)
     }
 
@@ -522,14 +512,8 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-    if max_size is not None:
-        if max_size < 2:
-            raise ValueError("max size must be >= 2")
-        if "gentree" in names and max_size > gentree.CONSTRUCT_CAP:
-            raise ValueError(
-                f"the gentree suite builds whole tree levels and is capped at "
-                f"max size {gentree.CONSTRUCT_CAP} (asked {max_size})"
-            )
+    if max_size is not None and max_size < 2:
+        raise ValueError("max size must be >= 2")
     reports = [
         SUITES[name](max_size)
         if max_size is not None and name in _SIZE_BOUNDED else SUITES[name]()

@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete.  The full-census sweep (sizes 2..12) and the constructive tree
-levels (sizes 2..11) are built once and shared by the criteria that need
-them; their build times are part of the timed budgets.
+complete.  The full-census sweep (sizes 2..12), the label multisets of the
+constructive tree levels and the enumerator's ascending shapes (sizes
+2..11) are built once and shared by the criteria that need them; their
+build times are part of the timed budgets.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from zcx import classify, gentree, series, verify
-from zcx.core import size
 from zcx.enumerate import all_convex
 
 MAX_CENSUS = 12
@@ -90,38 +90,36 @@ def test_criterion_2_triple_cross_check(tree_levels, ascending_by_size):
     a = series.gf("Agf", MAX_TREE + 1)
     h = series.gf("Hgf", MAX_TREE + 1)
     r = series.gf("RectGf", MAX_TREE + 1)
+    assert [lv.level for lv in levels] == list(range(2, MAX_TREE + 1))
     for level, dp_level in zip(levels, dp):
-        n = size(level[0])
+        n = level.level
         brute = brute_by_size[n]
         counts = (
             len(brute),
-            len(level),
+            level.total,
             dp_level.total,
             a.integer_coefficient(n),
         )
         assert len(set(counts)) == 1, (n, "ascending", counts)
 
         brute_centered = sum(classify.is_centered(p) for p in brute)
-        tree_centered = sum(
-            gentree.label_of(p).family != "NC" for p in level
-        )
         counts = (
             brute_centered,
-            tree_centered,
+            level.centered_total,
             dp_level.centered_total,
             h.integer_coefficient(n),
         )
         assert len(set(counts)) == 1, (n, "centered", counts)
 
         brute_rect = sum(gentree.is_rectangular(p) for p in brute)
-        tree_rect = sum(gentree.label_of(p).rect for p in level)
         counts = (
             brute_rect,
-            tree_rect,
+            level.rectangular_total,
             dp_level.rectangular_total,
             r.integer_coefficient(n),
         )
         assert len(set(counts)) == 1, (n, "rectangular", counts)
+        assert level.counts == dp_level.counts, (n, "label multiset")
     elapsed = time.perf_counter() - t0 + t_tree + t_brute
     assert elapsed < 120.0, f"criterion 2 exceeded 2 minutes: {elapsed:.1f}s"
     _report(
@@ -166,10 +164,10 @@ def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
     )
 
 
-def test_criterion_5_unique_parentage(tree_levels):
-    levels, _ = tree_levels
-    for level in levels[1:]:
-        for p in level:
+def test_criterion_5_unique_parentage(ascending_by_size):
+    brute, _ = ascending_by_size
+    for n in range(3, MAX_TREE + 1):
+        for p in brute[n]:
             op, par = gentree.parent(p)
             occurrences = [c.encode() for _, c in gentree.children(par)].count(
                 p.encode()
@@ -178,13 +176,11 @@ def test_criterion_5_unique_parentage(tree_levels):
     _report(5, "every ascending polyomino of size 3..11 has a unique parent")
 
 
-def test_criterion_6_tree_geometry_consistency(tree_levels):
-    levels, _ = tree_levels
+def test_criterion_6_tree_geometry_consistency(ascending_by_size):
+    brute, _ = ascending_by_size
     checked = 0
-    for level in levels:
-        if size(level[0]) > 10:
-            break
-        for p in level:
+    for n in range(2, 11):
+        for p in brute[n]:
             got: dict = {}
             for _, child in gentree.children(p):
                 lab = gentree.label_of(child)
@@ -235,9 +231,7 @@ def test_criterion_9_closed_formulas_to_500():
     _report(9, f"h(n) and rect(n) match their series for n<=500 ({elapsed:.1f}s)")
 
 
-def test_remaining_module_invariants_at_full_size(
-    census_rows, tree_levels, ascending_by_size
-):
+def test_remaining_module_invariants_at_full_size(census_rows, ascending_by_size):
     """Module invariants stated at sizes 11/12 that share the criteria's
     fixtures: directed-convex counts, the C21 spec value, degree-histogram
     structure, the ascending characterization, and set-level bijection."""
@@ -258,13 +252,12 @@ def test_remaining_module_invariants_at_full_size(
         assert row.prop4_mismatch == 0
     assert rows[10].c21 == 11919
 
-    levels, _ = tree_levels
     brute, _ = ascending_by_size
-    for level in levels:
-        n = size(level[0])
-        assert sorted(p.encode() for p in level) == sorted(
-            p.encode() for p in brute[n]
-        )
+    tree = {n: [] for n in range(2, MAX_TREE + 1)}
+    for n, p, _ in gentree.walk(MAX_TREE):
+        tree[n].append(p.encode())
+    for n, encs in tree.items():
+        assert sorted(encs) == sorted(p.encode() for p in brute[n])
     print("PASS module invariants at sizes 11/12 (shared fixtures)")
 
 

@@ -195,13 +195,6 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert err == "zcx: error: unknown suite 'nope'\n"
 
 
-@pytest.mark.parametrize("suite", ["gentree", "all"])
-def test_verify_above_construct_cap_is_usage_error(capsys, suite):
-    code, out, err = _run(capsys, "verify", "--suite", suite, "--max-size", "12")
-    assert code == 2 and out == ""
-    assert "capped at max size 11" in err
-
-
 def test_verify_max_size_below_2_is_usage_error(capsys):
     code, out, err = _run(
         capsys, "verify", "--suite", "identities,structure,refined", "--max-size", "1"
@@ -246,12 +239,22 @@ def test_threads_below_1_is_usage_error(capsys, k):
     assert capsys.readouterr().err.endswith("zcx: error: --threads must be >= 1\n")
 
 
+@pytest.mark.parametrize("k", ["0", "-4"])
+def test_threads_env_below_1_is_usage_error(capsys, monkeypatch, k):
+    monkeypatch.setenv("ZCX_THREADS", k)
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--max-size", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("zcx: error: ZCX_THREADS must be >= 1\n")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing --size
     assert exc.value.code == 2
 
 
-def test_gentree_construct_capped(capsys):
-    code, _, err = _run(capsys, "gentree", "--max-size", "14", "--mode", "construct")
-    assert code == 2 and "capped" in err
+def test_gentree_construct_below_2_is_usage_error(capsys):
+    code, out, err = _run(capsys, "gentree", "--max-size", "1", "--mode", "construct")
+    assert code == 2 and out == ""
+    assert "max size must be >= 2" in err

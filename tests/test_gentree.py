@@ -13,7 +13,6 @@ from zcx.classify import is_ascending
 from zcx.core import decode, size
 from zcx.enumerate import all_convex
 from zcx.gentree import (
-    CONSTRUCT_CAP,
     InvalidLabel,
     NotAscending,
     ROOT_LABEL,
@@ -24,6 +23,7 @@ from zcx.gentree import (
     label_of,
     parent,
     succ,
+    walk,
 )
 from zcx.series import gf
 
@@ -177,12 +177,12 @@ def test_unique_parentage_up_to_9():
 
 
 def test_bijection_with_enumeration_up_to_9():
-    levels = constructive_levels(9)
-    for level in levels:
-        n = size(level[0])
-        assert sorted(p.encode() for p in level) == sorted(
-            p.encode() for p in _ascending(n)
-        )
+    levels = {n: [] for n in range(2, 10)}
+    for n, p, kids in walk(9):
+        assert size(p) == n and (kids == []) == (n == 9)
+        levels[n].append(p.encode())
+    for n, encs in levels.items():
+        assert sorted(encs) == sorted(p.encode() for p in _ascending(n))
 
 
 def test_tree_geometry_consistency_up_to_8():
@@ -261,12 +261,7 @@ def test_label_multiplicities_are_positive():
         assert all(v >= 1 for v in lv.counts.values())
 
 
-def test_constructive_levels_sorted():
-    for level in constructive_levels(7):
-        encs = [p.encode() for p in level]
-        assert encs == sorted(encs)
-
-
-def test_constructive_levels_capped():
-    with pytest.raises(ValueError, match=f"capped at size {CONSTRUCT_CAP}"):
-        constructive_levels(CONSTRUCT_CAP + 1)
+def test_constructive_levels_equal_label_dp():
+    assert constructive_levels(10) == count_levels(10)
+    with pytest.raises(ValueError, match=">= 2"):
+        constructive_levels(1)

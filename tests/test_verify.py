@@ -7,6 +7,7 @@ import json
 import pytest
 
 from zcx import gentree, verify
+from zcx.core import decode
 
 
 def test_identities_suite_passes_and_is_deterministic():
@@ -92,23 +93,57 @@ def test_run_suites_respects_max_size(tmp_path):
 def test_run_suites_passes_max_size_unclamped(monkeypatch):
     calls = []
 
-    def refined(max_n):
-        calls.append(max_n)
-        return verify.SuiteReport("refined")
+    def stub(name):
+        def run(max_size):
+            calls.append((name, max_size))
+            return verify.SuiteReport(name)
+        return run
 
-    monkeypatch.setitem(verify.SUITES, "refined", refined)
+    for name in ("refined", "gentree"):
+        monkeypatch.setitem(verify.SUITES, name, stub(name))
     monkeypatch.setitem(verify.SUITES, "kernels", lambda: verify.SuiteReport("kernels"))
-    reports = verify.run_suites(["refined", "kernels"], max_size=13)
-    assert calls == [13]
-    assert [r.suite for r in reports] == ["refined", "kernels"]
+    reports = verify.run_suites(["refined", "gentree", "kernels"], max_size=12)
+    assert calls == [("refined", 12), ("gentree", 12)]
+    assert [r.suite for r in reports] == ["refined", "gentree", "kernels"]
 
 
-def test_run_suites_checks_gentree_cap_before_any_suite(monkeypatch):
+def test_run_suites_checks_max_size_before_any_suite(monkeypatch):
     def identities(*args, **kwargs):
         raise AssertionError("identities suite ran")
 
     monkeypatch.setitem(verify.SUITES, "identities", identities)
-    with pytest.raises(ValueError, match=f"capped at max size {gentree.CONSTRUCT_CAP}"):
-        verify.run_suites(["identities", "gentree"], max_size=gentree.CONSTRUCT_CAP + 1)
     with pytest.raises(ValueError, match=">= 2"):
-        verify.run_suites(["identities"], max_size=1)
+        verify.run_suites(["identities", "gentree"], max_size=1)
+
+
+def _failed(rep):
+    return [c.description for c in rep.checks if not c.passed]
+
+
+def test_gentree_suite_catches_a_wrong_parent(monkeypatch):
+    victim = decode("0-3")
+    real = gentree.parent
+
+    def parent(p):
+        op, par = real(p)
+        return (gentree.OP_ROW, par) if p == victim else (op, par)
+
+    monkeypatch.setattr(gentree, "parent", parent)
+    rep = verify.suite_gentree(max_construct=7, max_labels=10)
+    assert _failed(rep) == ["n=5: unique parent reconstruction"]
+
+
+def test_gentree_suite_catches_a_dropped_child(monkeypatch):
+    victim = decode("0-2")
+    real = gentree.children
+    monkeypatch.setattr(
+        gentree, "children", lambda p: real(p)[:-1] if p == victim else real(p)
+    )
+    rep = verify.suite_gentree(max_construct=6, max_labels=10)
+    assert _failed(rep) == [
+        "n=5: constructive level = ascending polyominoes",
+        "n=6: constructive level = ascending polyominoes",
+        "children labels match succ(label) for 35 polyominoes up to n=5",
+        "n=5: DP label multiset = constructive label multiset",
+        "n=6: DP label multiset = constructive label multiset",
+    ]
