@@ -3,17 +3,25 @@
 The NE-degree of a convex polyomino is the largest, over ordered cell pairs
 joined by some internal path of North/East steps, of the least number of
 direction changes such a path needs; the NW-degree is defined with
-North/West steps.  Degrees are computed by a 0/1 shortest-path sweep over
-(cell, heading) states.  Two facts about convex polyominoes keep this
-cheap:
+North/West steps.  Three facts about convex polyominoes reduce the NE-degree
+to a few greedy walks:
 
 * replacing the path's start by the bottom cell of its column never
   decreases the minimal turn count (extend the path downward along the
-  column and splice), so only one source per column needs a sweep;
-* a NW sweep on the mirror image is a NE sweep, so one kernel serves both
-  directions.
+  column and splice);
+* by the 180 degree rotation, replacing its end by the top cell of its
+  column never decreases it either, so only the pairs (bottom of column i,
+  top of column j) with j > i and top_j >= bottom_i matter, and every such
+  pair is joined by a N/E path;
+* a path that runs as far as it can before each turn, capped at the
+  target's row and column, needs the fewest turns.  So a pair's minimal
+  turn count is the smaller run count of two greedy walks, one per first
+  heading, minus one; an empty first run is covered by the other heading.
 
-Both shortcuts are validated in the tests against a plain breadth-first
+Every run after the first moves at least one cell, so a walk takes at most
+rows + width runs; the kernel raises AssertionError past that bound.  A NW
+walk on the mirror image is a NE walk, so one kernel serves both
+directions.  The tests check the kernel against a plain breadth-first
 oracle over all cell pairs.
 """
 
@@ -29,51 +37,40 @@ _INF = 1 << 30
 
 
 def _ne_max_turns(rows: tuple[tuple[int, int], ...], width: int) -> int:
-    """Largest minimal turn count over NE-reachable cell pairs.
-
-    Sources are the bottom cells of each column; for each source a row
-    sweep keeps, per column, the least turns of a path arriving heading
-    North (dp_n) or East (dp_e).
-    """
-    nrows = len(rows)
-    bottom = [_INF] * width
-    for y in range(nrows - 1, -1, -1):
-        l, r = rows[y]
+    """Largest minimal turn count over NE-reachable cell pairs, from two
+    greedy walks per (bottom of column i, top of column j) pair; see the
+    module docstring for why these walks suffice."""
+    bottom = [len(rows)] * width
+    top = [0] * width
+    for y, (l, r) in enumerate(rows):
         for x in range(l, r + 1):
-            bottom[x] = y
+            top[x] = y
+            bottom[x] = min(bottom[x], y)
+    limit = len(rows) + width  # runs after the first are never empty
     best = 0
-    for x0 in range(width):
-        y0 = bottom[x0]
-        prev_n = None
-        prev_e = None
-        prev_l = prev_r = 0
-        for y in range(y0, nrows):
-            l, r = rows[y]
-            dp_n = [_INF] * width
-            if prev_n is None:
-                dp_n[x0] = 0
-            else:
-                lo = l if l > prev_l else prev_l
-                hi = r if r < prev_r else prev_r
-                for x in range(lo, hi + 1):
-                    a = prev_n[x]
-                    b = prev_e[x] + 1
-                    dp_n[x] = a if a < b else b
-            dp_e = [_INF] * width
-            e_run = _INF
-            src_col = x0 if y == y0 else -1
-            for x in range(l, r + 1):
-                dp_e[x] = e_run
-                n_val = dp_n[x]
-                d = n_val if n_val < e_run else e_run
-                if d < _INF and d > best:
-                    best = d
-                cand = n_val + 1
-                if x == src_col:
-                    cand = 0
-                if cand < e_run:
-                    e_run = cand
-            prev_n, prev_e, prev_l, prev_r = dp_n, dp_e, l, r
+    for i in range(width):
+        y0 = bottom[i]
+        for j in range(i + 1, width):
+            ty = top[j]
+            if ty < y0:
+                continue
+            turns = limit
+            for north in (True, False):
+                x, y, runs = i, y0, 0
+                while x != j or y != ty:
+                    # a ternary, not min(): this loop is the census hot spot
+                    if north:
+                        y = top[x] if top[x] < ty else ty
+                    else:
+                        x = rows[y][1] if rows[y][1] < j else j
+                    north = not north
+                    runs += 1
+                    if runs > limit:
+                        raise AssertionError(f"greedy walk stuck at {(x, y)}")
+                if runs - 1 < turns:
+                    turns = runs - 1
+            if turns > best:
+                best = turns
     return best
 
 
@@ -83,10 +80,6 @@ class DegreePair:
 
     ne: int
     nw: int
-
-    @property
-    def degree(self) -> int:
-        return max(self.ne, self.nw)
 
 
 def degree_pair(p: Polyomino) -> DegreePair:
@@ -243,13 +236,6 @@ def is_directed_convex(p: Polyomino) -> bool:
             return False  # left part of the row unreachable
         reach_l, reach_r = entry, r
     return True
-
-
-def is_l_convex(p: Polyomino) -> bool:
-    return degree_pair(p).degree <= 1
-
-def is_z_convex(p: Polyomino) -> bool:
-    return degree_pair(p).degree <= 2
 
 
 class Signature(NamedTuple):

@@ -249,13 +249,17 @@ def main(argv=None) -> int:
             text, code = _cmd_verify(args, workers)
         else:
             text, code = _cmd_render(args)
-    except (KeyError, ValueError) as exc:
+        _emit(text, args.out)
+    except (KeyError, ValueError, OSError) as exc:
         # Every zcx error class is a ValueError.  str() of a KeyError quotes
-        # its message, so print the message itself.
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        # its message and str() of an OSError leads with its errno, so print
+        # the message itself, after the file name if there is one.
+        if isinstance(exc, OSError) and exc.filename:
+            msg = f"{exc.filename}: {exc.strerror}"
+        else:
+            msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"zcx: error: {msg}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return code
 
 

@@ -463,14 +463,20 @@ def suite_fixtures(path: str) -> SuiteReport:
     t0 = time.perf_counter()
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: fixtures must be a JSON object")
     for seq_id, spec in sorted(data.items()):
         name = _FIXTURE_MAP.get(seq_id)
         if name is None:
             rep.record(f"{seq_id}: known sequence id", False,
                        f"expected one of {sorted(_FIXTURE_MAP)}")
             continue
-        start = int(spec["start"])
-        values = [int(v) for v in spec["values"]]
+        try:
+            start = int(spec["start"])
+            values = [int(v) for v in spec["values"]]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f'{path}: fixture {seq_id} is not '
+                             '{"start": <int>, "values": [<int>, ...]}') from None
         g = series.gf(name, start + len(values))
         bad = None
         for i, v in enumerate(values):

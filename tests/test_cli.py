@@ -189,6 +189,28 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert "overall: FAIL" in out
 
 
+def test_verify_missing_fixtures_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = _run(
+        capsys, "verify", "--suite", "kernels", "--fixtures", str(missing)
+    )
+    assert code == 2 and out == ""
+    assert err == f"zcx: error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("entry", [[2, 5], {"values": [1]}],
+                         ids=["list", "no_start"])
+def test_verify_malformed_fixture_is_usage_error(capsys, tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"A005436": entry}))
+    code, out, err = _run(
+        capsys, "verify", "--suite", "kernels", "--fixtures", str(bad)
+    )
+    assert code == 2 and out == ""
+    assert err == (f'zcx: error: {bad}: fixture A005436 is not '
+                   f'{{"start": <int>, "values": [<int>, ...]}}\n')
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, out, err = _run(capsys, "verify", "--suite", "nope")
     assert code == 2 and out == ""
@@ -220,6 +242,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert target.read_text() == "7\n"
+
+
+def test_out_flag_unwritable_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "res.txt"
+    code, out, err = _run(
+        capsys, "--out", str(target), "enumerate", "--size", "3"
+    )
+    assert code == 2 and out == ""
+    assert err == f"zcx: error: {target}: No such file or directory\n"
 
 
 def test_threads_env_fallback(capsys, monkeypatch):
