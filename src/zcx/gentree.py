@@ -26,18 +26,29 @@ centered, NC for non-centered), base height b, left offset w, last-column
 excess r, and a rectangular flag (last column reaching the maximal height).
 The label decides how a polyomino grows.  ``succ`` rewrites a label into
 the multiset of its children's labels, and ``count_levels`` iterates that
-rewriting symbolically.  ``children`` and ``parent`` realize the same tree
-on actual polyominoes: both read the label and the base position from the
-one computation behind ``label_of`` and pick operations by family, as
-``succ`` does.  ``walk`` visits the tree of actual polyominoes depth first,
-holding one root path rather than a level, and ``constructive_levels``
-counts labels over it; the tests check that the two views coincide level
-by level.
+rewriting symbolically, one level of counts at a time.  It never expands
+a label into its children.  Each label pushes its count into its single
+children: the Row child (base b + 1, or b = 2 out of L0, L, R, S0 and
+S), the ``w + 1`` child, S(w, 0) and the R count.  The three productions
+that emit a run of children become range sums over the whole level.  The
+Left Cell run L(1, r + j) of C0, C and C1 is a difference array over r.
+The Shift run S(j, r + 1), j <= w, of S0 and S is a suffix sum over w.
+The Nc columns, r - r' + 1 of each r' (or 1 and r - r' from a
+rectangular source), are suffix sums of x and r*x over the source
+parameter r.  A level step so costs O(labels), not O(children), and
+``succ`` stays the per-label oracle the tests compare it with.
+
+``children`` and ``parent`` realize the same tree on actual polyominoes:
+both read the label and the base position from the one computation behind
+``label_of`` and pick operations by family, as ``succ`` does.  ``walk``
+visits the tree of actual polyominoes depth first, holding one root path
+rather than a level, and ``constructive_levels`` counts labels over it;
+the tests check that the two views coincide level by level.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterator, NamedTuple
 
 from .core import Polyomino, from_rows, size
@@ -109,11 +120,16 @@ ROOT_LABEL = TreeLabel("L0", 1, 1, 0, True)
 
 
 def _label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
-    """The unvalidated label of p, the index of its top base row (None when
-    p is non-centered) and the index of its last column; raises NotAscending
-    outside the class."""
+    """``_ascending_label`` of p; raises NotAscending outside the class."""
     if not is_ascending(p):
         raise NotAscending(p.encode())
+    return _ascending_label(p)
+
+
+def _ascending_label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
+    """The unvalidated label of p, the index of its top base row (None when
+    p is non-centered) and the index of its last column.  p must be
+    ascending: this does not test it."""
     rows = p.rows
     last = p.width - 1
     rect = rows[-1][1] == last
@@ -341,21 +357,119 @@ class LabelLevel(NamedTuple):
         return sum(v for k, v in self.counts.items() if k.rect)
 
 
+def _step(counts: dict[TreeLabel, int]) -> dict[tuple, int]:
+    """The label multiset one level below ``counts``, keyed by plain label
+    tuples (equal to, and hashing as, the TreeLabels).
+
+    The same multiset as summing ``succ`` over the labels, at O(1) per
+    label: the fixed children are added at once, and the three runs are
+    recorded per source and resolved after the loop by range sums.
+    """
+    nxt: dict[tuple, int] = defaultdict(int)
+    rows = 0                                        # R(1, 0, 0) children
+    left = {False: defaultdict(int), True: defaultdict(int)}
+    shift: dict[tuple, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    nc = {False: defaultdict(int), True: defaultdict(int)}
+    for (f, b, w, r, rect), x in counts.items():
+        if f == "C":
+            nxt["L", 1, w + 1, r, rect] += x
+            nxt["S", 1, w, 0, False] += x
+            nxt["C", b + 1, w, r, rect] += x
+            left[rect][r + 1] += x                  # L(1, r + j), j = 1..b-1
+            left[rect][r + b] -= x
+            rows += (b - 1) * x
+        elif f == "S":
+            nxt["L", 1, w + 1, r, rect] += x
+            nxt["S", 1, w, 0, False] += x
+            nxt["C", 2, w, r, rect] += x
+            shift[r + 1, rect][w] += x              # S(j, r + 1), j = 1..w
+        elif f == "L":
+            nxt["L", 1, w + 1, r, rect] += x
+            nxt["C", 2, w, r, rect] += x
+        elif f == "NC":
+            if rect:
+                nxt["NC", 1, 0, r + 1, True] += x
+        elif f == "C0":
+            nxt["L0", 1, w + 1, 0, True] += x
+            nxt["S0", 1, w + 1, 0, True] += x
+            nxt["C0", b + 1, w, 0, True] += x
+            left[True][1] += x                      # L(1, j), j = 1..b-1
+            left[True][b] -= x
+            rows += (b - 1) * x
+        elif f == "L0":
+            nxt["L0", 1, w + 1, 0, True] += x
+            nxt["C0", 2, w, 0, True] += x
+        elif f == "S0":
+            nxt["L0", 1, w + 1, 0, True] += x
+            nxt["S0", 1, w + 1, 0, True] += x
+            nxt["C0", 2, w, 0, True] += x
+            if w > 1:
+                shift[1, True][w - 1] += x          # S(j, 1), j = 1..w-1
+        elif f == "C1":
+            nxt["C1", b + 1, 0, 0, False] += x
+            left[False][0] += x                     # L(1, j), j = 0..b-1
+            left[False][b] -= x
+            rows += b * x
+        else:  # R
+            nxt["L", 1, 1, 0, False] += x
+            nxt["C1", 2, 0, 0, False] += x
+            rows += x
+        if r:  # only the C, L, S and NC families have r > 0: the Nc sources
+            nc[rect][r] += x
+
+    if rows:
+        nxt["R", 1, 0, 0, False] += rows
+    # Left Cell runs: L(1, r) is the prefix sum of the difference array.
+    for rect, diff in left.items():
+        ends = sorted(diff)
+        acc = 0
+        for lo, hi in zip(ends, ends[1:]):
+            acc += diff[lo]
+            if acc:
+                for r in range(lo, hi):
+                    nxt["L", 1, 1, r, rect] += acc
+    # Shift runs: S(j, r) counts every source with w >= j, a suffix sum.
+    for (r, rect), by_w in shift.items():
+        acc = 0
+        for w in range(max(by_w), 0, -1):
+            acc += by_w.get(w, 0)
+            nxt["S", 1, w, r, rect] += acc
+    # Nc columns (see _nc_part): a source of parameter r and weight x gives
+    # each r' <= r x(r - r') non-rectangular children, x more when it is
+    # non-rectangular, and x rectangular ones when it is rectangular.  With
+    # suffix sums over r >= r' of x and r*x, that is n1 - r'*n0 + n_plain.
+    plain, top = nc[False], nc[True]
+    n0 = n1 = n_plain = n_top = 0
+    for rp in range(max(plain.keys() | top.keys(), default=0), 0, -1):
+        a, t = plain.get(rp, 0), top.get(rp, 0)
+        n0 += a + t
+        n1 += rp * (a + t)
+        n_plain += a
+        n_top += t
+        if n_top:
+            nxt["NC", 1, 0, rp, True] += n_top
+        if n1 - rp * n0 + n_plain:
+            nxt["NC", 1, 0, rp, False] += n1 - rp * n0 + n_plain
+    return nxt
+
+
 def count_levels(max_size: int) -> list[LabelLevel]:
     """Iterate the production system from the size-2 root.
 
     Returns one LabelLevel per size 2..max_size; the totals per level are
-    the numbers of ascending polyominoes.
+    the numbers of ascending polyominoes.  Each step costs O(labels), by
+    ``_step``; a label present at many levels is one shared TreeLabel.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
+    interned: dict[tuple, TreeLabel] = {}
     levels = [LabelLevel(2, {ROOT_LABEL: 1})]
     while levels[-1].level < max_size:
-        nxt: dict[TreeLabel, int] = {}
-        for label, cnt in levels[-1].counts.items():
-            for child, mult in succ(label):
-                nxt[child] = nxt.get(child, 0) + cnt * mult
-        levels.append(LabelLevel(levels[-1].level + 1, nxt))
+        nxt = _step(levels[-1].counts)
+        levels.append(LabelLevel(levels[-1].level + 1, {
+            interned.get(k) or interned.setdefault(k, TreeLabel._make(k)): x
+            for k, x in nxt.items()
+        }))
     return levels
 
 

@@ -294,8 +294,10 @@ def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
     rep = SuiteReport("refined")
     t0 = time.perf_counter()
 
+    # _ascending has tested each shape: label it without a second test.
     labels = {
-        n: Counter(map(gentree.label_of, _ascending(n)))
+        n: Counter(gentree._ascending_label(p)[0].validate()
+                   for p in _ascending(n))
         for n in range(2, max_n + 1)
     }
 
@@ -452,31 +454,46 @@ _FIXTURE_MAP = {
 }
 
 
-def suite_fixtures(path: str) -> SuiteReport:
-    """Compare catalog series against user-supplied reference prefixes.
+def load_fixtures(path: str) -> dict[str, tuple[int, list[int]] | None]:
+    """Read and check a fixture file, before any check runs.
 
-    The fixture file is JSON: {"<OEIS id>": {"start": <size of the first
-    value>, "values": [..]}, ...}.  Unknown ids are reported as failures so
-    typos do not silently pass.
+    The file is JSON: {"<OEIS id>": {"start": <size of the first value>,
+    "values": [..]}, ...}.  Returns each id, in sorted order, with its
+    (start, values), or None for an id outside the catalog.  Raises OSError
+    for an unreadable file and ValueError for a malformed one.
     """
-    rep = SuiteReport("fixtures")
-    t0 = time.perf_counter()
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: fixtures must be a JSON object")
+    table: dict[str, tuple[int, list[int]] | None] = {}
     for seq_id, spec in sorted(data.items()):
-        name = _FIXTURE_MAP.get(seq_id)
-        if name is None:
-            rep.record(f"{seq_id}: known sequence id", False,
-                       f"expected one of {sorted(_FIXTURE_MAP)}")
+        if seq_id not in _FIXTURE_MAP:
+            table[seq_id] = None
             continue
         try:
-            start = int(spec["start"])
-            values = [int(v) for v in spec["values"]]
+            table[seq_id] = int(spec["start"]), [int(v) for v in spec["values"]]
         except (KeyError, TypeError, ValueError):
             raise ValueError(f'{path}: fixture {seq_id} is not '
                              '{"start": <int>, "values": [<int>, ...]}') from None
+    return table
+
+
+def suite_fixtures(
+    table: dict[str, tuple[int, list[int]] | None]
+) -> SuiteReport:
+    """Compare catalog series against reference prefixes read by
+    ``load_fixtures``.  Unknown ids are reported as failures so typos do
+    not silently pass."""
+    rep = SuiteReport("fixtures")
+    t0 = time.perf_counter()
+    for seq_id, entry in table.items():
+        if entry is None:
+            rep.record(f"{seq_id}: known sequence id", False,
+                       f"expected one of {sorted(_FIXTURE_MAP)}")
+            continue
+        start, values = entry
+        name = _FIXTURE_MAP[seq_id]
         g = series.gf(name, start + len(values))
         bad = None
         for i, v in enumerate(values):
@@ -511,7 +528,8 @@ def run_suites(
 
     ``max_size`` goes unchanged to the size-bounded suites; the others run
     at their defaults.  Unknown names and sizes no suite can run raise
-    before any suite starts.
+    before any suite starts, and so does an unreadable or malformed
+    fixture file.
     """
     if names == "all" or "all" in names:
         names = list(SUITES)
@@ -520,11 +538,12 @@ def run_suites(
             raise KeyError(f"unknown suite {name!r}")
     if max_size is not None and max_size < 2:
         raise ValueError("max size must be >= 2")
+    table = load_fixtures(fixtures) if fixtures is not None else None
     reports = [
         SUITES[name](max_size)
         if max_size is not None and name in _SIZE_BOUNDED else SUITES[name]()
         for name in names
     ]
-    if fixtures is not None:
-        reports.append(suite_fixtures(fixtures))
+    if table is not None:
+        reports.append(suite_fixtures(table))
     return reports

@@ -14,9 +14,11 @@ from zcx.core import decode, size
 from zcx.enumerate import all_convex
 from zcx.gentree import (
     InvalidLabel,
+    LabelLevel,
     NotAscending,
     ROOT_LABEL,
     TreeLabel,
+    _step,
     children,
     constructive_levels,
     count_levels,
@@ -243,6 +245,9 @@ def test_count_levels_totals():
     assert [lv.centered_total for lv in levels] == [1, 2, 7, 25, 91]
     assert [lv.rectangular_total for lv in levels] == [1, 2, 6, 20, 70]
     assert [lv.non_centered_total for lv in levels] == [0, 0, 0, 1, 10]
+    assert count_levels(2) == levels[:1]
+    with pytest.raises(ValueError, match=">= 2"):
+        count_levels(1)
 
 
 def test_count_levels_matches_series_to_35():
@@ -256,6 +261,41 @@ def test_count_levels_matches_series_to_35():
         assert lv.rectangular_total == r.integer_coefficient(lv.level)
 
 
+def _succ_dp(max_size):
+    """The label DP that expands every label by ``succ`` and merges the
+    children: the oracle for ``count_levels``."""
+    levels = [LabelLevel(2, {ROOT_LABEL: 1})]
+    while levels[-1].level < max_size:
+        nxt = Counter()
+        for label, cnt in levels[-1].counts.items():
+            for child, mult in succ(label):
+                nxt[child] += cnt * mult
+        levels.append(LabelLevel(levels[-1].level + 1, dict(nxt)))
+    return levels
+
+
+def test_step_equals_succ_label_by_label():
+    labels = set().union(*(lv.counts for lv in count_levels(20)))
+    assert len(labels) == 2296
+    for lab in labels:
+        want = Counter()
+        for child, mult in succ(lab):
+            want[child] += mult
+        assert dict(_step({lab: 1})) == want, lab
+
+
+def test_count_levels_equals_succ_expansion_to_24():
+    for got, want in zip(count_levels(24), _succ_dp(24), strict=True):
+        assert got == want, got.level
+
+
+def test_count_levels_shares_labels_across_levels():
+    seen = {}
+    for lv in count_levels(16):
+        for lab in lv.counts:
+            assert seen.setdefault(lab, lab) is lab
+
+
 def test_label_multiplicities_are_positive():
     for lv in count_levels(12):
         assert all(v >= 1 for v in lv.counts.values())
@@ -265,3 +305,25 @@ def test_constructive_levels_equal_label_dp():
     assert constructive_levels(10) == count_levels(10)
     with pytest.raises(ValueError, match=">= 2"):
         constructive_levels(1)
+
+
+# SHA-256 over the label multiset of every level 2..40 of ``count_levels``:
+# a "level n" header, then the level's labels as sorted
+# "family,b,w,r,rect,count" lines (the ``gentree --dump-level`` format).
+# It pins every label and multiplicity the DP produces to level 40.
+LABEL_DP_SHA256 = "9762dffcab5a2d67b104b4273124182df274a39e513b85ab94ab89009f908107"
+
+
+def test_label_dp_frozen_hash_up_to_40():
+    h = hashlib.sha256()
+    labels = 0
+    for lv in count_levels(40):
+        lines = sorted(
+            f"{lab.family},{lab.b},{lab.w},{lab.r},{str(lab.rect).lower()},{cnt}"
+            for lab, cnt in lv.counts.items()
+        )
+        labels += len(lines)
+        h.update(f"level {lv.level}\n".encode())
+        h.update("".join(line + "\n" for line in lines).encode())
+    assert labels == 202468
+    assert h.hexdigest() == LABEL_DP_SHA256

@@ -60,18 +60,18 @@ def test_fixture_suite(tmp_path):
             }
         )
     )
-    rep = verify.suite_fixtures(str(good))
+    rep = verify.suite_fixtures(verify.load_fixtures(str(good)))
     assert rep.passed, rep.to_text()
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"A005436": {"start": 2, "values": [1, 2, 8]}}))
-    rep = verify.suite_fixtures(str(bad))
+    rep = verify.suite_fixtures(verify.load_fixtures(str(bad)))
     assert not rep.passed
     assert rep.checks[0].witness == "(4, 8, 7)"
 
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"A000001": {"start": 0, "values": [1]}}))
-    rep = verify.suite_fixtures(str(unknown))
+    rep = verify.suite_fixtures(verify.load_fixtures(str(unknown)))
     assert not rep.passed
 
 
@@ -114,6 +114,24 @@ def test_run_suites_checks_max_size_before_any_suite(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "identities", identities)
     with pytest.raises(ValueError, match=">= 2"):
         verify.run_suites(["identities", "gentree"], max_size=1)
+
+
+@pytest.mark.parametrize("content, error", [
+    (None, FileNotFoundError),
+    ("[1, 2]", ValueError),
+    ('{"A005436": {"start": 2}}', ValueError),
+])
+def test_run_suites_checks_fixtures_before_any_suite(monkeypatch, tmp_path,
+                                                     content, error):
+    def identities(*args, **kwargs):
+        raise AssertionError("identities suite ran")
+
+    monkeypatch.setitem(verify.SUITES, "identities", identities)
+    path = tmp_path / "fixtures.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(error):
+        verify.run_suites(["identities"], max_size=6, fixtures=str(path))
 
 
 def _failed(rep):
