@@ -221,21 +221,12 @@ def is_descending(p: Polyomino) -> bool:
 def is_directed_convex(p: Polyomino) -> bool:
     """Cell (0,0) present and every cell reachable from it by N/E steps.
 
-    Reachability is swept row by row: a cell enters row y from the
-    reachable part of row y-1 below it or by an East run within the row,
-    so the reachable cells of each row form a suffix interval.
+    A row's leftmost cell can only be entered from below, and consecutive
+    rows of a convex polyomino overlap, so this holds exactly when the
+    bottom row starts at column 0 and the left ends never decrease upward.
     """
-    if p.rows[0][0] != 0:
-        return False
-    reach_l, reach_r = p.rows[0]
-    for l, r in p.rows[1:]:
-        entry = max(l, reach_l)
-        if entry > min(r, reach_r):
-            return False  # row unreachable at all
-        if entry != l:
-            return False  # left part of the row unreachable
-        reach_l, reach_r = entry, r
-    return True
+    rows = p.rows
+    return rows[0][0] == 0 and all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
 
 
 class Signature(NamedTuple):

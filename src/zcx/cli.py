@@ -8,6 +8,7 @@ locale formatting, and ordering never depends on the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,14 +27,6 @@ def _default_workers() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _fraction(text: str) -> Fraction:
@@ -158,39 +151,36 @@ def _cmd_series(args) -> tuple[str, int]:
     return json.dumps(payload, indent=2) + "\n", 0
 
 
-def _label_lines(counts: dict[gentree.TreeLabel, int]) -> list[str]:
-    lines = [
-        f"{lab.family},{lab.b},{lab.w},{lab.r},{str(lab.rect).lower()},{cnt}"
-        for lab, cnt in counts.items()
-    ]
-    return sorted(lines)
+def _label_lines(counts: dict[tuple, int]) -> list[str]:
+    return sorted(
+        f"{f},{b},{w},{r},{str(rect).lower()},{cnt}"
+        for (f, b, w, r, rect), cnt in counts.items()
+    )
 
 
 def _cmd_gentree(args) -> tuple[str, int]:
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
+    if args.dump_level is not None and not 2 <= args.dump_level <= args.max_size:
+        raise PolyominoError(
+            f"--dump-level {args.dump_level} outside 2..{args.max_size}"
+        )
     if args.mode == "labels":
-        levels = gentree.count_levels(args.max_size)
+        levels = gentree.levels(args.max_size)
     else:
         levels = gentree.constructive_levels(args.max_size)
-    level_counts = {lv.level: lv.counts for lv in levels}
-    summary = [
-        {
+    summary = []
+    dump = None
+    for lv in levels:
+        summary.append({
             "level": lv.level,
             "total": str(lv.total),
             "centered": str(lv.centered_total),
             "non_centered": str(lv.non_centered_total),
             "rectangular": str(lv.rectangular_total),
-        }
-        for lv in levels
-    ]
-    dump = None
-    if args.dump_level is not None:
-        if args.dump_level not in level_counts:
-            raise PolyominoError(
-                f"--dump-level {args.dump_level} outside 2..{args.max_size}"
-            )
-        dump = _label_lines(level_counts[args.dump_level])
+        })
+        if lv.level == args.dump_level:
+            dump = _label_lines(lv.counts)
     if args.format == "json":
         payload = {"mode": args.mode, "max_size": args.max_size, "levels": summary}
         if dump is not None:
@@ -237,19 +227,23 @@ def main(argv=None) -> int:
     if workers < 1:
         parser.error("ZCX_THREADS must be >= 1")
     try:
-        if args.command == "enumerate":
-            text, code = _cmd_enumerate(args)
-        elif args.command == "census":
-            text, code = _cmd_census(args, workers)
-        elif args.command == "series":
-            text, code = _cmd_series(args)
-        elif args.command == "gentree":
-            text, code = _cmd_gentree(args)
-        elif args.command == "verify":
-            text, code = _cmd_verify(args, workers)
-        else:
-            text, code = _cmd_render(args)
-        _emit(text, args.out)
+        # Open --out first: a path that cannot be written fails before the
+        # command spends its time.
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if args.command == "enumerate":
+                text, code = _cmd_enumerate(args)
+            elif args.command == "census":
+                text, code = _cmd_census(args, workers)
+            elif args.command == "series":
+                text, code = _cmd_series(args)
+            elif args.command == "gentree":
+                text, code = _cmd_gentree(args)
+            elif args.command == "verify":
+                text, code = _cmd_verify(args, workers)
+            else:
+                text, code = _cmd_render(args)
+            fh.write(text)
     except (KeyError, ValueError, OSError) as exc:
         # Every zcx error class is a ValueError.  str() of a KeyError quotes
         # its message and str() of an OSError leads with its errno, so print

@@ -25,18 +25,22 @@ Each polyomino carries a label: family (C0, C, C1, L0, L, R, S0, S for
 centered, NC for non-centered), base height b, left offset w, last-column
 excess r, and a rectangular flag (last column reaching the maximal height).
 The label decides how a polyomino grows.  ``succ`` rewrites a label into
-the multiset of its children's labels, and ``count_levels`` iterates that
-rewriting symbolically, one level of counts at a time.  It never expands
-a label into its children.  Each label pushes its count into its single
-children: the Row child (base b + 1, or b = 2 out of L0, L, R, S0 and
-S), the ``w + 1`` child, S(w, 0) and the R count.  The three productions
-that emit a run of children become range sums over the whole level.  The
-Left Cell run L(1, r + j) of C0, C and C1 is a difference array over r.
-The Shift run S(j, r + 1), j <= w, of S0 and S is a suffix sum over w.
-The Nc columns, r - r' + 1 of each r' (or 1 and r - r' from a
-rectangular source), are suffix sums of x and r*x over the source
-parameter r.  A level step so costs O(labels), not O(children), and
-``succ`` stays the per-label oracle the tests compare it with.
+the multiset of its children's labels, and ``levels`` iterates that
+rewriting symbolically: a generator that yields one level of counts at a
+time and holds only the level it steps, so memory follows the widest
+level, not all of them.  Its keys are the plain (family, b, w, r, rect)
+tuples the step emits, which compare and hash as the TreeLabels.  It
+never expands a label into its children.  Each label pushes its count
+into its single children: the Row child (base b + 1, or b = 2 out of L0,
+L, R, S0 and S), the ``w + 1`` child, S(w, 0) and the R count.  The
+three productions that emit a run of children become range sums over the
+whole level.  The Left Cell run L(1, r + j) of C0, C and C1 is a
+difference array over r.  The Shift run S(j, r + 1), j <= w, of S0 and
+S is a suffix sum over w.  The Nc columns, r - r' + 1 of each r' (or 1
+and r - r' from a rectangular source), are suffix sums of x and r*x over
+the source parameter r.  A level step so costs O(labels), not
+O(children), and ``succ`` stays the per-label oracle the tests compare it
+with.
 
 ``children`` and ``parent`` realize the same tree on actual polyominoes:
 both read the label and the base position from the one computation behind
@@ -335,10 +339,11 @@ def succ(label: TreeLabel) -> list[tuple[TreeLabel, int]]:
 
 
 class LabelLevel(NamedTuple):
-    """Multiset of labels at one tree level (= one object size)."""
+    """Multiset of labels at one tree level (= one object size), keyed by
+    TreeLabels or the equal plain (family, b, w, r, rect) tuples."""
 
     level: int
-    counts: dict[TreeLabel, int]
+    counts: dict[tuple, int]
 
     @property
     def total(self) -> int:
@@ -346,15 +351,15 @@ class LabelLevel(NamedTuple):
 
     @property
     def centered_total(self) -> int:
-        return sum(v for k, v in self.counts.items() if k.family != "NC")
+        return sum(v for (f, _, _, _, _), v in self.counts.items() if f != "NC")
 
     @property
     def non_centered_total(self) -> int:
-        return sum(v for k, v in self.counts.items() if k.family == "NC")
+        return sum(v for (f, _, _, _, _), v in self.counts.items() if f == "NC")
 
     @property
     def rectangular_total(self) -> int:
-        return sum(v for k, v in self.counts.items() if k.rect)
+        return sum(v for (_, _, _, _, rect), v in self.counts.items() if rect)
 
 
 def _step(counts: dict[TreeLabel, int]) -> dict[tuple, int]:
@@ -453,24 +458,26 @@ def _step(counts: dict[TreeLabel, int]) -> dict[tuple, int]:
     return nxt
 
 
-def count_levels(max_size: int) -> list[LabelLevel]:
+def levels(max_size: int) -> Iterator[LabelLevel]:
     """Iterate the production system from the size-2 root.
 
-    Returns one LabelLevel per size 2..max_size; the totals per level are
-    the numbers of ascending polyominoes.  Each step costs O(labels), by
-    ``_step``; a label present at many levels is one shared TreeLabel.
+    Yields one LabelLevel per size 2..max_size, each computed only when
+    asked for; the totals per level are the numbers of ascending
+    polyominoes.  Each step costs O(labels), by ``_step``, and only the
+    level being stepped is held.  Raises ValueError below 2.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
-    interned: dict[tuple, TreeLabel] = {}
-    levels = [LabelLevel(2, {ROOT_LABEL: 1})]
-    while levels[-1].level < max_size:
-        nxt = _step(levels[-1].counts)
-        levels.append(LabelLevel(levels[-1].level + 1, {
-            interned.get(k) or interned.setdefault(k, TreeLabel._make(k)): x
-            for k, x in nxt.items()
-        }))
-    return levels
+    counts = {ROOT_LABEL: 1}
+    for n in range(2, max_size + 1):
+        if n > 2:
+            counts = dict(_step(counts))
+        yield LabelLevel(n, counts)
+
+
+def count_levels(max_size: int) -> list[LabelLevel]:
+    """Every level of ``levels(max_size)``, as a list."""
+    return list(levels(max_size))
 
 
 def walk(max_size: int) -> Iterator[tuple[int, Polyomino, list[tuple[str, Polyomino]]]]:
@@ -494,7 +501,7 @@ def walk(max_size: int) -> Iterator[tuple[int, Polyomino, list[tuple[str, Polyom
 
 def constructive_levels(max_size: int) -> list[LabelLevel]:
     """The label multiset of each level 2..max_size, counted over the
-    shapes ``walk`` visits; ``count_levels`` derives the same symbolically.
+    shapes ``walk`` visits; ``levels`` derives the same symbolically.
     Raises ValueError below 2."""
     counts = [Counter() for _ in range(max_size - 1)]
     for n, p, _ in walk(max_size):

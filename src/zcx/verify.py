@@ -197,7 +197,10 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
     The walk visits each shape once: ``children`` rejects duplicate
     children, and every edge is checked to be the one ``parent`` names.
     ``label_of`` rejects shapes outside the ascending class, so a level
-    as large as the enumerator's ascending count is that class.
+    as large as the enumerator's ascending count is that class.  The
+    label DP is read one level at a time: its multisets are compared with
+    the walk's up to ``max_construct``, its totals with the series up to
+    ``max_labels``.
     """
     rep = SuiteReport("gentree")
     t0 = time.perf_counter()
@@ -236,14 +239,6 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
         bad_succ is None, bad_succ,
     )
 
-    dp = gentree.count_levels(max_labels)
-    for lv, counts in zip(dp, tree):
-        rep.record(
-            f"n={lv.level}: DP label multiset = constructive label multiset",
-            lv.counts == counts,
-            f"n={lv.level}: tree has {sorted(counts.items() - lv.counts.items())[:3]}"
-            f" where the DP has {sorted(lv.counts.items() - counts.items())[:3]}",
-        )
     order = max_labels + 1
     a_gf = series.gf("Agf", order)
     h_gf = series.gf("Hgf", order)
@@ -251,10 +246,20 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
     n1_gf = series.scalar_gf("N1", order)
     np1_gf = series.gf("Np", order, z=1)
     bad = None
-    for lv in dp:
+    for lv in gentree.levels(max_labels):
         n = lv.level
+        if n <= max_construct:
+            counts = tree[n - 2]
+            rep.record(
+                f"n={n}: DP label multiset = constructive label multiset",
+                lv.counts == counts,
+                f"n={n}: tree has {sorted(counts.items() - lv.counts.items())[:3]}"
+                f" where the DP has {sorted(lv.counts.items() - counts.items())[:3]}",
+            )
+        if bad:
+            continue
         nc_rect = sum(
-            v for k, v in lv.counts.items() if k.family == "NC" and k.rect
+            v for (f, _, _, _, rect), v in lv.counts.items() if f == "NC" and rect
         )
         nc_plain = lv.non_centered_total - nc_rect
         for tag, got, g in (
@@ -267,8 +272,6 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
             if got != g.integer_coefficient(n):
                 bad = (tag, n, g.integer_coefficient(n), got)
                 break
-        if bad:
-            break
     rep.record(
         f"DP totals match A(t), H(t), Rect(t) and the non-centered parts"
         f" for n <= {max_labels}",

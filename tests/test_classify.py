@@ -147,7 +147,7 @@ def _directed_oracle(p):
 def test_directed_convex_examples_and_oracle():
     assert is_directed_convex(decode("0-0"))
     assert not is_directed_convex(decode("1-2;0-1"))
-    for n in range(2, 8):
+    for n in range(2, 10):
         for p in all_convex(n):
             assert is_directed_convex(p) == _directed_oracle(p), p.encode()
 

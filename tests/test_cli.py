@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from zcx import cli
 from zcx.cli import main
 
 
@@ -158,9 +159,15 @@ def test_gentree_construct_matches_labels(capsys):
     assert out1 == out2
 
 
-def test_gentree_bad_dump_level(capsys):
-    code, _, err = _run(capsys, "gentree", "--max-size", "5", "--dump-level", "9")
-    assert code == 2
+def test_gentree_bad_dump_level(capsys, monkeypatch):
+    def no_dp(max_size):
+        raise AssertionError("the label DP ran before --dump-level was checked")
+
+    monkeypatch.setattr(cli.gentree, "levels", no_dp)
+    for k in ("1", "9"):
+        code, out, err = _run(capsys, "gentree", "--max-size", "5", "--dump-level", k)
+        assert code == 2 and out == ""
+        assert err == f"zcx: error: --dump-level {k} outside 2..5\n"
 
 
 def test_verify_suite_success_and_exit_code(capsys):
@@ -248,6 +255,19 @@ def test_out_flag_unwritable_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "res.txt"
     code, out, err = _run(
         capsys, "--out", str(target), "enumerate", "--size", "3"
+    )
+    assert code == 2 and out == ""
+    assert err == f"zcx: error: {target}: No such file or directory\n"
+
+
+def test_out_flag_opened_before_the_command_runs(capsys, monkeypatch, tmp_path):
+    def no_census(args, workers):
+        raise AssertionError("the census ran before --out was opened")
+
+    monkeypatch.setattr(cli, "_cmd_census", no_census)
+    target = tmp_path / "missing" / "res.txt"
+    code, out, err = _run(
+        capsys, "--out", str(target), "census", "--max-size", "10"
     )
     assert code == 2 and out == ""
     assert err == f"zcx: error: {target}: No such file or directory\n"

@@ -23,6 +23,7 @@ from zcx.gentree import (
     constructive_levels,
     count_levels,
     label_of,
+    levels,
     parent,
     succ,
     walk,
@@ -289,11 +290,13 @@ def test_count_levels_equals_succ_expansion_to_24():
         assert got == want, got.level
 
 
-def test_count_levels_shares_labels_across_levels():
-    seen = {}
-    for lv in count_levels(16):
-        for lab in lv.counts:
-            assert seen.setdefault(lab, lab) is lab
+def test_levels_stream_one_plain_dict_per_level():
+    assert next(levels(10**6)) == LabelLevel(2, {ROOT_LABEL: 1})
+    streamed = []
+    for lv in levels(40):
+        assert type(lv.counts) is dict, lv.level
+        streamed.append(lv)
+    assert streamed == count_levels(40)
 
 
 def test_label_multiplicities_are_positive():
@@ -319,8 +322,8 @@ def test_label_dp_frozen_hash_up_to_40():
     labels = 0
     for lv in count_levels(40):
         lines = sorted(
-            f"{lab.family},{lab.b},{lab.w},{lab.r},{str(lab.rect).lower()},{cnt}"
-            for lab, cnt in lv.counts.items()
+            f"{f},{b},{w},{r},{str(rect).lower()},{cnt}"
+            for (f, b, w, r, rect), cnt in lv.counts.items()
         )
         labels += len(lines)
         h.update(f"level {lv.level}\n".encode())
