@@ -23,15 +23,27 @@ rows + width runs; the kernel raises AssertionError past that bound.  A NW
 walk on the mirror image is a NE walk, so one kernel serves both
 directions.  The tests check the kernel against a plain breadth-first
 oracle over all cell pairs.
+
+The census (:func:`census`) builds no objects.  It walks the raw row tuples
+of the blocks with r rows <= c columns, runs the kernel on each tuple and on
+its mirror, and repeats the class tests over the rows.  Transposition maps
+the (r, c) block onto the (c, r) block and keeps every census bit except
+``centered``: the transpose has a full-width row iff the shape has a
+full-height column, which for a convex shape holds iff its bottom and top
+rows overlap.  So each shape of an r < c block is counted twice, as itself
+and as its transpose.  The object path (:meth:`CensusRow.add` over
+:func:`degree_pair` and the ``is_*`` predicates) is the tests' oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
-from .core import Polyomino, mirror
+from .core import Polyomino, check_rows, mirror
+from .enumerate import _block_intervals, blocks, first_rows
 
 _INF = 1 << 30
 
@@ -312,35 +324,123 @@ class CensusRow:
         return out
 
 
-def census_partition(n: int, r: int, c: int) -> CensusRow:
-    """Census restricted to the (r rows, c cols) block of size n = r + c."""
-    from .enumerate import block_polyominoes
-
-    row = CensusRow(n)
-    for p in block_polyominoes(r, c):
-        row.add(p)
-    return row
+# The smallest size whose census pays for worker processes: on 2 cores,
+# starting a pool of two spawned workers takes about 0.2 s, the census at 9
+# about 0.26 s on one worker (0.33 s with the pool started for it), and the
+# census at 10 2.1 s on one worker against 1.3 s with the pool.
+POOL_MIN_SIZE = 10
 
 
-def census(n: int, workers: int = 1) -> CensusRow:
+def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
+    """Census of the (r, c) shapes whose bottom row is ``first``, read off
+    the raw row tuples, and for r < c of their transposes, the (c, r)
+    shapes; see :func:`census`.  The tests are those of the predicates above,
+    written again over the rows."""
+    counts: Counter[Signature] = Counter()
+    w = c - 1
+    for rows in _block_intervals(r, c, first):
+        check_rows(rows)
+        ne = _ne_max_turns(rows, c)
+        nw = _ne_max_turns(tuple((w - b, w - a) for a, b in rows), c)
+        # Four-stack as in is_four_stack.  The lefts are valley- and the
+        # rights mountain-unimodal, so the inside extrema of rows i..j are
+        # those of rows i and j.
+        pre_l, pre_r = [_INF], [-_INF]
+        for a, b in rows:
+            pre_l.append(a if a < pre_l[-1] else pre_l[-1])
+            pre_r.append(b if b > pre_r[-1] else pre_r[-1])
+        suf_l, suf_r = [_INF] * (r + 1), [-_INF] * (r + 1)
+        for k in range(r - 1, -1, -1):
+            a, b = rows[k]
+            suf_l[k] = a if a < suf_l[k + 1] else suf_l[k + 1]
+            suf_r[k] = b if b > suf_r[k + 1] else suf_r[k + 1]
+        four_stack = False
+        for i in range(r):
+            li, ri = rows[i]
+            for j in range(i, r):
+                lj, rj = rows[j]
+                a = li if li > lj else lj
+                b = ri if ri < rj else rj
+                if (a <= b and a <= pre_l[i] and a <= suf_l[j + 1]
+                        and pre_r[i] <= b and suf_r[j + 1] <= b):
+                    four_stack = True
+                    break
+            if four_stack:
+                break
+        # Ascending: no higher row strictly NW-shifted from a lower one;
+        # descending: none strictly NE-shifted (ascending of the mirror).
+        ascending = descending = True
+        for j in range(1, r):
+            lj, rj = rows[j]
+            for i in range(j):
+                li, ri = rows[i]
+                if lj < li:
+                    if rj < ri:
+                        ascending = False
+                elif lj > li and rj > ri:
+                    descending = False
+        directed = rows[0][0] == 0 and all(
+            x[0] <= y[0] for x, y in zip(rows, rows[1:]))
+        top_rect = rows[-1][1] == w
+        counts[Signature(ne, nw, any(a == 0 and b == w for a, b in rows),
+                         four_stack, ascending, descending, directed,
+                         top_rect)] += 1
+        if r < c:
+            # The transpose is centered iff some column is full height,
+            # that is iff the bottom and top rows overlap.
+            (l0, r0), (lt, rt) = rows[0], rows[-1]
+            counts[Signature(ne, nw, max(l0, lt) <= min(r0, rt), four_stack,
+                             ascending, descending, directed, top_rect)] += 1
+    return CensusRow(r + c, counts)
+
+
+@contextlib.contextmanager
+def census_pool(workers: int, max_size: int) -> Iterator[Any]:
+    """One process pool for censuses up to ``max_size``, or None where one
+    worker or sizes below :data:`POOL_MIN_SIZE` make a pool not pay.
+
+    The workers are spawned: they start from a fresh import and inherit no
+    state, and a script that starts them needs the
+    ``if __name__ == "__main__":`` guard.
+    """
+    if workers < 2 or max_size < POOL_MIN_SIZE:
+        yield None
+        return
+    import multiprocessing as mp
+
+    with mp.get_context("spawn").Pool(workers) as pool:
+        yield pool
+
+
+def census(n: int, workers: int = 1, pool: Any = None) -> CensusRow:
     """Classify every convex polyomino of size n.
 
-    The block partition is processed in deterministic order; with
-    ``workers`` > 1 blocks are farmed out to a process pool and merged in
-    the same order, so the result does not depend on the worker count.
+    Transposing a shape (its columns become its rows) maps the (r rows,
+    c cols) block onto the (c, r) block.  It keeps the degree pair (a N/E
+    path becomes an E/N path, and a N/W path an E/S path, which read
+    backwards is a W/N path with the same turns), and the four-stack,
+    ascending, descending, directed-convex and top-right-corner bits; a
+    full-width row becomes a full-height column.  So only the blocks with
+    r <= c are walked, and each shape of an r < c block also counts once
+    for its transpose, with ``centered`` replaced by the full-height-column
+    bit.  The tests check this against the object path
+    (:meth:`CensusRow.add` over every block) for sizes 2..10.
+
+    The walk is split into (block, bottom row) tasks, merged in a fixed
+    order, so the result does not depend on the worker count.  With
+    ``workers`` > 1 and n >= :data:`POOL_MIN_SIZE` the tasks run in
+    ``pool``, or in a pool started for this call.
     """
-    from .enumerate import blocks
-
-    parts = [(n, r, c) for r, c in blocks(n)]
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            rows = pool.starmap(census_partition, parts)
+    tasks = [(r, c, first) for r, c in blocks(n) if r <= c
+             for first in first_rows(c)]
+    if workers > 1 and n >= POOL_MIN_SIZE:
+        with (contextlib.nullcontext(pool) if pool
+              else census_pool(workers, n)) as p:
+            parts = p.starmap(_census_task, tasks, chunksize=1)
     else:
-        rows = [census_partition(*args) for args in parts]
+        parts = [_census_task(*task) for task in tasks]
     out = CensusRow(n)
-    for part in rows:
+    for part in parts:
         out = out.merge(part)
     out.validate()
     return out

@@ -19,14 +19,17 @@ from .core import PolyominoError, decode
 from .enumerate import all_convex, count_convex
 
 
-def _default_workers() -> int:
+def _default_workers(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("ZCX_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        parser.error("ZCX_THREADS must be an integer >= 1")
+    if workers < 1:
+        parser.error("ZCX_THREADS must be >= 1")
+    return workers
 
 
 def _fraction(text: str) -> Fraction:
@@ -122,7 +125,9 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 def _cmd_census(args, workers: int) -> tuple[str, int]:
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
-    rows = [classify.census(n, workers=workers) for n in range(2, args.max_size + 1)]
+    with classify.census_pool(workers, args.max_size) as pool:
+        rows = [classify.census(n, workers, pool)
+                for n in range(2, args.max_size + 1)]
     if args.format == "json":
         return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2) + "\n", 0
     return classify.census_csv(rows), 0
@@ -223,9 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
-    workers = args.threads or _default_workers()
-    if workers < 1:
-        parser.error("ZCX_THREADS must be >= 1")
+    workers = args.threads or _default_workers(parser)
     try:
         # Open --out first: a path that cannot be written fails before the
         # command spends its time.

@@ -114,13 +114,19 @@ def from_rows(intervals) -> Polyomino:
             raise EmptyRow(f"row interval {l}-{r} is empty")
     shift = min(l for l, _ in rows)
     rows = [(l - shift, r - shift) for l, r in rows]
+    check_rows(rows)
+    return Polyomino(tuple(rows))
+
+
+def check_rows(rows) -> None:
+    """Raise Disconnected or NotConvex unless consecutive rows overlap and
+    every column is an interval; the rows must be nonempty intervals."""
     for (l0, r0), (l1, r1) in zip(rows, rows[1:]):
         if l1 > r0 or l0 > r1:
             raise Disconnected(
                 f"rows {l0}-{r0} and {l1}-{r1} do not overlap"
             )
     _check_column_intervals(rows)
-    return Polyomino(tuple(rows))
 
 
 def _check_column_intervals(rows) -> None:

@@ -9,9 +9,12 @@ required column span can no longer be reached: once the left endpoints have
 started rising they can never return to 0, and once the right endpoints
 have started falling they can never reach c-1.
 
-Every emitted shape is re-validated through :func:`zcx.core.from_rows`, so
-a slip in the unimodality characterization would surface as an exception
-rather than a wrong census.
+Every shape that reaches a census or a listing is re-validated, so a slip
+in the unimodality characterization would surface as an exception rather
+than a wrong count: :func:`block_polyominoes` (and so :func:`all_convex`)
+builds each shape through :func:`zcx.core.from_rows`, and the census walk
+(:func:`zcx.classify.census`) runs :func:`zcx.core.check_rows` on each raw
+row tuple it classifies.  :func:`count_convex` counts without validating.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ from typing import Iterator
 from .core import Polyomino, from_rows
 
 
-def _block_intervals(r: int, c: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All convex interval sequences with exactly r rows and c columns."""
+def _block_intervals(
+    r: int, c: int, first: tuple[int, int] | None = None
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All convex interval sequences with exactly r rows and c columns; with
+    ``first``, only those whose bottom row is that interval."""
     out_rows: list[tuple[int, int]] = []
 
     def rec(prev_l, prev_r, l_rising, r_falling, min_l, max_r):
@@ -53,11 +59,15 @@ def _block_intervals(r: int, c: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 )
                 out_rows.pop()
 
-    for l0 in range(c):
-        for r0 in range(l0, c):
-            out_rows.append((l0, r0))
-            yield from rec(l0, r0, False, False, l0, r0)
-            out_rows.pop()
+    for l0, r0 in [first] if first else first_rows(c):
+        out_rows.append((l0, r0))
+        yield from rec(l0, r0, False, False, l0, r0)
+        out_rows.pop()
+
+
+def first_rows(c: int) -> list[tuple[int, int]]:
+    """Every interval a bottom row of a c-column shape can be, in walk order."""
+    return [(l0, r0) for l0 in range(c) for r0 in range(l0, c)]
 
 
 def blocks(n: int) -> Iterator[tuple[int, int]]:

@@ -12,6 +12,7 @@ from collections import deque
 import pytest
 
 import zcx
+from zcx import classify
 from zcx.classify import (
     CensusRow,
     census,
@@ -25,8 +26,8 @@ from zcx.classify import (
     is_four_stack,
     is_four_stack_bruteforce,
 )
-from zcx.core import Polyomino, decode, from_rows, mirror
-from zcx.enumerate import all_convex
+from zcx.core import Polyomino, decode, from_rows, mirror, size
+from zcx.enumerate import all_convex, block_polyominoes, blocks
 from zcx.series import gf, rect_formula
 
 
@@ -206,8 +207,60 @@ def test_census_merge_matches_single_pass():
     assert merged.to_dict() == row.to_dict()
 
 
-def test_census_parallel_equals_serial():
+def test_census_parallel_equals_serial(monkeypatch):
+    monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
     assert census(7, workers=2).to_dict() == census(7, workers=1).to_dict()
+
+
+def test_census_pool_only_where_it_pays():
+    with classify.census_pool(2, classify.POOL_MIN_SIZE - 1) as pool:
+        assert pool is None
+    with classify.census_pool(1, 12) as pool:
+        assert pool is None
+
+
+def _transpose(p):
+    return from_rows([p.column(x) for x in range(p.width)])
+
+
+def _signature(p):
+    row = CensusRow(size(p))
+    row.add(p)
+    (sig,) = row.counts
+    return sig
+
+
+def test_transpose_keeps_signature_but_centered():
+    # The lemma behind the census walk's transpose counting: the transpose's
+    # signature is the shape's own, with centered (a full-width row) replaced
+    # by the full-height-column bit, which is "bottom and top rows overlap".
+    for n in range(2, 10):
+        for p in all_convex(n):
+            top = p.n_rows - 1
+            full = any(p.column(x) == (0, top) for x in range(p.width))
+            (l0, r0), (lt, rt) = p.rows[0], p.rows[-1]
+            assert full == (max(l0, lt) <= min(r0, rt)), p.encode()
+            t = _transpose(p)
+            assert _transpose(t) == p
+            assert _signature(t) == _signature(p)._replace(centered=full), p.encode()
+
+
+@pytest.fixture(scope="module")
+def pool2():
+    with classify.census_pool(2, classify.POOL_MIN_SIZE) as pool:
+        assert pool is not None
+        yield pool
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_census_walk_equals_object_path(n, monkeypatch, pool2):
+    oracle = CensusRow(n)
+    for r, c in blocks(n):
+        for p in block_polyominoes(r, c):
+            oracle.add(p)
+    assert census(n).counts == oracle.counts
+    monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
+    assert census(n, 2, pool2).counts == oracle.counts
 
 
 def test_census_parallel_under_spawn():
@@ -215,8 +268,10 @@ def test_census_parallel_under_spawn():
     # depend on state inherited through fork.
     script = (
         "import multiprocessing as mp\n"
+        "from zcx import classify\n"
         "from zcx.classify import census\n"
         "mp.set_start_method('spawn')\n"
+        "classify.POOL_MIN_SIZE = 2\n"
         "assert census(7, workers=2) == census(7, workers=1)\n"
     )
     src_dir = os.path.dirname(os.path.dirname(zcx.__file__))

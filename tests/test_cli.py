@@ -277,7 +277,7 @@ def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("ZCX_THREADS", "2")
     code, out, _ = _run(capsys, "census", "--max-size", "5")
     assert code == 0
-    monkeypatch.setenv("ZCX_THREADS", "junk")
+    monkeypatch.setenv("ZCX_THREADS", "1")
     code, out2, _ = _run(capsys, "census", "--max-size", "5")
     assert code == 0 and out == out2
 
@@ -297,6 +297,16 @@ def test_threads_env_below_1_is_usage_error(capsys, monkeypatch, k):
         main(["census", "--max-size", "4"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("zcx: error: ZCX_THREADS must be >= 1\n")
+
+
+@pytest.mark.parametrize("k", ["junk", "2.5"])
+def test_threads_env_not_an_integer_is_usage_error(capsys, monkeypatch, k):
+    monkeypatch.setenv("ZCX_THREADS", k)
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--max-size", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "zcx: error: ZCX_THREADS must be an integer >= 1\n")
 
 
 def test_usage_error_exit_2():
