@@ -25,12 +25,17 @@ directions.  The tests check the kernel against a plain breadth-first
 oracle over all cell pairs.
 
 The census (:func:`census`) builds no objects.  It walks the raw row tuples
-of the blocks with r rows <= c columns, runs the kernel on each tuple and on
-its mirror, and repeats the class tests over the rows.  Transposition maps
-the (r, c) block onto the (c, r) block and keeps every census bit except
+of the blocks with r rows <= c columns and validates each one.  The mirror,
+the vertical flip and the 180 degree rotation map a block onto itself, keep
+the four-stack and centered bits and keep or swap the NE and NW degrees.
+So the kernel runs only on one tuple per orbit, the least of its four
+images, and on its mirror; each distinct image is counted with that degree
+pair, swapped where the image is a mirror or a flip, and with the other
+class tests repeated over its own rows.  Transposition maps the (r, c)
+block onto the (c, r) block and keeps every census bit except
 ``centered``: the transpose has a full-width row iff the shape has a
 full-height column, which for a convex shape holds iff its bottom and top
-rows overlap.  So each shape of an r < c block is counted twice, as itself
+rows overlap.  So each image in an r < c block is counted twice, as itself
 and as its transpose.  The object path (:meth:`CensusRow.add` over
 :func:`degree_pair` and the ``is_*`` predicates) is the tests' oracle.
 """
@@ -48,16 +53,27 @@ from .enumerate import _block_intervals, blocks, first_rows
 _INF = 1 << 30
 
 
-def _ne_max_turns(rows: tuple[tuple[int, int], ...], width: int) -> int:
-    """Largest minimal turn count over NE-reachable cell pairs, from two
-    greedy walks per (bottom of column i, top of column j) pair; see the
-    module docstring for why these walks suffice."""
+def _column_ends(rows: tuple[tuple[int, int], ...],
+                 width: int) -> tuple[list[int], list[int]]:
+    """The bottom and the top row of each column.  The mirror image's
+    columns are these read backwards."""
     bottom = [len(rows)] * width
     top = [0] * width
     for y, (l, r) in enumerate(rows):
-        for x in range(l, r + 1):
-            top[x] = y
-            bottom[x] = min(bottom[x], y)
+        top[l:r + 1] = [y] * (r + 1 - l)
+    for y in range(len(rows) - 1, -1, -1):
+        l, r = rows[y]
+        bottom[l:r + 1] = [y] * (r + 1 - l)
+    return bottom, top
+
+
+def _ne_max_turns(rows: tuple[tuple[int, int], ...], bottom: list[int],
+                  top: list[int]) -> int:
+    """Largest minimal turn count over NE-reachable cell pairs, from two
+    greedy walks per (bottom of column i, top of column j) pair; see the
+    module docstring for why these walks suffice.  ``bottom`` and ``top``
+    are the column ends of ``rows`` (:func:`_column_ends`)."""
+    width = len(bottom)
     limit = len(rows) + width  # runs after the first are never empty
     best = 0
     for i in range(width):
@@ -95,9 +111,9 @@ class DegreePair:
 
 
 def degree_pair(p: Polyomino) -> DegreePair:
-    w = p.width
-    ne = _ne_max_turns(p.rows, w)
-    nw = _ne_max_turns(mirror(p).rows, w)
+    bottom, top = _column_ends(p.rows, p.width)
+    ne = _ne_max_turns(p.rows, bottom, top)
+    nw = _ne_max_turns(mirror(p).rows, bottom[::-1], top[::-1])
     return DegreePair(ne, nw)
 
 
@@ -324,24 +340,38 @@ class CensusRow:
         return out
 
 
-# The smallest size whose census pays for worker processes: on 2 cores,
-# starting a pool of two spawned workers takes about 0.2 s, the census at 9
-# about 0.26 s on one worker (0.33 s with the pool started for it), and the
-# census at 10 2.1 s on one worker against 1.3 s with the pool.
+# The smallest size whose census pays for worker processes.  On a 2-core VM
+# with Python 3.11, timed alternately, the census at 9 takes 0.10-0.15 s on
+# one worker and 0.37-0.41 s with a pool of two spawned workers started for
+# it, at 10 0.61-0.87 s against 0.56-0.82 s, and at 11 2.2-3.0 s against
+# 1.7-2.0 s.
 POOL_MIN_SIZE = 10
 
 
 def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
-    """Census of the (r, c) shapes whose bottom row is ``first``, read off
-    the raw row tuples, and for r < c of their transposes, the (c, r)
-    shapes; see :func:`census`.  The tests are those of the predicates above,
-    written again over the rows."""
+    """Census of the (r, c) shapes whose bottom row is ``first``, and for
+    r < c of their transposes, the (c, r) shapes, read off the raw row
+    tuples one symmetry orbit at a time; see :func:`census`.  The tests are
+    those of the predicates above, written again over the rows."""
     counts: Counter[Signature] = Counter()
     w = c - 1
+    # The mirror of a bottom row right of centre starts further left, so a
+    # task with such a bottom row holds no orbit representative.
+    has_reps = first[0] + first[1] <= w
     for rows in _block_intervals(r, c, first):
         check_rows(rows)
-        ne = _ne_max_turns(rows, c)
-        nw = _ne_max_turns(tuple((w - b, w - a) for a, b in rows), c)
+        if not has_reps:
+            continue
+        flip = rows[::-1]
+        if flip < rows:
+            continue
+        mir = tuple((w - b, w - a) for a, b in rows)
+        rot = mir[::-1]
+        if mir < rows or rot < rows:
+            continue
+        bottom, top = _column_ends(rows, c)
+        ne = _ne_max_turns(rows, bottom, top)
+        nw = _ne_max_turns(mir, bottom[::-1], top[::-1])
         # Four-stack as in is_four_stack.  The lefts are valley- and the
         # rights mountain-unimodal, so the inside extrema of rows i..j are
         # those of rows i and j.
@@ -367,30 +397,35 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
                     break
             if four_stack:
                 break
-        # Ascending: no higher row strictly NW-shifted from a lower one;
-        # descending: none strictly NE-shifted (ascending of the mirror).
-        ascending = descending = True
-        for j in range(1, r):
-            lj, rj = rows[j]
-            for i in range(j):
-                li, ri = rows[i]
-                if lj < li:
-                    if rj < ri:
-                        ascending = False
-                elif lj > li and rj > ri:
-                    descending = False
-        directed = rows[0][0] == 0 and all(
-            x[0] <= y[0] for x, y in zip(rows, rows[1:]))
-        top_rect = rows[-1][1] == w
-        counts[Signature(ne, nw, any(a == 0 and b == w for a, b in rows),
-                         four_stack, ascending, descending, directed,
-                         top_rect)] += 1
-        if r < c:
-            # The transpose is centered iff some column is full height,
-            # that is iff the bottom and top rows overlap.
-            (l0, r0), (lt, rt) = rows[0], rows[-1]
-            counts[Signature(ne, nw, max(l0, lt) <= min(r0, rt), four_stack,
-                             ascending, descending, directed, top_rect)] += 1
+        centered = any(a == 0 and b == w for a, b in rows)
+        # The transpose is centered iff some column is full height, that is
+        # iff the bottom and top rows overlap.
+        (l0, r0), (lt, rt) = rows[0], rows[-1]
+        full_column = max(l0, lt) <= min(r0, rt)
+        # Equal images carry equal degrees, so the dict counts each once.
+        images = {rows: (ne, nw), mir: (nw, ne), flip: (nw, ne), rot: (ne, nw)}
+        for img, (img_ne, img_nw) in images.items():
+            # Ascending: no higher row strictly NW-shifted from a lower one;
+            # descending: none strictly NE-shifted (ascending of the mirror).
+            ascending = descending = True
+            for j in range(1, r):
+                lj, rj = img[j]
+                for i in range(j):
+                    li, ri = img[i]
+                    if lj < li:
+                        if rj < ri:
+                            ascending = False
+                    elif lj > li and rj > ri:
+                        descending = False
+            directed = img[0][0] == 0 and all(
+                x[0] <= y[0] for x, y in zip(img, img[1:]))
+            top_rect = img[-1][1] == w
+            counts[Signature(img_ne, img_nw, centered, four_stack, ascending,
+                             descending, directed, top_rect)] += 1
+            if r < c:
+                counts[Signature(img_ne, img_nw, full_column, four_stack,
+                                 ascending, descending, directed,
+                                 top_rect)] += 1
     return CensusRow(r + c, counts)
 
 
@@ -400,20 +435,40 @@ def census_pool(workers: int, max_size: int) -> Iterator[Any]:
     worker or sizes below :data:`POOL_MIN_SIZE` make a pool not pay.
 
     The workers are spawned: they start from a fresh import and inherit no
-    state, and a script that starts them needs the
-    ``if __name__ == "__main__":`` guard.
+    state.  A script that starts them needs the
+    ``if __name__ == "__main__":`` guard; without it each worker runs the
+    script again while it starts, fails, and the census raises
+    ``BrokenProcessPool`` instead of waiting for a worker that never comes.
     """
     if workers < 2 or max_size < POOL_MIN_SIZE:
         yield None
         return
     import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
 
-    with mp.get_context("spawn").Pool(workers) as pool:
+    spawn = mp.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
         yield pool
 
 
 def census(n: int, workers: int = 1, pool: Any = None) -> CensusRow:
     """Classify every convex polyomino of size n.
+
+    The mirror (column x to c-1-x), the vertical flip (the rows in reverse
+    order) and the 180 degree rotation (both) map the block of shapes with
+    r rows and c columns onto itself.  The rotation keeps the degree pair;
+    the mirror and the flip swap NE and NW (a N/E path becomes a N/W path,
+    or a S/E path, which read backwards is a N/W path with the same turns).
+    All three keep the four-stack and centered bits, and the
+    full-height-column bit below.  So the kernel runs only on each orbit's
+    representative, the least of its four row tuples, and on its mirror.
+    Every distinct image of the representative is counted once, with the
+    representative's degree pair (swapped for the mirror and the flip), the
+    shared bits, and the ascending, descending, directed-convex and
+    top-right-corner bits tested again on the image's own rows, so the
+    ``prop4_mismatch`` column still checks Prop. 4 on every shape.  The
+    walk runs :func:`zcx.core.check_rows` on every tuple it visits and then
+    skips those that are not representatives.
 
     Transposing a shape (its columns become its rows) maps the (r rows,
     c cols) block onto the (c, r) block.  It keeps the degree pair (a N/E
@@ -421,10 +476,14 @@ def census(n: int, workers: int = 1, pool: Any = None) -> CensusRow:
     backwards is a W/N path with the same turns), and the four-stack,
     ascending, descending, directed-convex and top-right-corner bits; a
     full-width row becomes a full-height column.  So only the blocks with
-    r <= c are walked, and each shape of an r < c block also counts once
-    for its transpose, with ``centered`` replaced by the full-height-column
-    bit.  The tests check this against the object path
-    (:meth:`CensusRow.add` over every block) for sizes 2..10.
+    r <= c are walked, and for r < c each image also counts once for its
+    transpose, with ``centered`` replaced by the full-height-column bit.
+    Transposition swaps the mirror and the flip, so it maps the orbit of a
+    shape onto the orbit of its transpose, and every shape of both blocks
+    is counted exactly once.  The tests check the census against the
+    object path (:meth:`CensusRow.add` over every block) for sizes 2..10,
+    and each image's object-path signature against the one read off its
+    orbit's representative for sizes 2..9.
 
     The walk is split into (block, bottom row) tasks, merged in a fixed
     order, so the result does not depend on the worker count.  With
@@ -436,7 +495,7 @@ def census(n: int, workers: int = 1, pool: Any = None) -> CensusRow:
     if workers > 1 and n >= POOL_MIN_SIZE:
         with (contextlib.nullcontext(pool) if pool
               else census_pool(workers, n)) as p:
-            parts = p.starmap(_census_task, tasks, chunksize=1)
+            parts = list(p.map(_census_task, *zip(*tasks)))
     else:
         parts = [_census_task(*task) for task in tasks]
     out = CensusRow(n)

@@ -9,6 +9,7 @@ build times are part of the timed budgets.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -162,6 +163,28 @@ def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
         f"its generating function, n<=12 (n<=11: {t_through_11:.1f}s, "
         f"total: {t_total:.1f}s)",
     )
+
+
+# SHA-256 over the full signature histogram of each frontier size: one line
+# "ne|nw|centered|four_stack|ascending|descending|directed_convex|top_rect|
+# count" per signature, bits as 0/1, in sorted signature order.  The
+# columns above check sizes 11 and 12 one marginal at a time; these pin
+# every joint count.
+CENSUS_SHA256 = {
+    11: "52c2818098d9e00aae5a9a4d6409776e903383716ca5b2ef434be4c7d535cdf1",
+    12: "db7c94a517569fa55e435e02f2519d2f2f650bb7be66defee007adf857492ed9",
+}
+
+
+def test_census_histograms_frozen_at_the_frontier(census_rows):
+    rows, _, _ = census_rows
+    for n, want in CENSUS_SHA256.items():
+        lines = "".join(
+            "|".join(str(int(v)) for v in (*sig, count)) + "\n"
+            for sig, count in sorted(rows[n].counts.items())
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == want, n
+    print("PASS census histograms at sizes 11/12 equal the frozen ones")
 
 
 def test_criterion_5_unique_parentage(ascending_by_size):

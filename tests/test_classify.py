@@ -15,6 +15,7 @@ import zcx
 from zcx import classify
 from zcx.classify import (
     CensusRow,
+    Signature,
     census,
     census_csv,
     degree_pair,
@@ -27,7 +28,7 @@ from zcx.classify import (
     is_four_stack_bruteforce,
 )
 from zcx.core import Polyomino, decode, from_rows, mirror, size
-from zcx.enumerate import all_convex, block_polyominoes, blocks
+from zcx.enumerate import all_convex, block_polyominoes, blocks, count_convex
 from zcx.series import gf, rect_formula
 
 
@@ -245,6 +246,39 @@ def test_transpose_keeps_signature_but_centered():
             assert _signature(t) == _signature(p)._replace(centered=full), p.encode()
 
 
+def test_orbit_images_share_the_representative_signature():
+    # The lemma behind the census walk's orbits: each image of a shape under
+    # the mirror, the vertical flip and the 180 degree rotation has the
+    # representative's signature with the degrees swapped by the mirror and
+    # the flip, four_stack, centered and the full-height-column bit shared,
+    # and only the remaining bits depending on the image's own rows.
+    for n in range(2, 10):
+        images_total = 0
+        for r, c in blocks(n):
+            for p in block_polyominoes(r, c):
+                rows, mir = p.rows, mirror(p).rows
+                images = {rows: False, mir: True, rows[::-1]: True,
+                          mir[::-1]: False}
+                if rows != min(images):
+                    continue
+                images_total += len(images)
+                rep = _signature(p)
+                for img, swapped in images.items():
+                    q = from_rows(img)
+                    assert (q.n_rows, q.width) == (r, c)
+                    (l0, r0), (lt, rt) = img[0], img[-1]
+                    assert (max(l0, lt) <= min(r0, rt)) == (
+                        max(rows[0][0], rows[-1][0])
+                        <= min(rows[0][1], rows[-1][1])), q.encode()
+                    ne, nw = (rep.nw, rep.ne) if swapped else (rep.ne, rep.nw)
+                    derived = Signature(
+                        ne, nw, rep.centered, rep.four_stack, is_ascending(q),
+                        is_descending(q), is_directed_convex(q),
+                        q.rows[-1][1] == q.width - 1)
+                    assert _signature(q) == derived, (p.encode(), q.encode())
+        assert images_total == count_convex(n)
+
+
 @pytest.fixture(scope="module")
 def pool2():
     with classify.census_pool(2, classify.POOL_MIN_SIZE) as pool:
@@ -277,6 +311,24 @@ def test_census_parallel_under_spawn():
     src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir)
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+def test_census_pool_fails_fast_without_main_guard(tmp_path):
+    # Each spawned worker imports the script again and, without the guard,
+    # tries to start a pool of its own while it starts up.  The census must
+    # fail at once instead of waiting for workers that never come up.
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from zcx import classify\n"
+        "classify.POOL_MIN_SIZE = 2\n"
+        "classify.census(7, workers=2)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
 
 
 def test_census_merge_rejects_size_mismatch():
