@@ -26,21 +26,23 @@ centered, NC for non-centered), base height b, left offset w, last-column
 excess r, and a rectangular flag (last column reaching the maximal height).
 The label decides how a polyomino grows.  ``succ`` rewrites a label into
 the multiset of its children's labels, and ``levels`` iterates that
-rewriting symbolically: a generator that yields one level of counts at a
-time and holds only the level it steps, so memory follows the widest
-level, not all of them.  Its keys are the plain (family, b, w, r, rect)
-tuples the step emits, which compare and hash as the TreeLabels.  It
-never expands a label into its children.  Each label pushes its count
-into its single children: the Row child (base b + 1, or b = 2 out of L0,
-L, R, S0 and S), the ``w + 1`` child, S(w, 0) and the R count.  The
-three productions that emit a run of children become range sums over the
-whole level.  The Left Cell run L(1, r + j) of C0, C and C1 is a
-difference array over r.  The Shift run S(j, r + 1), j <= w, of S0 and
-S is a suffix sum over w.  The Nc columns, r - r' + 1 of each r' (or 1
-and r - r' from a rectangular source), are suffix sums of x and r*x over
-the source parameter r.  A level step so costs O(labels), not
-O(children), and ``succ`` stays the per-label oracle the tests compare it
-with.
+rewriting symbolically, a generator that yields one level at a time.  It
+never expands a label into its children, and it never holds the base
+height of the C, C0 and C1 labels: such a label's only source is the same
+label with base b - 1 one level up, so the labels with b = 2 that entered
+at each level (the history) give every C, C0 and C1 label of later
+levels.  The step pushes the single children of each other label and of
+each running sum of the history over b, and turns the three productions
+that emit a run of children into range sums: the Left Cell run
+L(1, r + j), j < b, of C, C0 and C1 is a prefix sum of the history over
+levels, the Shift run S(j, r + 1), j <= w, of S0 and S a suffix sum over
+w, and the Nc columns, r - r' + 1 of each r' (or 1 and r - r' from a
+rectangular source), suffix sums of x and r*x over the source parameter
+r.  A step at level m so costs O(m^2), against O(m^3) labels in the
+level.  Each level's totals come from the same sums; its label dict,
+keyed by plain (family, b, w, r, rect) tuples that compare and hash as
+the TreeLabels, is built from the history only when read.  ``succ``
+stays the per-label oracle the tests compare the step with.
 
 ``children`` and ``parent`` realize the same tree on actual polyominoes:
 both read the label and the base position from the one computation behind
@@ -53,7 +55,8 @@ the tests check that the two views coincide level by level.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterator, NamedTuple
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 from .core import Polyomino, from_rows, size
 from .classify import is_ascending, is_centered
@@ -338,124 +341,232 @@ def succ(label: TreeLabel) -> list[tuple[TreeLabel, int]]:
     return [(child, m) for child, m in out if m > 0]
 
 
-class LabelLevel(NamedTuple):
-    """Multiset of labels at one tree level (= one object size), keyed by
-    TreeLabels or the equal plain (family, b, w, r, rect) tuples."""
-
-    level: int
-    counts: dict[tuple, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def centered_total(self) -> int:
-        return sum(v for (f, _, _, _, _), v in self.counts.items() if f != "NC")
-
-    @property
-    def non_centered_total(self) -> int:
-        return sum(v for (f, _, _, _, _), v in self.counts.items() if f == "NC")
-
-    @property
-    def rectangular_total(self) -> int:
-        return sum(v for (_, _, _, _, rect), v in self.counts.items() if rect)
+def _totals(items) -> tuple[int, int, int, int, int]:
+    """The five totals of ``LabelLevel``, in that order, over
+    ((family, b, w, r, rect), count) items."""
+    total = nc = rect = nc_rect = 0
+    for (f, _, _, _, rc), v in items:
+        total += v
+        if rc:
+            rect += v
+        if f == "NC":
+            nc += v
+            if rc:
+                nc_rect += v
+    return total, total - nc, nc, rect, nc_rect
 
 
-def _step(counts: dict[TreeLabel, int]) -> dict[tuple, int]:
-    """The label multiset one level below ``counts``, keyed by plain label
-    tuples (equal to, and hashing as, the TreeLabels).
+class LabelLevel:
+    """Multiset of labels at one tree level (= one object size) and its
+    totals: all labels, the centered, non-centered and rectangular ones,
+    and the non-centered rectangular ones.
 
-    The same multiset as summing ``succ`` over the labels, at O(1) per
-    label: the fixed children are added at once, and the three runs are
-    recorded per source and resolved after the loop by range sums.
+    ``counts`` is a plain dict keyed by TreeLabels or the equal plain
+    (family, b, w, r, rect) tuples.  ``counts`` may also be given as a
+    function that builds that dict, with the totals given beside it: it
+    is then called on the first read of ``counts``, and not at all when
+    only the totals are read.  Levels compare equal when their level
+    numbers and label multisets are equal.
     """
-    nxt: dict[tuple, int] = defaultdict(int)
-    rows = 0                                        # R(1, 0, 0) children
-    left = {False: defaultdict(int), True: defaultdict(int)}
-    shift: dict[tuple, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    nc = {False: defaultdict(int), True: defaultdict(int)}
-    for (f, b, w, r, rect), x in counts.items():
-        if f == "C":
-            nxt["L", 1, w + 1, r, rect] += x
-            nxt["S", 1, w, 0, False] += x
-            nxt["C", b + 1, w, r, rect] += x
-            left[rect][r + 1] += x                  # L(1, r + j), j = 1..b-1
-            left[rect][r + b] -= x
-            rows += (b - 1) * x
-        elif f == "S":
-            nxt["L", 1, w + 1, r, rect] += x
-            nxt["S", 1, w, 0, False] += x
-            nxt["C", 2, w, r, rect] += x
-            shift[r + 1, rect][w] += x              # S(j, r + 1), j = 1..w
-        elif f == "L":
-            nxt["L", 1, w + 1, r, rect] += x
-            nxt["C", 2, w, r, rect] += x
-        elif f == "NC":
-            if rect:
-                nxt["NC", 1, 0, r + 1, True] += x
-        elif f == "C0":
-            nxt["L0", 1, w + 1, 0, True] += x
-            nxt["S0", 1, w + 1, 0, True] += x
-            nxt["C0", b + 1, w, 0, True] += x
-            left[True][1] += x                      # L(1, j), j = 1..b-1
-            left[True][b] -= x
-            rows += (b - 1) * x
-        elif f == "L0":
-            nxt["L0", 1, w + 1, 0, True] += x
-            nxt["C0", 2, w, 0, True] += x
-        elif f == "S0":
-            nxt["L0", 1, w + 1, 0, True] += x
-            nxt["S0", 1, w + 1, 0, True] += x
-            nxt["C0", 2, w, 0, True] += x
-            if w > 1:
-                shift[1, True][w - 1] += x          # S(j, 1), j = 1..w-1
-        elif f == "C1":
-            nxt["C1", b + 1, 0, 0, False] += x
-            left[False][0] += x                     # L(1, j), j = 0..b-1
-            left[False][b] -= x
-            rows += b * x
-        else:  # R
-            nxt["L", 1, 1, 0, False] += x
-            nxt["C1", 2, 0, 0, False] += x
-            rows += x
-        if r:  # only the C, L, S and NC families have r > 0: the Nc sources
-            nc[rect][r] += x
 
-    if rows:
-        nxt["R", 1, 0, 0, False] += rows
-    # Left Cell runs: L(1, r) is the prefix sum of the difference array.
-    for rect, diff in left.items():
-        ends = sorted(diff)
-        acc = 0
-        for lo, hi in zip(ends, ends[1:]):
-            acc += diff[lo]
-            if acc:
-                for r in range(lo, hi):
-                    nxt["L", 1, 1, r, rect] += acc
-    # Shift runs: S(j, r) counts every source with w >= j, a suffix sum.
-    for (r, rect), by_w in shift.items():
-        acc = 0
-        for w in range(max(by_w), 0, -1):
-            acc += by_w.get(w, 0)
-            nxt["S", 1, w, r, rect] += acc
-    # Nc columns (see _nc_part): a source of parameter r and weight x gives
-    # each r' <= r x(r - r') non-rectangular children, x more when it is
-    # non-rectangular, and x rectangular ones when it is rectangular.  With
-    # suffix sums over r >= r' of x and r*x, that is n1 - r'*n0 + n_plain.
-    plain, top = nc[False], nc[True]
-    n0 = n1 = n_plain = n_top = 0
-    for rp in range(max(plain.keys() | top.keys(), default=0), 0, -1):
-        a, t = plain.get(rp, 0), top.get(rp, 0)
-        n0 += a + t
-        n1 += rp * (a + t)
-        n_plain += a
-        n_top += t
-        if n_top:
-            nxt["NC", 1, 0, rp, True] += n_top
-        if n1 - rp * n0 + n_plain:
-            nxt["NC", 1, 0, rp, False] += n1 - rp * n0 + n_plain
-    return nxt
+    __slots__ = ("level", "_counts", "total", "centered_total",
+                 "non_centered_total", "rectangular_total",
+                 "non_centered_rectangular_total")
+
+    def __init__(
+        self,
+        level: int,
+        counts: dict[tuple, int] | Callable[[], dict[tuple, int]],
+        totals: tuple[int, int, int, int, int] | None = None,
+    ):
+        self.level = level
+        self._counts = counts
+        if totals is None:
+            totals = _totals(counts.items())
+        (self.total, self.centered_total, self.non_centered_total,
+         self.rectangular_total, self.non_centered_rectangular_total) = totals
+
+    @property
+    def counts(self) -> dict[tuple, int]:
+        if callable(self._counts):
+            self._counts = self._counts()
+        return self._counts
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelLevel):
+            return NotImplemented
+        return self.level == other.level and self.counts == other.counts
+
+    def __repr__(self) -> str:
+        return f"LabelLevel(level={self.level}, counts={self.counts!r})"
+
+
+def _expand(rest: dict, history: list[dict], depth: int) -> dict[tuple, int]:
+    """The label dict of a level: ``rest`` plus the C, C0 and C1 labels of
+    the first ``depth`` history entries, the last of them at b = 2."""
+    counts = dict(rest)
+    for b, i in enumerate(range(depth - 1, -1, -1), 2):
+        for (f, w, r, rect), x in history[i].items():
+            counts[f, b, w, r, rect] = x
+    return counts
+
+
+class _LabelDP:
+    """The label DP at one level, with the base height of the C, C0 and C1
+    labels taken out.
+
+    A C, C0 or C1 label of base height b >= 3 has one source, the same
+    label with b - 1 one level up, so the label (b, k) at level n is the
+    label (2, k) that entered at level n - b + 2.  The state is:
+
+    * ``rest`` -- the L, S, L0, S0, R and NC labels, keyed as in ``counts``;
+    * ``history`` -- per level, oldest first, the C, C0 and C1 labels that
+      entered at b = 2 there, keyed (family, w, r, rect); the entry i
+      places from the end has b = i + 1 now;
+    * ``acc`` -- the history summed over levels, so over b;
+    * ``prefix`` -- per level, the history up to that level summed over
+      family and w, keyed (r, rect), with C0 at (0, True) and C1 at
+      (0, False): ``prefix[-j]`` counts the labels with b > j.
+
+    A step so costs O(m^2) at level m, not the O(m^3) of the C labels.
+    """
+
+    def __init__(self, counts: dict[tuple, int]):
+        """Seed the state from any label dict: its C, C0 and C1 labels go
+        into the history by base height."""
+        self.rest: dict[tuple, int] = {}
+        by_b: dict[int, dict[tuple, int]] = defaultdict(dict)
+        for (f, b, w, r, rect), x in counts.items():
+            if f in ("C", "C0", "C1"):
+                by_b[b][f, w, r, rect] = x
+            else:
+                self.rest[f, b, w, r, rect] = x
+        self.history: list[dict[tuple, int]] = []
+        self.acc: dict[tuple, int] = {}
+        self.keys: dict[tuple, tuple] = {}
+        self.prefix: list[dict[tuple, int]] = []
+        for b in range(max(by_b, default=1), 1, -1):
+            self._enter(by_b.get(b, {}))
+
+    def _enter(self, new: dict[tuple, int]) -> None:
+        """Append the labels entering at b = 2 to the history and sums.
+        The history levels share one key tuple per (family, w, r, rect),
+        so an entry costs its dict slot and count but no tuple of its
+        own."""
+        entry = {}
+        last = self.prefix[-1] if self.prefix else {}
+        if new:
+            last = dict(last)
+            acc, keys = self.acc, self.keys
+            for key, x in new.items():
+                key = keys.setdefault(key, key)
+                entry[key] = x
+                acc[key] = acc.get(key, 0) + x
+                _, _, r, rect = key
+                last[r, rect] = last.get((r, rect), 0) + x
+        self.history.append(entry)
+        self.prefix.append(last)
+
+    def step(self) -> None:
+        """Advance one level: the same multiset as summing ``succ`` over the
+        labels.  The single children are pushed per label of ``rest`` and
+        per key of ``acc``; the C labels' own Row children are the shift of
+        the history.  The runs are range sums: the Left Cell run
+        L(1, r + j), j < b, of C, C0 and C1 is ``prefix[-j]``; the Shift
+        run S(j, r + 1), j <= w, of S0 and S a suffix sum over w; the Nc
+        columns suffix sums of x and r*x over the source parameter r.
+        """
+        nxt: dict[tuple, int] = defaultdict(int)
+        new: dict[tuple, int] = defaultdict(int)    # labels entering at b = 2
+        rows = 0                                    # R(1, 0, 0) children
+        shift: dict[tuple, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+        nc = {False: defaultdict(int), True: defaultdict(int)}
+        for j, by_r in enumerate(reversed(self.prefix), 1):
+            for (r, rect), x in by_r.items():       # L(1, r + j) of b > j
+                nxt["L", 1, 1, r + j, rect] += x
+                rows += x                           # one R per Left Cell child
+        for (f, w, r, rect), x in self.acc.items():
+            if f == "C":
+                nxt["L", 1, w + 1, r, rect] += x
+                nxt["S", 1, w, 0, False] += x
+                if r:
+                    nc[rect][r] += x
+            elif f == "C0":
+                nxt["L0", 1, w + 1, 0, True] += x
+                nxt["S0", 1, w + 1, 0, True] += x
+            else:  # C1: its Left Cell run starts at L(1, 0), one R more
+                nxt["L", 1, 1, 0, False] += x
+                rows += x
+        for (f, b, w, r, rect), x in self.rest.items():
+            if f == "S":
+                nxt["L", 1, w + 1, r, rect] += x
+                nxt["S", 1, w, 0, False] += x
+                new["C", w, r, rect] += x
+                shift[r + 1, rect][w] += x          # S(j, r + 1), j = 1..w
+            elif f == "L":
+                nxt["L", 1, w + 1, r, rect] += x
+                new["C", w, r, rect] += x
+            elif f == "NC":
+                if rect:
+                    nxt["NC", 1, 0, r + 1, True] += x
+            elif f == "L0":
+                nxt["L0", 1, w + 1, 0, True] += x
+                new["C0", w, 0, True] += x
+            elif f == "S0":
+                nxt["L0", 1, w + 1, 0, True] += x
+                nxt["S0", 1, w + 1, 0, True] += x
+                new["C0", w, 0, True] += x
+                if w > 1:
+                    shift[1, True][w - 1] += x      # S(j, 1), j = 1..w-1
+            else:  # R
+                nxt["L", 1, 1, 0, False] += x
+                new["C1", 0, 0, False] += x
+                rows += x
+            if r:  # only the L, S and NC families have r > 0 here
+                nc[rect][r] += x
+
+        if rows:
+            nxt["R", 1, 0, 0, False] += rows
+        # Shift runs: S(j, r) counts every source with w >= j, a suffix sum.
+        for (r, rect), by_w in shift.items():
+            acc = 0
+            for w in range(max(by_w), 0, -1):
+                acc += by_w.get(w, 0)
+                nxt["S", 1, w, r, rect] += acc
+        # Nc columns (see _nc_part): a source of parameter r and weight x gives
+        # each r' <= r x(r - r') non-rectangular children, x more when it is
+        # non-rectangular, and x rectangular ones when it is rectangular.  With
+        # suffix sums over r >= r' of x and r*x, that is n1 - r'*n0 + n_plain.
+        plain, top = nc[False], nc[True]
+        n0 = n1 = n_plain = n_top = 0
+        for rp in range(max(plain.keys() | top.keys(), default=0), 0, -1):
+            a, t = plain.get(rp, 0), top.get(rp, 0)
+            n0 += a + t
+            n1 += rp * (a + t)
+            n_plain += a
+            n_top += t
+            if n_top:
+                nxt["NC", 1, 0, rp, True] += n_top
+            if n1 - rp * n0 + n_plain:
+                nxt["NC", 1, 0, rp, False] += n1 - rp * n0 + n_plain
+        self.rest = dict(nxt)
+        self._enter(new)
+
+    def counts(self) -> dict[tuple, int]:
+        """The label dict of the current level."""
+        return _expand(self.rest, self.history, len(self.history))
+
+    def level(self, n: int) -> LabelLevel:
+        """The current level as level n: totals from ``rest`` and ``acc``,
+        ``counts`` built from the history on first read."""
+        total, centered, nc, rect, nc_rect = _totals(self.rest.items())
+        c = sum(self.acc.values())
+        c_rect = sum(x for (_, _, _, rc), x in self.acc.items() if rc)
+        return LabelLevel(
+            n,
+            partial(_expand, self.rest, self.history, len(self.history)),
+            (total + c, centered + c, nc, rect + c_rect, nc_rect),
+        )
 
 
 def levels(max_size: int) -> Iterator[LabelLevel]:
@@ -463,20 +574,25 @@ def levels(max_size: int) -> Iterator[LabelLevel]:
 
     Yields one LabelLevel per size 2..max_size, each computed only when
     asked for; the totals per level are the numbers of ascending
-    polyominoes.  Each step costs O(labels), by ``_step``, and only the
-    level being stepped is held.  Raises ValueError below 2.
+    polyominoes.  A step at level m costs O(m^2), by ``_LabelDP``, and
+    the totals come from its sums; a level's ``counts`` is built from
+    the history only when read.  The state holds the level's L, S, L0,
+    S0, R and NC labels and, as the history, each C, C0 and C1 label
+    once: about as many entries as the level has labels.  Raises
+    ValueError below 2.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
-    counts = {ROOT_LABEL: 1}
+    dp = _LabelDP({ROOT_LABEL: 1})
     for n in range(2, max_size + 1):
         if n > 2:
-            counts = dict(_step(counts))
-        yield LabelLevel(n, counts)
+            dp.step()
+        yield dp.level(n)
 
 
 def count_levels(max_size: int) -> list[LabelLevel]:
-    """Every level of ``levels(max_size)``, as a list."""
+    """Every level of ``levels(max_size)``, as a list; each level's
+    ``counts`` is built when first read."""
     return list(levels(max_size))
 
 

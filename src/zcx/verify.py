@@ -190,7 +190,7 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     return rep
 
 
-def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
+def suite_gentree(max_construct: int = 11, max_labels: int = 100) -> SuiteReport:
     """Bijection, unique parentage, label consistency and the label DP,
     checked over one depth-first walk of the tree.
 
@@ -258,16 +258,13 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 60) -> SuiteReport:
             )
         if bad:
             continue
-        nc_rect = sum(
-            v for (f, _, _, _, rect), v in lv.counts.items() if f == "NC" and rect
-        )
-        nc_plain = lv.non_centered_total - nc_rect
+        nc_rect = lv.non_centered_rectangular_total
         for tag, got, g in (
             ("A", lv.total, a_gf),
             ("H", lv.centered_total, h_gf),
             ("Rect", lv.rectangular_total, r_gf),
             ("N'(1)", nc_rect, np1_gf),
-            ("N(1)", nc_plain, n1_gf),
+            ("N(1)", lv.non_centered_total - nc_rect, n1_gf),
         ):
             if got != g.integer_coefficient(n):
                 bad = (tag, n, g.integer_coefficient(n), got)

@@ -188,15 +188,21 @@ def test_census_histograms_frozen_at_the_frontier(census_rows):
 
 
 def test_criterion_5_unique_parentage(ascending_by_size):
+    """Grow every ascending shape of size 2..10 once: each shape of the
+    next size appears exactly once among all the children, under the
+    (operation, parent) that ``parent`` names."""
     brute, _ = ascending_by_size
-    for n in range(3, MAX_TREE + 1):
+    for n in range(2, MAX_TREE):
+        grown = {}
         for p in brute[n]:
-            op, par = gentree.parent(p)
-            occurrences = [c.encode() for _, c in gentree.children(par)].count(
-                p.encode()
-            )
-            assert occurrences == 1, (p.encode(), op, par.encode())
-    _report(5, "every ascending polyomino of size 3..11 has a unique parent")
+            for op, child in gentree.children(p):
+                enc = child.encode()
+                assert enc not in grown, (enc, "grown twice")
+                grown[enc] = (op, p)
+        assert len(grown) == len(brute[n + 1]), n + 1
+        for q in brute[n + 1]:
+            assert grown.get(q.encode()) == gentree.parent(q), q.encode()
+    _report(5, "every ascending polyomino of size 3..11 is grown once, from its parent")
 
 
 def test_criterion_6_tree_geometry_consistency(ascending_by_size):

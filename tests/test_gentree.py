@@ -18,7 +18,7 @@ from zcx.gentree import (
     NotAscending,
     ROOT_LABEL,
     TreeLabel,
-    _step,
+    _LabelDP,
     children,
     constructive_levels,
     count_levels,
@@ -282,7 +282,10 @@ def test_step_equals_succ_label_by_label():
         want = Counter()
         for child, mult in succ(lab):
             want[child] += mult
-        assert dict(_step({lab: 1})) == want, lab
+        dp = _LabelDP({lab: 1})
+        assert dp.counts() == {lab: 1}, lab
+        dp.step()
+        assert dp.counts() == want, lab
 
 
 def test_count_levels_equals_succ_expansion_to_24():
@@ -297,6 +300,20 @@ def test_levels_stream_one_plain_dict_per_level():
         assert type(lv.counts) is dict, lv.level
         streamed.append(lv)
     assert streamed == count_levels(40)
+
+
+def test_level_totals_equal_sums_over_counts_to_40():
+    for lv in levels(40):
+        totals = (lv.total, lv.centered_total, lv.non_centered_total,
+                  lv.rectangular_total, lv.non_centered_rectangular_total)
+        counts = lv.counts
+        assert totals == (
+            sum(counts.values()),
+            sum(v for (f, *_), v in counts.items() if f != "NC"),
+            sum(v for (f, *_), v in counts.items() if f == "NC"),
+            sum(v for (*_, rect), v in counts.items() if rect),
+            sum(v for (f, *_, rect), v in counts.items() if f == "NC" and rect),
+        ), lv.level
 
 
 def test_label_multiplicities_are_positive():
