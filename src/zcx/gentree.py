@@ -48,8 +48,12 @@ stays the per-label oracle the tests compare the step with.
 both read the label and the base position from the one computation behind
 ``label_of`` and pick operations by family, as ``succ`` does.  ``walk``
 visits the tree of actual polyominoes depth first, holding one root path
-rather than a level, and ``constructive_levels`` counts labels over it;
-the tests check that the two views coincide level by level.
+rather than a level.  It labels each shape once, when the shape is made
+(testing it ascending and its label valid), and grows it from that label
+with the same growth step as ``children``; ``constructive_levels`` counts
+the labels it carries.  ``children`` and ``label_of`` stay the per-shape
+oracles, and the tests check that the walk and the label DP coincide
+level by level.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from collections import Counter, defaultdict
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .core import Polyomino, from_rows, size
+from .core import Polyomino, check_rows, from_rows, size
 from .classify import is_ascending, is_centered
 
 
@@ -127,10 +131,13 @@ ROOT_LABEL = TreeLabel("L0", 1, 1, 0, True)
 
 
 def _label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
-    """``_ascending_label`` of p; raises NotAscending outside the class."""
+    """The validated label of p, the index of its top base row (None when
+    p is non-centered) and the index of its last column; raises
+    NotAscending outside the class."""
     if not is_ascending(p):
         raise NotAscending(p.encode())
-    return _ascending_label(p)
+    label, top, last = _ascending_label(p)
+    return label.validate(), top, last
 
 
 def _ascending_label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
@@ -166,7 +173,7 @@ def _ascending_label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
 
 def label_of(p: Polyomino) -> TreeLabel:
     """Label per the family rules; raises NotAscending outside the class."""
-    return _label(p)[0].validate()
+    return _label(p)[0]
 
 
 def is_rectangular(p: Polyomino) -> bool:
@@ -178,57 +185,62 @@ def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
     """All ascending polyominoes of the next size grown from p, tagged by
     operation, in deterministic order.  The label decides which operations
     apply, as in ``succ``."""
-    (f, b, w, r, rect), top, last = _label(p)
+    return _grow(p, *_label(p))
+
+
+def _grow(
+    p: Polyomino, label: TreeLabel, top: int | None, last: int
+) -> list[tuple[str, Polyomino]]:
+    """``children(p)``, given the label, top base row and last column of
+    p.  The operations keep the leftmost column at 0, so each child is
+    only checked convex; no two children may have the same rows."""
+    f, b, w, r, rect = label
     rows = p.rows
-    out: list[tuple[str, Polyomino]] = []
+    grown: list[tuple[str, tuple]] = []
 
     if f != "NC":
         base = range(top, top - b, -1)
         # Left Cell: one new cell left of each base row.
         for k in base:
-            grown = [
+            grown.append((OP_LEFT_CELL, tuple([
                 (0, rr + 1) if y == k else (l + 1, rr + 1)
                 for y, (l, rr) in enumerate(rows)
-            ]
-            out.append((OP_LEFT_CELL, from_rows(grown)))
+            ])))
 
         # Right Cell: blocked for L0 and L, whose leftmost column is one cell.
         if f not in ("L0", "L"):
             for k in base:
-                grown = [
+                grown.append((OP_RIGHT_CELL, tuple([
                     (l, rr + 1) if y == k else (l, rr)
                     for y, (l, rr) in enumerate(rows)
-                ]
-                out.append((OP_RIGHT_CELL, from_rows(grown)))
+                ])))
 
         # Row: one more full-width row in the base.
-        grown = rows[: top + 1] + ((0, last),) + rows[top + 1 :]
-        out.append((OP_ROW, from_rows(grown)))
+        grown.append((OP_ROW, rows[: top + 1] + ((0, last),) + rows[top + 1 :]))
 
         # Shift: insert a right-aligned row immediately above the base.
         if f in ("S0", "S"):
             for j in range(1, w if f == "S0" else w + 1):
-                grown = rows[: top + 1] + ((j, last),) + rows[top + 1 :]
-                out.append((OP_SHIFT, from_rows(grown)))
+                grown.append((OP_SHIFT, rows[: top + 1] + ((j, last),) + rows[top + 1 :]))
 
     # Nc / Nc*: append a column of r' cells against the r-row run of the
     # last column, which starts just above the base of a centered shape.
     op, first = (OP_NC_STAR, p.column(last)[0]) if f == "NC" else (OP_NC, top + 1)
     for rp in range(1, r + 1):
         for start in range(first, first + r - rp + 1):
-            grown = [
+            grown.append((op, tuple([
                 (l, rr + 1) if start <= y < start + rp else (l, rr)
                 for y, (l, rr) in enumerate(rows)
-            ]
-            out.append((op, from_rows(grown)))
+            ])))
     # Nc*: one extra cell on top of a rectangular non-centered shape.
     if f == "NC" and rect:
-        out.append((OP_NC_STAR, from_rows(rows + ((last, last),))))
+        grown.append((OP_NC_STAR, rows + ((last, last),)))
 
-    encodings = [c.encode() for _, c in out]
-    if len(set(encodings)) != len(encodings):
+    if len({g for _, g in grown}) != len(grown):
         raise AssertionError(f"duplicate children of {p.encode()}")
-    return out
+    for _, g in grown:
+        check_rows(g)
+    return [(op, Polyomino(g)) for op, g in grown]
 
 
 def parent(p: Polyomino) -> tuple[str, Polyomino] | None:
@@ -596,30 +608,41 @@ def count_levels(max_size: int) -> list[LabelLevel]:
     return list(levels(max_size))
 
 
-def walk(max_size: int) -> Iterator[tuple[int, Polyomino, list[tuple[str, Polyomino]]]]:
+def walk(
+    max_size: int,
+) -> Iterator[tuple[int, Polyomino, TreeLabel, list[tuple[str, Polyomino, TreeLabel]]]]:
     """Depth-first walk of the tree from the size-2 root.
 
-    Yields ``(n, p, children(p))`` once for every shape p of size n in
-    2..max_size, with no children at max_size.  The stack holds the
-    unvisited children along one root path, so memory grows with the
-    depth, not with a level.  Raises ValueError below 2.
+    Yields ``(n, p, label_of(p), kids)`` once for every shape p of size n
+    in 2..max_size, where kids lists ``(op, child, label_of(child))`` for
+    each ``(op, child)`` of ``children(p)``, in that order, and is empty
+    at max_size.  Each shape is labelled once, when it is made: its
+    label, top base row and last column ride on the stack to its own
+    growth.  The stack holds the unvisited children along one root path,
+    so memory grows with the depth, not with a level.  Raises ValueError
+    below 2.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
     # The size rides on the stack: recomputing it per shape costs more.
-    stack = [(2, from_rows(((0, 0),)))]
+    root = from_rows(((0, 0),))
+    stack = [(2, root, *_label(root))]
     while stack:
-        n, p = stack.pop()
-        kids = children(p) if n < max_size else []
-        yield n, p, kids
-        stack.extend((n + 1, child) for _, child in kids)
+        n, p, label, top, last = stack.pop()
+        kids = []
+        if n < max_size:
+            for op, child in _grow(p, label, top, last):
+                child_label, child_top, child_last = _label(child)
+                kids.append((op, child, child_label))
+                stack.append((n + 1, child, child_label, child_top, child_last))
+        yield n, p, label, kids
 
 
 def constructive_levels(max_size: int) -> list[LabelLevel]:
     """The label multiset of each level 2..max_size, counted over the
-    shapes ``walk`` visits; ``levels`` derives the same symbolically.
-    Raises ValueError below 2."""
+    shapes ``walk`` visits with the labels it carries; ``levels`` derives
+    the same symbolically.  Raises ValueError below 2."""
     counts = [Counter() for _ in range(max_size - 1)]
-    for n, p, _ in walk(max_size):
-        counts[n - 2][label_of(p)] += 1
+    for n, _, label, _ in walk(max_size):
+        counts[n - 2][label] += 1
     return [LabelLevel(n, dict(c)) for n, c in enumerate(counts, 2)]

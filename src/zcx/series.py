@@ -14,6 +14,8 @@ classes C22, C21.  Each one is R0(t) + R1(t) (1-4t)^(-1/2) with R0 and R1
 rational, written as a short list of terms c P(t)/Q(t) (1-4t)^(-j/2) and
 expanded by integer recurrences: the central binomials binom(2k, k) for
 (1-4t)^(-1/2), a sparse multiply by P and the linear recurrence of 1/Q.
+Rational parameters stay in integers too: P and Q are scaled to integer
+polynomials and each coefficient is divided out once, at the end.
 Floating point appears only in the asymptotic-ratio report at the very
 bottom.
 """
@@ -279,27 +281,48 @@ def _central_binomials(n: int) -> list[int]:
 def _expand(terms, n: int) -> Series:
     """The first n coefficients of a sum of terms (c, P, Q, e).
 
-    Every term costs O(n (len P + len Q)) steps.  With integer P and Q the
-    work stays in Python ints over the common denominator of the c's;
-    rational parameters bring in Fractions.
+    Every term costs O(n (len P + len Q)) steps, all in Python ints.  Each
+    P is scaled to integers, its scale moving into c, and each Q is
+    multiplied by d, the lcm of the denominators of all the Q's, which
+    leaves integer Q's with constant term d (``_term`` makes Q start with
+    1).  For such P and Q, U_k = d^(k+1) [t^k] P B^e / Q satisfies
+    U_k = d^k [t^k] P B^e - sum_j Q_j d^(j-1) U_(k-j) in integers, and
+    each coefficient of the sum is one Fraction: the c-weighted sum of
+    the U_k over the common denominator of the c's times d^(k+1).
+    Without rational parameters d = 1 and U_k is the coefficient itself.
     """
-    den = math.lcm(*(Fraction(c).denominator for c, _, _, _ in terms))
+    d = math.lcm(*(a.denominator for _, _, q, _ in terms for a in q))
+    scaled = []
+    for c, p, q, e in terms:
+        sp = math.lcm(*(a.denominator for a in p))
+        scaled.append((Fraction(c) * d / sp, [int(a * sp) for a in p],
+                       [int(a * d) for a in q], e))
+    den = math.lcm(*(c.denominator for c, _, _, _ in scaled))
     central = _central_binomials(n) if any(e for *_, e in terms) else None
     total = [0] * n
-    for c, p, q, e in terms:
+    for c, p, q, e in scaled:
         if e:
             y = [0] * n
             for i, a in enumerate(p[:n]):
                 if a:
                     y[i:] = [s + a * b for s, b in zip(y[i:], central)]
         else:
-            y = list(p[:n]) + [0] * (n - len(p))
-        taps = [(j, -b) for j, b in enumerate(q) if j and b]
+            y = p[:n] + [0] * (n - len(p))
+        if d != 1:
+            dk = 1
+            for k in range(1, n):
+                dk *= d
+                y[k] *= dk
+        taps = [(j, -b * d ** (j - 1)) for j, b in enumerate(q) if j and b]
         for k in range(1, n):
             y[k] += sum(b * y[k - j] for j, b in taps if j <= k)
-        m = int(Fraction(c) * den)
+        m = int(c * den)
         total = [s + m * a for s, a in zip(total, y)]
-    return Series._raw(tuple(Fraction(s, den) for s in total))
+    out = []
+    for s in total:
+        den *= d
+        out.append(Fraction(s, den))
+    return Series._raw(tuple(out))
 
 
 def _gf_lconvex():
@@ -634,40 +657,39 @@ def functional_equation_checks(
     lp = lambda xx, yy, zz: _expand(_gf_lp(xx, yy, zz), terms)
     sp = lambda xx, yy, zz: _expand(_gf_sp(xx, yy, zz), terms)
     np_ = lambda zz: _expand(_gf_np(zz), terms)
-    tt = t(terms)
 
     results = []
 
     lhs = c0p(x, y)
-    rhs = (tt * (c0p(x, y) + l0p(x, y) + s0p(x, y))).scale(x)
+    rhs = (c0p(x, y) + l0p(x, y) + s0p(x, y)).shift(1).scale(x)
     results.append(_check("C'0 = tx C'0 + tx L'0 + tx S'0", lhs - rhs))
 
     lhs = l0p(x, y)
     rhs = (
         tpoly(terms, [0, 0, x * y])
-        + (tt * c0p(1, y)).scale(x * y)
-        + (tt * (l0p(x, y) + s0p(x, y))).scale(y)
+        + c0p(1, y).shift(1).scale(x * y)
+        + (l0p(x, y) + s0p(x, y)).shift(1).scale(y)
     )
     results.append(
         _check("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0", lhs - rhs)
     )
 
     lhs = s0p(x, y)
-    rhs = (tt * c0p(1, y)).scale(x * y) + (tt * s0p(x, y)).scale(y)
+    rhs = c0p(1, y).shift(1).scale(x * y) + s0p(x, y).shift(1).scale(y)
     results.append(_check("S'0 = txy C'0(1,y) + ty S'0", lhs - rhs))
 
     lhs = cp(x, y, z)
-    rhs = (tt * (cp(x, y, z) + lp(x, y, z) + sp(x, y, z))).scale(x)
+    rhs = (cp(x, y, z) + lp(x, y, z) + sp(x, y, z)).shift(1).scale(x)
     results.append(_check("C' = tx C' + tx L' + tx S'", lhs - rhs))
 
     lhs = lp(x, y, z)
     bracket_c = (cp(1, 1, z).scale(z) - cp(z, 1, z)).scale(Fraction(1, 1 - z))
     bracket_c0 = (c0p(1, 1).scale(z) - c0p(z, 1)).scale(Fraction(1, 1 - z))
     rhs = (
-        (tt * cp(1, y, z)).scale(x * y)
-        + (tt * bracket_c).scale(x * y)
-        + (tt * bracket_c0).scale(x * y)
-        + (tt * (lp(x, y, z) + sp(x, y, z))).scale(y)
+        cp(1, y, z).shift(1).scale(x * y)
+        + bracket_c.shift(1).scale(x * y)
+        + bracket_c0.shift(1).scale(x * y)
+        + (lp(x, y, z) + sp(x, y, z)).shift(1).scale(y)
     )
     results.append(
         _check("L' = txy C'(1,y,z) + divided differences + ty L' + ty S'",
@@ -677,7 +699,7 @@ def functional_equation_checks(
     lhs = sp(x, y, z)
     b1 = (s0p(x, 1).scale(y) - s0p(x, y)).scale(Fraction(1, 1 - y))
     b2 = (sp(x, 1, z) - sp(x, y, z)).scale(Fraction(1, 1 - y))
-    rhs = (tt * b1).scale(z) + (tt * b2).scale(y * z)
+    rhs = b1.shift(1).scale(z) + b2.shift(1).scale(y * z)
     results.append(
         _check("S' = tz/(1-y)[y S'0(x,1) - S'0(x,y)] + tyz/(1-y)[S'(x,1,z) - S'(x,y,z)]",
                lhs - rhs)
@@ -686,10 +708,10 @@ def functional_equation_checks(
     lhs = np_(z)
     scale_zz = Fraction(1, 1 - z)
     rhs = (
-        (tt * (cp(1, 1, 1) - cp(1, 1, z))).scale(z * scale_zz)
-        + (tt * (lp(1, 1, 1) - lp(1, 1, z))).scale(z * scale_zz)
-        + (tt * (sp(1, 1, 1) - sp(1, 1, z))).scale(z * scale_zz)
-        + (tt * (np_(1) - np_(z).scale(z))).scale(z * scale_zz)
+        (cp(1, 1, 1) - cp(1, 1, z)).shift(1).scale(z * scale_zz)
+        + (lp(1, 1, 1) - lp(1, 1, z)).shift(1).scale(z * scale_zz)
+        + (sp(1, 1, 1) - sp(1, 1, z)).shift(1).scale(z * scale_zz)
+        + (np_(1) - np_(z).scale(z)).shift(1).scale(z * scale_zz)
     )
     results.append(
         _check("N' = tz/(1-z)[C'+L'+S' differences] + tz/(1-z)[N'(1) - z N'(z)]",

@@ -194,13 +194,12 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100) -> SuiteReport
     """Bijection, unique parentage, label consistency and the label DP,
     checked over one depth-first walk of the tree.
 
-    The walk visits each shape once: ``children`` rejects duplicate
-    children, and every edge is checked to be the one ``parent`` names.
-    ``label_of`` rejects shapes outside the ascending class, so a level
-    as large as the enumerator's ascending count is that class.  The
-    label DP is read one level at a time: its multisets are compared with
-    the walk's up to ``max_construct``, its totals with the series up to
-    ``max_labels``.
+    The walk visits and labels each shape once: it rejects duplicate
+    children and shapes outside the ascending class, so a level as large
+    as the enumerator's ascending count is that class, and every edge is
+    checked to be the one ``parent`` names.  The label DP is read one
+    level at a time: its multisets are compared with the walk's up to
+    ``max_construct``, its totals with the series up to ``max_labels``.
     """
     rep = SuiteReport("gentree")
     t0 = time.perf_counter()
@@ -209,12 +208,11 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100) -> SuiteReport
     bad_parent: dict[int, str] = {}
     bad_succ = None
     expanded = 0
-    for n, p, kids in gentree.walk(max_construct):
-        lab = gentree.label_of(p)
+    for n, p, lab, kids in gentree.walk(max_construct):
         tree[n - 2][lab] += 1
         if n == max_construct:
             continue
-        for op, child in kids:
+        for op, child, _ in kids:
             if gentree.parent(child) != (op, p):
                 bad_parent.setdefault(
                     n + 1, f"{child.encode()} grown by {op} from {p.encode()}"
@@ -223,7 +221,7 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100) -> SuiteReport
         want = Counter()
         for child_lab, m in gentree.succ(lab):
             want[child_lab] += m
-        if Counter(gentree.label_of(c) for _, c in kids) != want:
+        if Counter(child_lab for _, _, child_lab in kids) != want:
             bad_succ = bad_succ or p.encode()
 
     for n, counts in enumerate(tree, 2):

@@ -283,7 +283,7 @@ def test_remaining_module_invariants_at_full_size(census_rows, ascending_by_size
 
     brute, _ = ascending_by_size
     tree = {n: [] for n in range(2, MAX_TREE + 1)}
-    for n, p, _ in gentree.walk(MAX_TREE):
+    for n, p, _, _ in gentree.walk(MAX_TREE):
         tree[n].append(p.encode())
     for n, encs in tree.items():
         assert sorted(encs) == sorted(p.encode() for p in brute[n])

@@ -181,11 +181,23 @@ def test_unique_parentage_up_to_9():
 
 def test_bijection_with_enumeration_up_to_9():
     levels = {n: [] for n in range(2, 10)}
-    for n, p, kids in walk(9):
+    for n, p, _, kids in walk(9):
         assert size(p) == n and (kids == []) == (n == 9)
         levels[n].append(p.encode())
     for n, encs in levels.items():
         assert sorted(encs) == sorted(p.encode() for p in _ascending(n))
+
+
+def test_walk_carries_the_per_shape_labels_and_children_up_to_9():
+    # The walk labels each shape once, when it is made, and grows it from
+    # that label; the per-shape oracles recompute both from the shape.
+    for n, p, lab, kids in walk(9):
+        assert lab == label_of(p), p.encode()
+        if n < 9:
+            assert [(op, c) for op, c, _ in kids] == children(p), p.encode()
+            assert [c_lab for _, _, c_lab in kids] == [
+                label_of(c) for _, c, _ in kids
+            ], p.encode()
 
 
 def test_tree_geometry_consistency_up_to_8():

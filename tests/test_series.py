@@ -152,17 +152,35 @@ def test_pow():
 UNPARAMETERIZED = [name for name, (_, params) in S._CATALOG.items() if not params]
 
 
-@pytest.mark.parametrize("name", UNPARAMETERIZED + list(S._SCALARS))
-def test_expansion_matches_ring_oracle(name):
+# The parameter sets of the order-200 hashes below, the second with x < 0.
+_XY1 = {"x": Fraction(2, 3), "y": Fraction(3, 5)}
+_XYZ1 = {**_XY1, "z": Fraction(5, 7)}
+_XY2 = {"x": Fraction(-1, 2), "y": Fraction(2, 7)}
+_XYZ2 = {**_XY2, "z": Fraction(3, 4)}
+
+_RING_CASES = [(name, {}) for name in UNPARAMETERIZED + list(S._SCALARS)] + [
+    (name, xyz if S.parameters(name) == ("x", "y", "z") else xy)
+    for xy, xyz in ((_XY1, _XYZ1), (_XY2, _XYZ2))
+    for name in ("C0p", "L0p", "S0p", "Sp", "Cp", "Lp")
+] + [("Np", {"z": Fraction(z)}) for z in (1, Fraction(2, 3), Fraction(-1, 2))]
+
+
+@pytest.mark.parametrize("name,params", [
+    pytest.param(name, params, id="-".join(
+        [name] + [f"{k}={v}" for k, v in params.items()]))
+    for name, params in _RING_CASES
+])
+def test_expansion_matches_ring_oracle(name, params):
     # the same (c, P, Q, e) terms, evaluated as c P B^e / Q with the ring's
-    # division and square root, B = 1/sqrt(1-4t)
+    # Fraction division and square root, B = 1/sqrt(1-4t); at rational
+    # parameters the expansion runs an integer recurrence instead
     n = 120
     builder = S._SCALARS.get(name) or S._CATALOG[name][0]
     b = one(n) / tpoly(n, [1, -4]).sqrt()
     ring = S.zero(n)
-    for c, p, q, e in builder():
+    for c, p, q, e in builder(*params.values()):
         ring = ring + (tpoly(n, p) * b**e / tpoly(n, q)).scale(c)
-    assert gf(name, n) == ring
+    assert gf(name, n, **params) == ring
 
 
 def test_catalog_term_with_pole_at_zero_rejected():
@@ -237,11 +255,6 @@ FROZEN_1025 = {
     "L111": 2092013228231133430,
     "N1": 896766861503878825,
 }
-
-_XY1 = {"x": Fraction(2, 3), "y": Fraction(3, 5)}
-_XYZ1 = {**_XY1, "z": Fraction(5, 7)}
-_XY2 = {"x": Fraction(-1, 2), "y": Fraction(2, 7)}
-_XYZ2 = {**_XY2, "z": Fraction(3, 4)}
 
 FROZEN_200 = [
     ("C0p", _XY1, 666848944129601864),

@@ -152,11 +152,15 @@ def test_gentree_suite_catches_a_wrong_parent(monkeypatch):
 
 
 def test_gentree_suite_catches_a_dropped_child(monkeypatch):
+    # The walk grows each shape through ``_grow``, from the label it carries.
     victim = decode("0-2")
-    real = gentree.children
-    monkeypatch.setattr(
-        gentree, "children", lambda p: real(p)[:-1] if p == victim else real(p)
-    )
+    real = gentree._grow
+
+    def grow(p, *info):
+        kids = real(p, *info)
+        return kids[:-1] if p == victim else kids
+
+    monkeypatch.setattr(gentree, "_grow", grow)
     rep = verify.suite_gentree(max_construct=6, max_labels=10)
     assert _failed(rep) == [
         "n=5: constructive level = ascending polyominoes",
