@@ -430,9 +430,9 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
 
 
 @contextlib.contextmanager
-def census_pool(workers: int, max_size: int) -> Iterator[Any]:
-    """One process pool for censuses up to ``max_size``, or None where one
-    worker or sizes below :data:`POOL_MIN_SIZE` make a pool not pay.
+def census_pool(workers: int) -> Iterator[Any]:
+    """One process pool for the censuses of a command, or None for one
+    worker.  It starts no worker before :func:`census` gives it a task.
 
     The workers are spawned: they start from a fresh import and inherit no
     state.  A script that starts them needs the
@@ -440,7 +440,7 @@ def census_pool(workers: int, max_size: int) -> Iterator[Any]:
     script again while it starts, fails, and the census raises
     ``BrokenProcessPool`` instead of waiting for a worker that never comes.
     """
-    if workers < 2 or max_size < POOL_MIN_SIZE:
+    if workers < 2:
         yield None
         return
     import multiprocessing as mp
@@ -451,7 +451,7 @@ def census_pool(workers: int, max_size: int) -> Iterator[Any]:
         yield pool
 
 
-def census(n: int, workers: int = 1, pool: Any = None) -> CensusRow:
+def census(n: int, pool: Any = None) -> CensusRow:
     """Classify every convex polyomino of size n.
 
     The mirror (column x to c-1-x), the vertical flip (the rows in reverse
@@ -486,20 +486,15 @@ def census(n: int, workers: int = 1, pool: Any = None) -> CensusRow:
     orbit's representative for sizes 2..9.
 
     The walk is split into (block, bottom row) tasks, merged in a fixed
-    order, so the result does not depend on the worker count.  With
-    ``workers`` > 1 and n >= :data:`POOL_MIN_SIZE` the tasks run in
-    ``pool``, or in a pool started for this call.
+    order, so the result does not depend on the worker count.  They run
+    in ``pool`` (see :func:`census_pool`) if one is given and
+    n >= :data:`POOL_MIN_SIZE`, and in this process otherwise.
     """
     tasks = [(r, c, first) for r, c in blocks(n) if r <= c
              for first in first_rows(c)]
-    if workers > 1 and n >= POOL_MIN_SIZE:
-        with (contextlib.nullcontext(pool) if pool
-              else census_pool(workers, n)) as p:
-            parts = list(p.map(_census_task, *zip(*tasks)))
-    else:
-        parts = [_census_task(*task) for task in tasks]
+    run = pool.map if pool is not None and n >= POOL_MIN_SIZE else map
     out = CensusRow(n)
-    for part in parts:
+    for part in run(_census_task, *zip(*tasks)):
         out = out.merge(part)
     out.validate()
     return out

@@ -125,9 +125,8 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 def _cmd_census(args, workers: int) -> tuple[str, int]:
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
-    with classify.census_pool(workers, args.max_size) as pool:
-        rows = [classify.census(n, workers, pool)
-                for n in range(2, args.max_size + 1)]
+    with classify.census_pool(workers) as pool:
+        rows = [classify.census(n, pool) for n in range(2, args.max_size + 1)]
     if args.format == "json":
         return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2) + "\n", 0
     return classify.census_csv(rows), 0
@@ -204,9 +203,9 @@ def _cmd_gentree(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args, workers: int) -> tuple[str, int]:
-    verify.set_workers(workers)
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    reports = verify.run_suites(names, max_size=args.max_size, fixtures=args.fixtures)
+    reports = verify.run_suites(names, max_size=args.max_size,
+                                fixtures=args.fixtures, workers=workers)
     all_pass = all(r.passed for r in reports)
     if args.format == "json":
         text = json.dumps(

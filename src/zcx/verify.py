@@ -4,8 +4,9 @@ and generating functions together.
 Each suite runs a fixed list of checks, never aborts on a failure, and
 returns a :class:`SuiteReport` whose failing entries carry a witness (a
 canonical encoding or an (n, expected, got) triple).  Identical inputs give
-byte-identical reports.  The expensive full censuses are memoized per
-process so that several suites can share one sweep over the same size.
+byte-identical reports.  The suites that read censuses take them from a
+``census`` argument; :func:`run_suites` passes one memo over one process
+pool to all of them, so a command computes each size once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterator
 
 from . import classify, gentree, series
@@ -73,28 +74,14 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-_WORKERS = 1
-
-
-def set_workers(k: int) -> None:
-    """Worker count used by census sweeps inside the suites."""
-    global _WORKERS
-    _WORKERS = max(1, int(k))
-
-
-@lru_cache(maxsize=32)
-def _census(n: int) -> classify.CensusRow:
-    return classify.census(n, workers=_WORKERS)
-
-
 @lru_cache(maxsize=32)
 def _gf(name: str, order: int) -> series.Series:
     return series.gf(name, order)
 
 
 def _ascending(n: int) -> Iterator[Polyomino]:
-    """The ascending shapes of size n, unordered: a count or a histogram
-    needs no sorted stream."""
+    """The ascending shapes of size n, unordered: the refined suite's
+    histogram needs no sorted stream."""
     for r, c in blocks(n):
         for p in block_polyominoes(r, c):
             if classify.is_ascending(p):
@@ -105,12 +92,14 @@ def _coeff(name: str, n: int) -> int:
     return _gf(name, 32 if n < 32 else n + 1).integer_coefficient(n)
 
 
-def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
+def suite_identities(max_n: int = 12, series_order: int = 300,
+                     census=None) -> SuiteReport:
     """The counting identity, the partition claims, and their series forms."""
+    census = census or classify.census
     rep = SuiteReport("identities")
     t0 = time.perf_counter()
     for n in range(2, max_n + 1):
-        row = _census(n)
+        row = census(n)
         a, k, l = row.ascending, row.c22, row.l_convex
         rep.record(
             f"n={n}: c(n) = 2a(n) + k(n) - l(n)",
@@ -190,17 +179,20 @@ def suite_identities(max_n: int = 12, series_order: int = 300) -> SuiteReport:
     return rep
 
 
-def suite_gentree(max_construct: int = 11, max_labels: int = 100) -> SuiteReport:
+def suite_gentree(max_construct: int = 11, max_labels: int = 100,
+                  census=None) -> SuiteReport:
     """Bijection, unique parentage, label consistency and the label DP,
     checked over one depth-first walk of the tree.
 
     The walk visits and labels each shape once: it rejects duplicate
     children and shapes outside the ascending class, so a level as large
-    as the enumerator's ascending count is that class, and every edge is
-    checked to be the one ``parent`` names.  The label DP is read one
-    level at a time: its multisets are compared with the walk's up to
-    ``max_construct``, its totals with the series up to ``max_labels``.
+    as the ascending count of ``census(n)`` (a walk with its own test) is
+    that class, and every edge is checked to be the one ``parent`` names.
+    The label DP is read one level at a time: its multisets are compared
+    with the walk's up to ``max_construct``, its totals with the series up
+    to ``max_labels``.
     """
+    census = census or classify.census
     rep = SuiteReport("gentree")
     t0 = time.perf_counter()
 
@@ -225,9 +217,9 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100) -> SuiteReport
             bad_succ = bad_succ or p.encode()
 
     for n, counts in enumerate(tree, 2):
-        enumerated, built = sum(1 for _ in _ascending(n)), sum(counts.values())
+        ascending, built = census(n).ascending, sum(counts.values())
         rep.record(f"n={n}: constructive level = ascending polyominoes",
-                   built == enumerated, (n, enumerated, built))
+                   built == ascending, (n, ascending, built))
     for n in range(3, max_construct + 1):
         rep.record(f"n={n}: unique parent reconstruction",
                    n not in bad_parent, bad_parent.get(n))
@@ -339,13 +331,15 @@ def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
     return rep
 
 
-def suite_structure(max_n: int = 12, oracle_max_n: int = 7) -> SuiteReport:
+def suite_structure(max_n: int = 12, oracle_max_n: int = 7,
+                    census=None) -> SuiteReport:
     """Structural laws of the degree classes over the census, plus
     small-size oracle comparisons."""
+    census = census or classify.census
     rep = SuiteReport("structure")
     t0 = time.perf_counter()
     for n in range(2, max_n + 1):
-        row = _census(n)
+        row = census(n)
         rep.record(
             f"n={n}: every degree-(2,2) polyomino is a 4-stack",
             row.c22_four_stack == row.c22,
@@ -517,31 +511,40 @@ SUITES = {
 
 # Suites whose first parameter is the largest size they check.
 _SIZE_BOUNDED = ("identities", "gentree", "refined", "structure")
+# Suites that take a ``census`` argument.
+_CENSUS_READERS = ("identities", "gentree", "structure")
 
 
 def run_suites(
-    names, max_size: int | None = None, fixtures: str | None = None
+    names, max_size: int | None = None, fixtures: str | None = None,
+    workers: int = 1,
 ) -> list[SuiteReport]:
     """Run the named suites (or all) in deterministic order.
 
     ``max_size`` goes unchanged to the size-bounded suites; the others run
-    at their defaults.  Unknown names and sizes no suite can run raise
-    before any suite starts, and so does an unreadable or malformed
-    fixture file.
+    at their defaults.  The census readers share one memo over one
+    ``census_pool(workers)``, so each size is computed once per call.  No
+    names, unknown names and sizes no suite can run raise before any suite
+    starts, and so does an unreadable or malformed fixture file.
     """
-    if names == "all" or "all" in names:
+    names = [names] if isinstance(names, str) else names
+    if "all" in names:
         names = list(SUITES)
+    if not names:
+        raise ValueError(f"no suite named; choose from all,{','.join(SUITES)}")
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
     if max_size is not None and max_size < 2:
         raise ValueError("max size must be >= 2")
     table = load_fixtures(fixtures) if fixtures is not None else None
-    reports = [
-        SUITES[name](max_size)
-        if max_size is not None and name in _SIZE_BOUNDED else SUITES[name]()
-        for name in names
-    ]
+    reports = []
+    with classify.census_pool(workers) as pool:
+        census = cache(partial(classify.census, pool=pool))
+        for name in names:
+            args = (max_size,) if max_size is not None and name in _SIZE_BOUNDED else ()
+            kwargs = {"census": census} if name in _CENSUS_READERS else {}
+            reports.append(SUITES[name](*args, **kwargs))
     if table is not None:
         reports.append(suite_fixtures(table))
     return reports

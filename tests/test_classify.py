@@ -210,14 +210,28 @@ def test_census_merge_matches_single_pass():
 
 def test_census_parallel_equals_serial(monkeypatch):
     monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
-    assert census(7, workers=2).to_dict() == census(7, workers=1).to_dict()
+    with classify.census_pool(2) as pool:
+        assert census(7, pool).to_dict() == census(7).to_dict()
 
 
 def test_census_pool_only_where_it_pays():
-    with classify.census_pool(2, classify.POOL_MIN_SIZE - 1) as pool:
+    with classify.census_pool(1) as pool:
         assert pool is None
-    with classify.census_pool(1, 12) as pool:
-        assert pool is None
+
+
+def test_census_maps_over_the_pool_only_from_pool_min_size():
+    class FakePool:
+        calls = 0
+
+        def map(self, fn, *iterables):
+            self.calls += 1
+            return map(fn, *iterables)
+
+    pool = FakePool()
+    census(classify.POOL_MIN_SIZE - 1, pool)
+    assert pool.calls == 0
+    census(classify.POOL_MIN_SIZE, pool)
+    assert pool.calls == 1
 
 
 def _transpose(p):
@@ -281,7 +295,7 @@ def test_orbit_images_share_the_representative_signature():
 
 @pytest.fixture(scope="module")
 def pool2():
-    with classify.census_pool(2, classify.POOL_MIN_SIZE) as pool:
+    with classify.census_pool(2) as pool:
         assert pool is not None
         yield pool
 
@@ -294,7 +308,7 @@ def test_census_walk_equals_object_path(n, monkeypatch, pool2):
             oracle.add(p)
     assert census(n).counts == oracle.counts
     monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
-    assert census(n, 2, pool2).counts == oracle.counts
+    assert census(n, pool2).counts == oracle.counts
 
 
 def test_census_parallel_under_spawn():
@@ -306,7 +320,8 @@ def test_census_parallel_under_spawn():
         "from zcx.classify import census\n"
         "mp.set_start_method('spawn')\n"
         "classify.POOL_MIN_SIZE = 2\n"
-        "assert census(7, workers=2) == census(7, workers=1)\n"
+        "with classify.census_pool(2) as pool:\n"
+        "    assert census(7, pool) == census(7)\n"
     )
     src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir)
@@ -321,7 +336,8 @@ def test_census_pool_fails_fast_without_main_guard(tmp_path):
     script.write_text(
         "from zcx import classify\n"
         "classify.POOL_MIN_SIZE = 2\n"
-        "classify.census(7, workers=2)\n"
+        "with classify.census_pool(2) as pool:\n"
+        "    classify.census(7, pool)\n"
     )
     src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir)

@@ -224,6 +224,13 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert err == "zcx: error: unknown suite 'nope'\n"
 
 
+@pytest.mark.parametrize("suites", ["", " , "])
+def test_verify_no_suite_is_usage_error(capsys, suites):
+    code, out, err = _run(capsys, "verify", "--suite", suites)
+    assert code == 2 and out == ""
+    assert err.startswith("zcx: error: no suite named")
+
+
 def test_verify_max_size_below_2_is_usage_error(capsys):
     code, out, err = _run(
         capsys, "verify", "--suite", "identities,structure,refined", "--max-size", "1"

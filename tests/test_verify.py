@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 
 import pytest
 
-from zcx import gentree, verify
+from zcx import classify, gentree, verify
 from zcx.core import decode
 
 
@@ -80,6 +82,50 @@ def test_run_suites_unknown_name():
         verify.run_suites(["nope"])
 
 
+def test_run_suites_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="no suite"):
+        verify.run_suites([])
+
+
+def test_run_suites_takes_one_name_as_a_string():
+    assert [r.suite for r in verify.run_suites("kernels")] == ["kernels"]
+
+
+def test_run_suites_shares_one_pool_and_one_census_per_size(monkeypatch):
+    # Sizes from 2 use the pool, so every census of the run goes through it.
+    monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
+    pools, sizes = [], []
+    real_pool, real_census = classify.census_pool, classify.census
+
+    @contextlib.contextmanager
+    def census_pool(workers):
+        pools.append(workers)
+        with real_pool(workers) as pool:
+            yield pool
+
+    def census(n, pool=None):
+        sizes.append(n)
+        return real_census(n, pool)
+
+    monkeypatch.setattr(classify, "census_pool", census_pool)
+    monkeypatch.setattr(classify, "census", census)
+    # The label DP to its default of 100 levels reads no census; keep it short.
+    monkeypatch.setitem(verify.SUITES, "gentree",
+                        functools.partial(verify.suite_gentree, max_labels=12))
+    names = ["identities", "structure", "gentree"]
+    reports = {}
+    for workers in (1, 2):
+        pools.clear(), sizes.clear()
+        reports[workers] = [r.to_dict() for r in
+                            verify.run_suites(names, max_size=7, workers=workers)]
+        assert pools == [workers]
+        assert sorted(sizes) == list(range(2, 8))
+    for report in reports[1] + reports[2]:
+        assert report["passed"]
+        report.pop("elapsed_seconds")
+    assert reports[1] == reports[2]
+
+
 def test_run_suites_respects_max_size(tmp_path):
     fixture = tmp_path / "f.json"
     fixture.write_text(json.dumps({"A003480": {"start": 2, "values": [1, 2, 7, 24]}}))
@@ -94,7 +140,7 @@ def test_run_suites_passes_max_size_unclamped(monkeypatch):
     calls = []
 
     def stub(name):
-        def run(max_size):
+        def run(max_size, census=None):
             calls.append((name, max_size))
             return verify.SuiteReport(name)
         return run
