@@ -45,7 +45,7 @@ from __future__ import annotations
 import contextlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, ContextManager, NamedTuple
 
 from .core import Polyomino, check_rows, mirror
 from .enumerate import _block_intervals, blocks, first_rows
@@ -429,10 +429,34 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
     return CensusRow(r + c, counts)
 
 
-@contextlib.contextmanager
-def census_pool(workers: int) -> Iterator[Any]:
+class _SpawnPool:
+    """A spawn ``ProcessPoolExecutor`` of ``workers`` processes, made on the
+    first ``map`` (making one starts multiprocessing's resource tracker)
+    and shut down on exit if it was made."""
+
+    def __init__(self, workers: int):
+        self.workers, self.executor = workers, None
+
+    def __enter__(self) -> "_SpawnPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def map(self, fn, *iterables):
+        if self.executor is None:
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+
+            spawn = mp.get_context("spawn")
+            self.executor = ProcessPoolExecutor(self.workers, mp_context=spawn)
+        return self.executor.map(fn, *iterables)
+
+
+def census_pool(workers: int) -> ContextManager[Any]:
     """One process pool for the censuses of a command, or None for one
-    worker.  It starts no worker before :func:`census` gives it a task.
+    worker.  It starts no process before :func:`census` gives it a task.
 
     The workers are spawned: they start from a fresh import and inherit no
     state.  A script that starts them needs the
@@ -440,15 +464,7 @@ def census_pool(workers: int) -> Iterator[Any]:
     script again while it starts, fails, and the census raises
     ``BrokenProcessPool`` instead of waiting for a worker that never comes.
     """
-    if workers < 2:
-        yield None
-        return
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    spawn = mp.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        yield pool
+    return contextlib.nullcontext() if workers < 2 else _SpawnPool(workers)
 
 
 def census(n: int, pool: Any = None) -> CensusRow:

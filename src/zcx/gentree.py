@@ -45,15 +45,15 @@ the TreeLabels, is built from the history only when read.  ``succ``
 stays the per-label oracle the tests compare the step with.
 
 ``children`` and ``parent`` realize the same tree on actual polyominoes:
-both read the label and the base position from the one computation behind
-``label_of`` and pick operations by family, as ``succ`` does.  ``walk``
-visits the tree of actual polyominoes depth first, holding one root path
-rather than a level.  It labels each shape once, when the shape is made
-(testing it ascending and its label valid), and grows it from that label
-with the same growth step as ``children``; ``constructive_levels`` counts
-the labels it carries.  ``children`` and ``label_of`` stay the per-shape
-oracles, and the tests check that the walk and the label DP coincide
-level by level.
+both read the label and the base position from ``_label``, which tests a
+shape ascending, labels it and validates the label, and pick operations
+by family, as ``succ`` does.  ``walk`` visits the tree of actual
+polyominoes depth first, holding one root path rather than a level.  It
+labels each shape once, when the shape is made, and grows it from that
+label with the same growth step as ``children``; ``constructive_levels``
+counts the labels it carries, which the gentree and refined suites read.
+``children`` and ``label_of`` stay the per-shape oracles, and the tests
+check that the walk, the enumerator and the label DP agree level by level.
 """
 
 from __future__ import annotations
@@ -133,17 +133,10 @@ ROOT_LABEL = TreeLabel("L0", 1, 1, 0, True)
 def _label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
     """The validated label of p, the index of its top base row (None when
     p is non-centered) and the index of its last column; raises
-    NotAscending outside the class."""
+    NotAscending outside the class.  Every shape the module labels, walks
+    or grows goes through this one test and label check."""
     if not is_ascending(p):
         raise NotAscending(p.encode())
-    label, top, last = _ascending_label(p)
-    return label.validate(), top, last
-
-
-def _ascending_label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
-    """The unvalidated label of p, the index of its top base row (None when
-    p is non-centered) and the index of its last column.  p must be
-    ascending: this does not test it."""
     rows = p.rows
     last = p.width - 1
     rect = rows[-1][1] == last
@@ -151,7 +144,7 @@ def _ascending_label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
     if not full:
         # Non-centered: r counts the cells of the last column.
         r = sum(1 for _, rr in rows if rr == last)
-        return TreeLabel("NC", 1, 0, r, rect), None, last
+        return TreeLabel("NC", 1, 0, r, rect).validate(), None, last
     top = full[-1]
     b = len(full)
     flipped = top == len(rows) - 1
@@ -168,7 +161,7 @@ def _ascending_label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
     if family in ("C1", "R"):
         # These classes hold a single cell in the rightmost column.
         assert r == 0 and not rect, p.encode()
-    return TreeLabel(family, b, w, r, rect), top, last
+    return TreeLabel(family, b, w, r, rect).validate(), top, last
 
 
 def label_of(p: Polyomino) -> TreeLabel:

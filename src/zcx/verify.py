@@ -17,11 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from typing import Iterator
 
 from . import classify, gentree, series
-from .core import Polyomino
-from .enumerate import all_convex, block_polyominoes, blocks
+from .enumerate import all_convex
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,6 @@ class SuiteReport:
 @lru_cache(maxsize=32)
 def _gf(name: str, order: int) -> series.Series:
     return series.gf(name, order)
-
-
-def _ascending(n: int) -> Iterator[Polyomino]:
-    """The ascending shapes of size n, unordered: the refined suite's
-    histogram needs no sorted stream."""
-    for r, c in blocks(n):
-        for p in block_polyominoes(r, c):
-            if classify.is_ascending(p):
-                yield p
 
 
 def _coeff(name: str, n: int) -> int:
@@ -274,22 +263,20 @@ _REFINED_PARAMS = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
 def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
     """Refined (b, w, r)-statistics against the closed class functions.
 
-    The ascending shapes of each size are counted once into a histogram of
-    their tree labels.  Each check sums a weight over the labels of one
-    (family, rectangular) class: x^b y^w z^r against the class function at
-    the rational parameters, z^r against Np, and 1 against the scalar
-    evaluation at x = y = z = 1 for the non-rectangular classes.
+    The labels are those the tree walk carries, counted per size by
+    ``gentree.constructive_levels``.  The walk makes each ascending shape
+    once from real rows: it checks every child's rows, tests each shape
+    ascending and its label valid, and rejects duplicate children; the
+    gentree suite ties each level's size to the census.  Each check sums a
+    weight over the labels of one (family, rectangular) class: x^b y^w z^r
+    against the class function at the rational parameters, z^r against
+    Np, and 1 against the scalar evaluation at x = y = z = 1 for the
+    non-rectangular classes.  Raises ValueError below 2.
     """
     x, y, z = (Fraction(v) for v in params)
     rep = SuiteReport("refined")
     t0 = time.perf_counter()
-
-    # _ascending has tested each shape: label it without a second test.
-    labels = {
-        n: Counter(gentree._ascending_label(p)[0].validate()
-                   for p in _ascending(n))
-        for n in range(2, max_n + 1)
-    }
+    labels = {lv.level: lv.counts for lv in gentree.constructive_levels(max_n)}
 
     order = max_n + 1
     xy, xyz = {"x": x, "y": y}, {"x": x, "y": y, "z": z}

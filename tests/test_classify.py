@@ -347,6 +347,25 @@ def test_census_pool_fails_fast_without_main_guard(tmp_path):
     assert "BrokenProcessPool" in proc.stderr
 
 
+def test_census_pool_starts_no_process_below_pool_min_size(tmp_path):
+    # Making an executor starts multiprocessing's resource tracker, so a
+    # pool no census reaches must not make one.
+    script = tmp_path / "small.py"
+    script.write_text(
+        "import multiprocessing.resource_tracker as tracker\n"
+        "from zcx import classify\n"
+        "if __name__ == '__main__':\n"
+        "    with classify.census_pool(2) as pool:\n"
+        "        classify.census(9, pool)\n"
+        "    print(tracker._resource_tracker._pid)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "None\n"
+
+
 def test_census_merge_rejects_size_mismatch():
     with pytest.raises(ValueError):
         CensusRow(4).merge(CensusRow(5))

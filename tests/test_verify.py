@@ -31,6 +31,12 @@ def test_refined_suite_passes():
     assert rep.passed, rep.to_text()
 
 
+def test_refined_suite_refuses_sizes_below_2():
+    # Size 1 has no shape, so no check would look at anything.
+    with pytest.raises(ValueError, match=">= 2"):
+        verify.suite_refined_gf(max_n=1)
+
+
 def test_structure_suite_passes():
     rep = verify.suite_structure(max_n=8, oracle_max_n=6)
     assert rep.passed, rep.to_text()
@@ -214,4 +220,24 @@ def test_gentree_suite_catches_a_dropped_child(monkeypatch):
         "children labels match succ(label) for 35 polyominoes up to n=5",
         "n=5: DP label multiset = constructive label multiset",
         "n=6: DP label multiset = constructive label multiset",
+    ]
+
+
+def test_refined_suite_catches_a_dropped_child(monkeypatch):
+    # The refined suite counts the labels of the shapes the walk makes.
+    victim = decode("0-2")
+    real = gentree._grow
+
+    def grow(p, *info):
+        kids = real(p, *info)
+        return kids[:-1] if p == victim else kids
+
+    monkeypatch.setattr(gentree, "_grow", grow)
+    rep = verify.suite_refined_gf(max_n=6)
+    assert _failed(rep) == [
+        "rectangular class C0: statistic = C0p(x=2/3, y=3/5), n <= 6",
+        "rectangular class L0: statistic = L0p(x=2/3, y=3/5), n <= 6",
+        "rectangular class S0: statistic = S0p(x=2/3, y=3/5), n <= 6",
+        "rectangular class L: statistic = Lp(x=2/3, y=3/5, z=5/7), n <= 6",
+        "non-rectangular class R: count = R1, n <= 6",
     ]
