@@ -1,62 +1,36 @@
 """Exact-arithmetic census and verification toolkit for convex polyominoes
-classified by NE/NW convexity degree."""
+classified by NE/NW convexity degree.
 
-from .core import (
-    Cell,
-    Disconnected,
-    EmptyRow,
-    NotConvex,
-    Polyomino,
-    PolyominoError,
-    decode,
-    from_rows,
-    mirror,
-    size,
-)
-from .classify import DegreePair, CensusRow, census, degree_pair
-from .enumerate import all_convex, count_convex
-from .gentree import (
-    InvalidLabel,
-    NotAscending,
-    TreeLabel,
-    children,
-    count_levels,
-    label_of,
-    parent,
-    succ,
-)
-from .series import Series, gf, h_formula, rect_formula, scalar_gf
+Names resolve on first use: ``zcx.gf`` imports ``zcx.series`` when it is
+first read, so importing ``zcx`` loads no submodule.
+"""
 
-__all__ = [
-    "Cell",
-    "CensusRow",
-    "DegreePair",
-    "Disconnected",
-    "EmptyRow",
-    "InvalidLabel",
-    "NotAscending",
-    "NotConvex",
-    "Polyomino",
-    "PolyominoError",
-    "Series",
-    "TreeLabel",
-    "all_convex",
-    "census",
-    "children",
-    "count_convex",
-    "count_levels",
-    "decode",
-    "degree_pair",
-    "from_rows",
-    "gf",
-    "h_formula",
-    "label_of",
-    "mirror",
-    "parent",
-    "rect_formula",
-    "scalar_gf",
-    "size",
-    "succ",
-]
+import importlib
+
+_HOMES = {
+    "core": (
+        "Cell", "Disconnected", "EmptyRow", "NotConvex", "Polyomino",
+        "PolyominoError", "decode", "from_rows", "mirror", "size",
+    ),
+    "classify": ("CensusRow", "DegreePair", "census", "degree_pair"),
+    "enumerate": ("all_convex", "count_convex"),
+    "gentree": (
+        "InvalidLabel", "NotAscending", "TreeLabel", "children",
+        "count_levels", "label_of", "parent", "succ",
+    ),
+    "series": ("Series", "gf", "h_formula", "rect_formula", "scalar_gf"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = ("core", "classify", "enumerate", "gentree", "series", "verify", "cli")
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

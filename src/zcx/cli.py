@@ -14,10 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import classify, gentree, series, verify
-from .core import PolyominoError, decode
-from .enumerate import all_convex, count_convex
-
 
 def _default_workers(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("ZCX_THREADS")
@@ -69,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="expand a catalog generating function")
     p.add_argument("--name", required=True,
                    help="catalog name, e.g. A, H, Rect, C22, C21, Cp, Np, S111")
-    p.add_argument("--terms", type=int, default=series.DEFAULT_ORDER)
+    p.add_argument("--terms", type=int, default=None)
     for stat in ("x", "y", "z"):
         p.add_argument(f"--{stat}", type=_fraction, default=None,
                        help=f"rational {stat}, e.g. 2/3; write a negative "
@@ -87,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        help="comma-separated subset of: all,"
-        + ",".join(verify.SUITES),
+        help="comma-separated suite names, or all",
     )
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--fixtures", metavar="PATH", default=None,
@@ -101,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
+    from .core import PolyominoError
+    from .enumerate import all_convex, count_convex
+
     n = args.size
     if n < 2:
         raise PolyominoError("size must be >= 2")
@@ -123,6 +121,9 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 
 
 def _cmd_census(args, workers: int) -> tuple[str, int]:
+    from . import classify
+    from .core import PolyominoError
+
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
     with classify.census_pool(workers) as pool:
@@ -133,11 +134,14 @@ def _cmd_census(args, workers: int) -> tuple[str, int]:
 
 
 def _cmd_series(args) -> tuple[str, int]:
+    from . import series
+
+    terms = series.DEFAULT_ORDER if args.terms is None else args.terms
     canon = series.resolve_name(args.name)
     for k in ("x", "y", "z"):
         if getattr(args, k) is not None and k not in series.parameters(canon):
             raise series.SeriesError(f"{canon} does not take parameter {k}")
-    g = series.gf(args.name, args.terms, x=args.x, y=args.y, z=args.z)
+    g = series.gf(args.name, terms, x=args.x, y=args.y, z=args.z)
     params = {
         k: (str(v) if v is not None else None)
         for k, v in (("x", args.x), ("y", args.y), ("z", args.z))
@@ -163,6 +167,9 @@ def _label_lines(counts: dict[tuple, int]) -> list[str]:
 
 
 def _cmd_gentree(args) -> tuple[str, int]:
+    from . import gentree
+    from .core import PolyominoError
+
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
     if args.dump_level is not None and not 2 <= args.dump_level <= args.max_size:
@@ -203,6 +210,8 @@ def _cmd_gentree(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args, workers: int) -> tuple[str, int]:
+    from . import verify
+
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     reports = verify.run_suites(names, max_size=args.max_size,
                                 fixtures=args.fixtures, workers=workers)
@@ -219,6 +228,8 @@ def _cmd_verify(args, workers: int) -> tuple[str, int]:
 
 
 def _cmd_render(args) -> tuple[str, int]:
+    from .core import decode
+
     return decode(args.encoding).render() + "\n", 0
 
 

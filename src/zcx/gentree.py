@@ -169,11 +169,6 @@ def label_of(p: Polyomino) -> TreeLabel:
     return _label(p)[0]
 
 
-def is_rectangular(p: Polyomino) -> bool:
-    """Topmost cell of the rightmost column reaches the maximal height."""
-    return p.rows[-1][1] == p.width - 1
-
-
 def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
     """All ascending polyominoes of the next size grown from p, tagged by
     operation, in deterministic order.  The label decides which operations

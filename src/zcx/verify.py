@@ -517,11 +517,12 @@ def run_suites(
     names = [names] if isinstance(names, str) else names
     if "all" in names:
         names = list(SUITES)
+    choices = f"choose from all,{','.join(SUITES)}"
     if not names:
-        raise ValueError(f"no suite named; choose from all,{','.join(SUITES)}")
+        raise ValueError(f"no suite named; {choices}")
     for name in names:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
+            raise KeyError(f"unknown suite {name!r}; {choices}")
     if max_size is not None and max_size < 2:
         raise ValueError("max size must be >= 2")
     table = load_fixtures(fixtures) if fixtures is not None else None

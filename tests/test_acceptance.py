@@ -112,7 +112,7 @@ def test_criterion_2_triple_cross_check(tree_levels, ascending_by_size):
         )
         assert len(set(counts)) == 1, (n, "centered", counts)
 
-        brute_rect = sum(gentree.is_rectangular(p) for p in brute)
+        brute_rect = sum(p.rows[-1][1] == p.width - 1 for p in brute)
         counts = (
             brute_rect,
             level.rectangular_total,

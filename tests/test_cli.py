@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import zcx
 from zcx import cli
 from zcx.cli import main
 
@@ -163,7 +167,7 @@ def test_gentree_bad_dump_level(capsys, monkeypatch):
     def no_dp(max_size):
         raise AssertionError("the label DP ran before --dump-level was checked")
 
-    monkeypatch.setattr(cli.gentree, "levels", no_dp)
+    monkeypatch.setattr("zcx.gentree.levels", no_dp)
     for k in ("1", "9"):
         code, out, err = _run(capsys, "gentree", "--max-size", "5", "--dump-level", k)
         assert code == 2 and out == ""
@@ -221,7 +225,8 @@ def test_verify_malformed_fixture_is_usage_error(capsys, tmp_path, entry):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, out, err = _run(capsys, "verify", "--suite", "nope")
     assert code == 2 and out == ""
-    assert err == "zcx: error: unknown suite 'nope'\n"
+    assert err == ("zcx: error: unknown suite 'nope'; choose from "
+                   "all,identities,gentree,refined,structure,kernels,asymptotics\n")
 
 
 @pytest.mark.parametrize("suites", ["", " , "])
@@ -326,3 +331,32 @@ def test_gentree_construct_below_2_is_usage_error(capsys):
     code, out, err = _run(capsys, "gentree", "--max-size", "1", "--mode", "construct")
     assert code == 2 and out == ""
     assert "max size must be >= 2" in err
+
+
+_FOOTPRINT = (
+    "import contextlib, io, sys\n"
+    "from zcx import cli\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(sys.argv[1:]) == 0\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'zcx')))\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], set()),
+    (["series", "--name", "A", "--terms", "5"], {"series"}),
+    (["census", "--max-size", "4"], {"classify", "core", "enumerate"}),
+    (["gentree", "--max-size", "4", "--mode", "labels"],
+     {"classify", "core", "enumerate", "gentree"}),
+    (["enumerate", "--size", "4"], {"core", "enumerate"}),
+    (["render", "--encoding", "0-1;1-1"], {"core"}),
+], ids=["import", "series", "census", "gentree", "enumerate", "render"])
+def test_each_command_imports_only_its_modules(argv, loaded):
+    # A fresh interpreter: this process has imported every module already.
+    src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    expected = {"zcx", "zcx.cli"} | {f"zcx.{m}" for m in loaded}
+    assert set(proc.stdout.split()) == expected
