@@ -9,8 +9,8 @@ import importlib
 
 _HOMES = {
     "core": (
-        "Cell", "Disconnected", "EmptyRow", "NotConvex", "Polyomino",
-        "PolyominoError", "decode", "from_rows", "mirror", "size",
+        "Disconnected", "EmptyRow", "NotConvex", "Polyomino", "PolyominoError",
+        "decode", "from_rows", "mirror", "size",
     ),
     "classify": ("CensusRow", "DegreePair", "census", "degree_pair"),
     "enumerate": ("all_convex", "count_convex"),

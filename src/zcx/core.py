@@ -35,14 +35,6 @@ class NotConvex(PolyominoError):
 
 
 @dataclass(frozen=True, slots=True)
-class Cell:
-    """A unit cell at (col, row) on the grid, row 0 at the bottom."""
-
-    col: int
-    row: int
-
-
-@dataclass(frozen=True, slots=True)
 class Polyomino:
     """Immutable convex polyomino; build via :func:`from_rows` or :func:`decode`.
 
@@ -59,14 +51,6 @@ class Polyomino:
     @property
     def width(self) -> int:
         return max(r for _, r in self.rows) + 1
-
-    def cells(self) -> list[Cell]:
-        """All cells, bottom row first, left to right within a row."""
-        return [
-            Cell(x, y)
-            for y, (l, r) in enumerate(self.rows)
-            for x in range(l, r + 1)
-        ]
 
     def cell_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(

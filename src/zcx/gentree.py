@@ -44,26 +44,30 @@ keyed by plain (family, b, w, r, rect) tuples that compare and hash as
 the TreeLabels, is built from the history only when read.  ``succ``
 stays the per-label oracle the tests compare the step with.
 
-``children`` and ``parent`` realize the same tree on actual polyominoes:
-both read the label and the base position from ``_label``, which tests a
-shape ascending, labels it and validates the label, and pick operations
-by family, as ``succ`` does.  ``walk`` visits the tree of actual
+``children`` and ``parent`` realize the same tree on actual polyominoes.
+Both read the label, the base position and the last column from
+``_label_rows``, and pick operations by family, as ``succ`` does.  That
+labeller works on a raw row tuple: in one pass it checks the rows convex,
+tests them ascending and reads the label, and it validates each distinct
+label once.  The growth step ``_grow`` and the parent step
+``_parent_rows`` also work on rows.  ``walk`` visits the tree of actual
 polyominoes depth first, holding one root path rather than a level.  It
-labels each shape once, when the shape is made, and grows it from that
-label with the same growth step as ``children``; ``constructive_levels``
-counts the labels it carries, which the gentree and refined suites read.
-``children`` and ``label_of`` stay the per-shape oracles, and the tests
+labels each shape once, from its rows when the shape is made, and grows
+it from that label with the same growth step as ``children``.
+``constructive_levels`` counts the labels it carries, which the gentree
+and refined suites read, and the gentree suite checks each edge with the
+parent step on the label the walk carries for the child.  ``children``,
+``label_of`` and ``parent`` stay the per-shape oracles, and the tests
 check that the walk, the enumerator and the label DP agree level by level.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
-from .core import Polyomino, check_rows, from_rows, size
-from .classify import is_ascending, is_centered
+from .core import Disconnected, NotConvex, Polyomino, from_rows
 
 
 class NotAscending(ValueError):
@@ -130,29 +134,90 @@ class TreeLabel(NamedTuple):
 ROOT_LABEL = TreeLabel("L0", 1, 1, 0, True)
 
 
-def _label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
-    """The validated label of p, the index of its top base row (None when
-    p is non-centered) and the index of its last column; raises
-    NotAscending outside the class.  Every shape the module labels, walks
-    or grows goes through this one test and label check."""
-    if not is_ascending(p):
-        raise NotAscending(p.encode())
-    rows = p.rows
-    last = p.width - 1
-    rect = rows[-1][1] == last
-    full = [y for y, (l, r) in enumerate(rows) if l == 0 and r == last]
-    if not full:
+@cache
+def _valid_label(family: str, b: int, w: int, r: int, rect: bool) -> TreeLabel:
+    """The validated label with these fields.  ``validate`` is a pure
+    function of them, so each distinct label is validated once; the
+    cache holds one entry per label (581 labels occur up to size 13)."""
+    return TreeLabel(family, b, w, r, rect).validate()
+
+
+def _label_rows(rows: tuple) -> tuple[TreeLabel, int, int]:
+    """The validated label of the shape with these rows (leftmost column
+    0), the index of its top base row and the index of its last column.
+    A non-centered shape has no base; its "top" is the row just below its
+    last column (-1 when that column starts at the bottom), so that in
+    both cases the run of rows ending in the last column above the base
+    starts at top + 1.
+
+    Every shape the module labels, walks or grows goes through this one
+    function.  A forward pass over the rows raises Disconnected or
+    NotConvex where ``core.check_rows`` would (all overlaps are checked
+    before any column), then NotAscending when a row is strictly
+    NW-shifted from a lower one.  The ascending test is linear: once the
+    lefts are valley-unimodal, the lower rows whose left lies strictly
+    right of the current row's form a prefix, and the current row is
+    NW-shifted from one of them exactly when its right is below the
+    largest right of that prefix (``bound``).  Each strict fall of the
+    lefts extends the prefix to every row so far, so ``bound`` becomes
+    the running maximum; a rise shrinks it, back to the last fall from a
+    left still strictly right of the current one.  A reverse scan from
+    the top then reads the last column's run, the base and the label's
+    fields.
+    """
+    l0, r0 = rows[0]
+    last = r0
+    falls = []      # per strict fall of the lefts: (left before it, bound)
+    bound = -1
+    rising = falling = gap = shifted = False
+    for l1, r1 in rows[1:]:
+        if l1 > r0 or l0 > r1:
+            raise Disconnected(f"rows {l0}-{r0} and {l1}-{r1} do not overlap")
+        if l1 < l0:
+            gap = gap or rising
+            falls.append((l0, last))
+            bound = last
+        elif l1 > l0:
+            rising = True
+            while falls and falls[-1][0] <= l1:
+                falls.pop()
+            bound = falls[-1][1] if falls else -1
+        if r1 < bound:
+            shifted = True
+        if r1 < r0:
+            falling = True
+        elif r1 > r0:
+            # Rights rise only before they fall, so this is the largest.
+            gap = gap or falling
+            last = r1
+        l0, r0 = l1, r1
+    if gap:
+        raise NotConvex("a column is occupied on both sides of a gap")
+    if shifted:
+        raise NotAscending(Polyomino(rows).encode())
+
+    rect = r0 == last
+    y = len(rows) - 1
+    while rows[y][1] < last:
+        y -= 1
+    hi = y      # the top row of the last column
+    while y >= 0 and rows[y][1] == last and rows[y][0]:
+        y -= 1
+    if y < 0 or rows[y][1] < last:
         # Non-centered: r counts the cells of the last column.
-        r = sum(1 for _, rr in rows if rr == last)
-        return TreeLabel("NC", 1, 0, r, rect).validate(), None, last
-    top = full[-1]
-    b = len(full)
+        return _valid_label("NC", 1, 0, hi - y, rect), y, last
+    top = y
+    full = (0, last)
+    while y >= 0 and rows[y] == full:
+        y -= 1
+    b = top - y
     flipped = top == len(rows) - 1
     w = last + 1 if flipped else rows[top + 1][0]
-    r = sum(1 for _, rr in rows[top + 1 :] if rr == last)
+    r = hi - top
     if b > 1:
         family = "C0" if flipped else ("C1" if w == 0 else "C")
-    elif sum(1 for l, _ in rows if l == 0) == 1:
+    elif w and (y < 0 or rows[y][0]):
+        # The base row is the only row in the leftmost column.
         family = "L0" if flipped else "L"
     elif w == 0:
         family = "R"
@@ -160,103 +225,117 @@ def _label(p: Polyomino) -> tuple[TreeLabel, int | None, int]:
         family = "S0" if flipped else "S"
     if family in ("C1", "R"):
         # These classes hold a single cell in the rightmost column.
-        assert r == 0 and not rect, p.encode()
-    return TreeLabel(family, b, w, r, rect).validate(), top, last
+        assert r == 0 and not rect, Polyomino(rows).encode()
+    return _valid_label(family, b, w, r, rect), top, last
 
 
 def label_of(p: Polyomino) -> TreeLabel:
     """Label per the family rules; raises NotAscending outside the class."""
-    return _label(p)[0]
+    return _label_rows(p.rows)[0]
 
 
 def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
     """All ascending polyominoes of the next size grown from p, tagged by
     operation, in deterministic order.  The label decides which operations
-    apply, as in ``succ``."""
-    return _grow(p, *_label(p))
+    apply, as in ``succ``; each child is checked by labelling it."""
+    grown = _grow(p, *_label_rows(p.rows))
+    for _, rows in grown:
+        _label_rows(rows)
+    return [(op, Polyomino(rows)) for op, rows in grown]
 
 
 def _grow(
-    p: Polyomino, label: TreeLabel, top: int | None, last: int
-) -> list[tuple[str, Polyomino]]:
-    """``children(p)``, given the label, top base row and last column of
-    p.  The operations keep the leftmost column at 0, so each child is
-    only checked convex; no two children may have the same rows."""
+    p: Polyomino, label: TreeLabel, top: int, last: int
+) -> list[tuple[str, tuple]]:
+    """The (operation, rows) of ``children(p)``, given the label, top row
+    and last column of p.  The operations keep the leftmost column at 0
+    and copy the unchanged rows by slicing; the children are not checked
+    here (the caller labels each one), but no two may have the same rows.
+    """
     f, b, w, r, rect = label
     rows = p.rows
+    above = top + 1
     grown: list[tuple[str, tuple]] = []
 
     if f != "NC":
         base = range(top, top - b, -1)
+        wide = ((0, last + 1),)
         # Left Cell: one new cell left of each base row.
+        moved = tuple([(l + 1, rr + 1) for l, rr in rows])
         for k in base:
-            grown.append((OP_LEFT_CELL, tuple([
-                (0, rr + 1) if y == k else (l + 1, rr + 1)
-                for y, (l, rr) in enumerate(rows)
-            ])))
+            grown.append((OP_LEFT_CELL, moved[:k] + wide + moved[k + 1 :]))
 
         # Right Cell: blocked for L0 and L, whose leftmost column is one cell.
         if f not in ("L0", "L"):
             for k in base:
-                grown.append((OP_RIGHT_CELL, tuple([
-                    (l, rr + 1) if y == k else (l, rr)
-                    for y, (l, rr) in enumerate(rows)
-                ])))
+                grown.append((OP_RIGHT_CELL, rows[:k] + wide + rows[k + 1 :]))
 
         # Row: one more full-width row in the base.
-        grown.append((OP_ROW, rows[: top + 1] + ((0, last),) + rows[top + 1 :]))
+        grown.append((OP_ROW, rows[:above] + ((0, last),) + rows[above:]))
 
         # Shift: insert a right-aligned row immediately above the base.
         if f in ("S0", "S"):
             for j in range(1, w if f == "S0" else w + 1):
-                grown.append((OP_SHIFT, rows[: top + 1] + ((j, last),) + rows[top + 1 :]))
+                grown.append((OP_SHIFT, rows[:above] + ((j, last),) + rows[above:]))
 
     # Nc / Nc*: append a column of r' cells against the r-row run of the
-    # last column, which starts just above the base of a centered shape.
-    op, first = (OP_NC_STAR, p.column(last)[0]) if f == "NC" else (OP_NC, top + 1)
+    # last column, which starts at row top + 1.
+    op = OP_NC_STAR if f == "NC" else OP_NC
+    longer = tuple([(l, last + 1) for l, _ in rows[above : above + r]])
     for rp in range(1, r + 1):
-        for start in range(first, first + r - rp + 1):
-            grown.append((op, tuple([
-                (l, rr + 1) if start <= y < start + rp else (l, rr)
-                for y, (l, rr) in enumerate(rows)
-            ])))
+        for start in range(r - rp + 1):
+            y = above + start
+            grown.append((op, rows[:y] + longer[start : start + rp] + rows[y + rp :]))
     # Nc*: one extra cell on top of a rectangular non-centered shape.
     if f == "NC" and rect:
         grown.append((OP_NC_STAR, rows + ((last, last),)))
 
     if len({g for _, g in grown}) != len(grown):
         raise AssertionError(f"duplicate children of {p.encode()}")
-    for _, g in grown:
-        check_rows(g)
-    return [(op, Polyomino(g)) for op, g in grown]
+    return grown
 
 
 def parent(p: Polyomino) -> tuple[str, Polyomino] | None:
     """The unique (operation, parent) producing p; None for the root."""
-    (f, b, _, r, _), top, last = _label(p)
-    if size(p) == 2:
+    step = _parent_rows(p.rows, *_label_rows(p.rows))
+    return None if step is None else (step[0], from_rows(step[1]))
+
+
+def _parent_rows(
+    rows: tuple, label: TreeLabel, top: int, last: int
+) -> tuple[str, tuple] | None:
+    """The operation and the normalized rows of the parent of the shape
+    with these rows, given its label, top row and last column (as
+    ``_label_rows`` returns them); None for the root.  The rows are not
+    checked: ``parent`` validates them."""
+    if rows == ((0, 0),):
         return None
-    rows = p.rows
+    f, b, _, r, _ = label
 
     if f == "NC":
         # Case 1: the top cell of the rightmost column sticks out alone.
         if rows[-1] == (last, last):
-            return OP_NC_STAR, from_rows(rows[:-1])
-        # Case 2: remove the whole last column.
-        q = from_rows([(l, rr - 1) if rr == last else (l, rr) for l, rr in rows])
-        return (OP_NC if is_centered(q) else OP_NC_STAR), q
+            return OP_NC_STAR, rows[:-1]
+        # Case 2: remove the whole last column, rows top + 1 .. top + r.
+        # The parent is centered when a row then spans its width.
+        end = top + 1 + r
+        shorter = tuple([(l, last - 1) for l, _ in rows[top + 1 : end]])
+        q = rows[: top + 1] + shorter + rows[end:]
+        return (OP_NC if (0, last - 1) in q else OP_NC_STAR), q
 
     if b > 1:
-        return OP_ROW, from_rows(rows[:top] + rows[top + 1 :])
+        return OP_ROW, rows[:top] + rows[top + 1 :]
     if f in ("L0", "L"):
-        # Remove the base row's left cell (case 2.1).
-        return OP_LEFT_CELL, from_rows(rows[:top] + ((1, last),) + rows[top + 1 :])
+        # Remove the base row's left cell (case 2.1); the base row was the
+        # leftmost column's only cell, so every row moves one column left.
+        moved = tuple([(l - 1, rr - 1) for l, rr in rows])
+        return OP_LEFT_CELL, moved[:top] + ((0, last - 1),) + moved[top + 1 :]
     if r == 0:
         # The base row alone reaches the last column: remove its right
         # cell (case 2.2).
-        return OP_RIGHT_CELL, from_rows(rows[:top] + ((0, last - 1),) + rows[top + 1 :])
+        return OP_RIGHT_CELL, rows[:top] + ((0, last - 1),) + rows[top + 1 :]
     # Case 2.3: remove the row immediately above the base.
-    return OP_SHIFT, from_rows(rows[: top + 1] + rows[top + 2 :])
+    return OP_SHIFT, rows[: top + 1] + rows[top + 2 :]
 
 
 # ---------------------------------------------------------------------------
@@ -598,30 +677,32 @@ def count_levels(max_size: int) -> list[LabelLevel]:
 
 def walk(
     max_size: int,
-) -> Iterator[tuple[int, Polyomino, TreeLabel, list[tuple[str, Polyomino, TreeLabel]]]]:
+) -> Iterator[tuple[int, Polyomino, TreeLabel, list[tuple]]]:
     """Depth-first walk of the tree from the size-2 root.
 
     Yields ``(n, p, label_of(p), kids)`` once for every shape p of size n
-    in 2..max_size, where kids lists ``(op, child, label_of(child))`` for
-    each ``(op, child)`` of ``children(p)``, in that order, and is empty
-    at max_size.  Each shape is labelled once, when it is made: its
-    label, top base row and last column ride on the stack to its own
-    growth.  The stack holds the unvisited children along one root path,
-    so memory grows with the depth, not with a level.  Raises ValueError
-    below 2.
+    in 2..max_size, where kids lists ``(op, child, label, top, last)`` for
+    each ``(op, child)`` of ``children(p)``, in that order, with the
+    child's label, top row and last column as ``_label_rows`` gives them;
+    kids is empty at max_size.  Each shape is labelled once, when it is
+    made, from its rows: that checks it convex and ascending, and its
+    label, top row and last column ride on the stack to its own growth.
+    The stack holds the unvisited children along one root path, so memory
+    grows with the depth, not with a level.  Raises ValueError below 2.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")
     # The size rides on the stack: recomputing it per shape costs more.
-    root = from_rows(((0, 0),))
-    stack = [(2, root, *_label(root))]
+    root = ((0, 0),)
+    stack = [(2, Polyomino(root), *_label_rows(root))]
     while stack:
         n, p, label, top, last = stack.pop()
         kids = []
         if n < max_size:
-            for op, child in _grow(p, label, top, last):
-                child_label, child_top, child_last = _label(child)
-                kids.append((op, child, child_label))
+            for op, rows in _grow(p, label, top, last):
+                child = Polyomino(rows)
+                child_label, child_top, child_last = _label_rows(rows)
+                kids.append((op, child, child_label, child_top, child_last))
                 stack.append((n + 1, child, child_label, child_top, child_last))
         yield n, p, label, kids
 

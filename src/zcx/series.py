@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 DEFAULT_ORDER = 300
 
@@ -650,13 +651,22 @@ def functional_equation_checks(
     if terms < 4:
         raise ValueError("terms must be >= 4")
 
-    c0p = lambda xx, yy: _expand(_gf_c0p(xx, yy), terms)
-    l0p = lambda xx, yy: _expand(_gf_l0p(xx, yy), terms)
-    s0p = lambda xx, yy: _expand(_gf_s0p(xx, yy), terms)
-    cp = lambda xx, yy, zz: _expand(_gf_cp(xx, yy, zz), terms)
-    lp = lambda xx, yy, zz: _expand(_gf_lp(xx, yy, zz), terms)
-    sp = lambda xx, yy, zz: _expand(_gf_sp(xx, yy, zz), terms)
-    np_ = lambda zz: _expand(_gf_np(zz), terms)
+    # Each (class function, parameters) pair is expanded once per call.
+    expanded: dict[tuple, Series] = {}
+
+    def expand(builder, *params) -> Series:
+        key = (builder, *params)
+        if key not in expanded:
+            expanded[key] = _expand(builder(*params), terms)
+        return expanded[key]
+
+    c0p = partial(expand, _gf_c0p)
+    l0p = partial(expand, _gf_l0p)
+    s0p = partial(expand, _gf_s0p)
+    cp = partial(expand, _gf_cp)
+    lp = partial(expand, _gf_lp)
+    sp = partial(expand, _gf_sp)
+    np_ = partial(expand, _gf_np)
 
     results = []
 

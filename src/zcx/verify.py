@@ -176,10 +176,11 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
     The walk visits and labels each shape once: it rejects duplicate
     children and shapes outside the ascending class, so a level as large
     as the ascending count of ``census(n)`` (a walk with its own test) is
-    that class, and every edge is checked to be the one ``parent`` names.
-    The label DP is read one level at a time: its multisets are compared
-    with the walk's up to ``max_construct``, its totals with the series up
-    to ``max_labels``.
+    that class.  Every edge is checked to be the one ``parent`` names, by
+    its parent step on the label, top row and last column the walk
+    carries for the child.  The label DP is read one level at a time: its
+    multisets are compared with the walk's up to ``max_construct``, its
+    totals with the series up to ``max_labels``.
     """
     census = census or classify.census
     rep = SuiteReport("gentree")
@@ -193,8 +194,8 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
         tree[n - 2][lab] += 1
         if n == max_construct:
             continue
-        for op, child, _ in kids:
-            if gentree.parent(child) != (op, p):
+        for op, child, *info in kids:
+            if gentree._parent_rows(child.rows, *info) != (op, p.rows):
                 bad_parent.setdefault(
                     n + 1, f"{child.encode()} grown by {op} from {p.encode()}"
                 )
@@ -202,7 +203,7 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
         want = Counter()
         for child_lab, m in gentree.succ(lab):
             want[child_lab] += m
-        if Counter(child_lab for _, _, child_lab in kids) != want:
+        if Counter(child_lab for _, _, child_lab, _, _ in kids) != want:
             bad_succ = bad_succ or p.encode()
 
     for n, counts in enumerate(tree, 2):

@@ -347,8 +347,7 @@ _FOOTPRINT = (
     ([], set()),
     (["series", "--name", "A", "--terms", "5"], {"series"}),
     (["census", "--max-size", "4"], {"classify", "core", "enumerate"}),
-    (["gentree", "--max-size", "4", "--mode", "labels"],
-     {"classify", "core", "enumerate", "gentree"}),
+    (["gentree", "--max-size", "4", "--mode", "labels"], {"core", "gentree"}),
     (["enumerate", "--size", "4"], {"core", "enumerate"}),
     (["render", "--encoding", "0-1;1-1"], {"core"}),
 ], ids=["import", "series", "census", "gentree", "enumerate", "render"])

@@ -195,11 +195,6 @@ def test_column_accessor():
         p.column(3)
 
 
-def test_cells():
-    p = from_rows([(1, 2), (0, 1)])
-    assert {(c.col, c.row) for c in p.cells()} == {(1, 0), (2, 0), (0, 1), (1, 1)}
-
-
 def test_total_order_is_encoding_order():
     polys = list(all_convex(5))
     assert sorted(polys) == sorted(polys, key=Polyomino.encode)

@@ -4,13 +4,22 @@ symbolic production system."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections import Counter
 
 import pytest
 
 from zcx.classify import is_ascending
-from zcx.core import decode, size
+from zcx.core import (
+    Disconnected,
+    NotConvex,
+    Polyomino,
+    PolyominoError,
+    check_rows,
+    decode,
+    size,
+)
 from zcx.enumerate import all_convex
 from zcx.gentree import (
     InvalidLabel,
@@ -19,6 +28,8 @@ from zcx.gentree import (
     ROOT_LABEL,
     TreeLabel,
     _LabelDP,
+    _label_rows,
+    _parent_rows,
     children,
     constructive_levels,
     count_levels,
@@ -68,6 +79,46 @@ def test_every_ascending_polyomino_gets_a_valid_label():
     for n in range(2, 9):
         for p in _ascending(n):
             label_of(p).validate()
+
+
+def test_labeller_accepts_exactly_the_ascending_shapes_up_to_9():
+    for n in range(2, 10):
+        for p in all_convex(n):
+            try:
+                got = _label_rows(p.rows)
+            except NotAscending:
+                got = None
+            assert (got is not None) == is_ascending(p), p.encode()
+
+
+def _row_tuples(height, width):
+    # Every tuple of `height` nonempty rows within columns 0..width-1 that
+    # touches column 0, valid or not.
+    spans = [(l, r) for l in range(width) for r in range(l, width)]
+    for rows in itertools.product(spans, repeat=height):
+        if min(l for l, _ in rows) == 0:
+            yield rows
+
+
+def test_labeller_checks_rows_as_check_rows_does():
+    # The labeller raises the class check_rows raises (Disconnected before
+    # NotConvex), and on valid rows NotAscending exactly off the class.
+    raised = Counter()
+    for height in range(1, 5):
+        for rows in _row_tuples(height, 4):
+            try:
+                check_rows(rows)
+                want = None if is_ascending(Polyomino(rows)) else NotAscending
+            except PolyominoError as exc:
+                want = type(exc)
+            try:
+                _label_rows(rows)
+                got = None
+            except (PolyominoError, NotAscending) as exc:
+                got = type(exc)
+            assert got is want, rows
+            raised[got] += 1
+    assert all(raised[k] for k in (None, NotAscending, Disconnected, NotConvex))
 
 
 def test_flipped_stacks_are_rectangular_with_r_zero():
@@ -194,10 +245,23 @@ def test_walk_carries_the_per_shape_labels_and_children_up_to_9():
     for n, p, lab, kids in walk(9):
         assert lab == label_of(p), p.encode()
         if n < 9:
-            assert [(op, c) for op, c, _ in kids] == children(p), p.encode()
-            assert [c_lab for _, _, c_lab in kids] == [
-                label_of(c) for _, c, _ in kids
+            assert [(op, c) for op, c, *_ in kids] == children(p), p.encode()
+            assert [c_lab for _, _, c_lab, _, _ in kids] == [
+                label_of(c) for _, c, *_ in kids
             ], p.encode()
+
+
+def test_parent_step_on_the_carried_label_equals_parent_up_to_9():
+    # The gentree suite checks each edge with _parent_rows on the label,
+    # top row and last column the walk carries; parent is its oracle.
+    edges = 0
+    for n, p, _, kids in walk(9):
+        for op, child, *info in kids:
+            step = _parent_rows(child.rows, *info)
+            want_op, want = parent(child)
+            assert step == (want_op, want.rows) == (op, p.rows), child.encode()
+            edges += 1
+    assert edges == sum(len(_ascending(n)) for n in range(3, 10))
 
 
 def test_tree_geometry_consistency_up_to_8():

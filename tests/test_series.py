@@ -392,6 +392,27 @@ def test_functional_equations_hold_at_several_parameter_sets():
             assert ok, (params, desc, fail)
 
 
+def test_functional_equations_expand_each_class_function_once(monkeypatch):
+    # The seven equations read seven class functions at 21 distinct
+    # (function, parameters) pairs; each is expanded once per call.
+    calls = []
+    real = S._expand
+
+    def expand(terms, n):
+        calls.append(n)
+        return real(terms, n)
+
+    monkeypatch.setattr(S, "_expand", expand)
+    for params in (
+        (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7)),
+        (Fraction(-1, 2), Fraction(2, 7), Fraction(3, 4)),
+    ):
+        calls.clear()
+        results = S.functional_equation_checks(*params, 20)
+        assert [ok for _, ok, _ in results] == [True] * 7
+        assert calls == [20] * 21
+
+
 def test_degenerate_params_rejected():
     with pytest.raises(DegenerateParam):
         S.functional_equation_checks(1, 1, Fraction(1, 2), 20)

@@ -191,14 +191,15 @@ def _failed(rep):
 
 
 def test_gentree_suite_catches_a_wrong_parent(monkeypatch):
+    # The suite checks each edge with the parent step on the child's rows.
     victim = decode("0-3")
-    real = gentree.parent
+    real = gentree._parent_rows
 
-    def parent(p):
-        op, par = real(p)
-        return (gentree.OP_ROW, par) if p == victim else (op, par)
+    def parent_rows(rows, *info):
+        op, par = real(rows, *info)
+        return (gentree.OP_ROW, par) if rows == victim.rows else (op, par)
 
-    monkeypatch.setattr(gentree, "parent", parent)
+    monkeypatch.setattr(gentree, "_parent_rows", parent_rows)
     rep = verify.suite_gentree(max_construct=7, max_labels=10)
     assert _failed(rep) == ["n=5: unique parent reconstruction"]
 
