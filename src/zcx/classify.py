@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import contextlib
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Any, Callable, ContextManager, NamedTuple
 
 from .core import Polyomino, check_rows, mirror
@@ -102,8 +101,7 @@ def _ne_max_turns(rows: tuple[tuple[int, int], ...], bottom: list[int],
     return best
 
 
-@dataclass(frozen=True, slots=True)
-class DegreePair:
+class DegreePair(NamedTuple):
     """Raw NE/NW convexity degrees; the global degree is their maximum."""
 
     ne: int
@@ -292,13 +290,25 @@ COLUMNS: dict[str, tuple[int | None, Callable[[Signature], bool]]] = {
 }
 
 
-@dataclass
 class CensusRow:
     """Histogram of shape signatures for one size; each column of
-    :data:`COLUMNS` reads as an attribute (``row.c22``)."""
+    :data:`COLUMNS` reads as an attribute (``row.c22``).  Rows are equal
+    when their sizes and histograms are."""
 
-    size: int
-    counts: Counter[Signature] = field(default_factory=Counter)
+    __slots__ = ("size", "counts")
+    __hash__ = None     # mutable
+
+    def __init__(self, size: int, counts: Counter[Signature] | None = None):
+        self.size = size
+        self.counts = Counter() if counts is None else counts
+
+    def __eq__(self, other):
+        if other.__class__ is not CensusRow:
+            return NotImplemented
+        return (self.size, self.counts) == (other.size, other.counts)
+
+    def __repr__(self) -> str:
+        return f"CensusRow(size={self.size!r}, counts={self.counts!r})"
 
     def add(self, p: Polyomino) -> None:
         d = degree_pair(p)

@@ -15,8 +15,6 @@ deterministic output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class PolyominoError(ValueError):
     """Base class for invalid polyomino constructions."""
@@ -34,15 +32,40 @@ class NotConvex(PolyominoError):
     """Some column's occupied rows do not form a contiguous block."""
 
 
-@dataclass(frozen=True, slots=True)
 class Polyomino:
     """Immutable convex polyomino; build via :func:`from_rows` or :func:`decode`.
 
     ``rows[i] = (left, right)`` is the inclusive column interval of row i,
     counted from the bottom.  Instances are safe to share between workers.
+    Two polyominoes are equal, and hash equal, when their rows are.
     """
 
+    __slots__ = ("rows",)
+
     rows: tuple[tuple[int, int], ...]
+
+    def __init__(self, rows: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Polyomino is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Polyomino is immutable")
+
+    def __reduce__(self):
+        return Polyomino, (self.rows,)
+
+    def __eq__(self, other):
+        if other.__class__ is not Polyomino:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Polyomino(rows={self.rows!r})"
 
     @property
     def n_rows(self) -> int:

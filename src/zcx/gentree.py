@@ -31,18 +31,21 @@ never expands a label into its children, and it never holds the base
 height of the C, C0 and C1 labels: such a label's only source is the same
 label with base b - 1 one level up, so the labels with b = 2 that entered
 at each level (the history) give every C, C0 and C1 label of later
-levels.  The step pushes the single children of each other label and of
-each running sum of the history over b, and turns the three productions
-that emit a run of children into range sums: the Left Cell run
-L(1, r + j), j < b, of C, C0 and C1 is a prefix sum of the history over
-levels, the Shift run S(j, r + 1), j <= w, of S0 and S a suffix sum over
-w, and the Nc columns, r - r' + 1 of each r' (or 1 and r - r' from a
-rectangular source), suffix sums of x and r*x over the source parameter
-r.  A step at level m so costs O(m^2), against O(m^3) labels in the
-level.  Each level's totals come from the same sums; its label dict,
-keyed by plain (family, b, w, r, rect) tuples that compare and hash as
-the TreeLabels, is built from the history only when read.  ``succ``
-stays the per-label oracle the tests compare the step with.
+levels.  The state is held as vectors of counts: the L and S labels and
+the history's running sum over b as rows over w of count vectors over r,
+the L0, S0 and C0 labels as vectors over w, and the NC labels as vectors
+over r.  A step applies each production to whole rows, as vector
+additions: L(w + 1, r) is the sum of the L, S and C rows at w, S(w, 0)
+and the Nc inputs are row and column sums, the Shift runs S(j, r + 1),
+j <= w, are suffix sums of the S rows over w, and the Left Cell runs
+L(1, r + j), j < b, of the C, C0 and C1 labels are one running vector,
+shifted by one in r at each level.  A step at level m so costs O(m^2)
+additions done by ``map``, against O(m^3) labels in the level, and no
+Python statement per label.  Each level's totals are row sums; its label
+dict, keyed by plain (family, b, w, r, rect) tuples that compare and hash
+as the TreeLabels, is built from the vectors and the history only when
+read.  ``succ`` stays the per-label oracle the tests compare the step
+with.
 
 ``children`` and ``parent`` realize the same tree on actual polyominoes.
 Both read the label, the base position and the last column from
@@ -64,7 +67,8 @@ check that the walk, the enumerator and the label DP agree level by level.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import add
 from typing import Callable, Iterator, NamedTuple
 
 from .core import Disconnected, NotConvex, Polyomino, from_rows
@@ -480,171 +484,210 @@ class LabelLevel:
         return f"LabelLevel(level={self.level}, counts={self.counts!r})"
 
 
-def _expand(rest: dict, history: list[dict], depth: int) -> dict[tuple, int]:
-    """The label dict of a level: ``rest`` plus the C, C0 and C1 labels of
-    the first ``depth`` history entries, the last of them at b = 2."""
-    counts = dict(rest)
+def _add(a: list, b: list, op: Callable = add) -> list:
+    """The elementwise sum of two count vectors, as long as the longer;
+    with ``op=_add``, of two lists of count vectors."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(op, a, b), *a[len(b):]]
+
+
+def _trim(vec: list) -> list:
+    """vec without its trailing zeros."""
+    while vec and not vec[-1]:
+        vec.pop()
+    return vec
+
+
+def _put(vec: list, i: int, x: int) -> None:
+    """Add x at index i of vec, growing it with zeros."""
+    vec.extend([0] * (i + 1 - len(vec)))
+    vec[i] += x
+
+
+def _expand(state: tuple, history: list[tuple], depth: int) -> dict[tuple, int]:
+    """The label dict of a level: the L, S, L0, S0, R and NC labels of
+    ``state`` plus the C, C0 and C1 labels of the first ``depth`` history
+    entries, the last of them at b = 2.  Zero counts are left out."""
+    l, s, l0, s0, r_count, nc = state
+    rows = [("L", 1, l), ("S", 1, s)]           # pairs of lists of rows
+    by_w = [("L0", 1, l0), ("S0", 1, s0)]       # vectors over w
+    single = [(("R", 1, 0, 0, False), r_count)]
     for b, i in enumerate(range(depth - 1, -1, -1), 2):
-        for (f, w, r, rect), x in history[i].items():
-            counts[f, b, w, r, rect] = x
+        c_plain, c_rect, c0, c1 = history[i]
+        rows.append(("C", b, (c_plain, c_rect)))
+        by_w.append(("C0", b, c0))
+        single.append((("C1", b, 0, 0, False), c1))
+    counts = {(f, b, w, r, rect): x
+              for f, b, pair in rows
+              for rect, vecs in zip((False, True), pair)
+              for w, vec in enumerate(vecs, 1)
+              for r, x in enumerate(vec) if x}
+    counts.update({(f, b, w, 0, True): x
+                   for f, b, vec in by_w for w, x in enumerate(vec, 1) if x})
+    counts.update({("NC", 1, 0, r, rect): x
+                   for rect, vec in zip((False, True), nc)
+                   for r, x in enumerate(vec) if x})
+    counts.update({key: x for key, x in single if x})
     return counts
 
 
 class _LabelDP:
-    """The label DP at one level, with the base height of the C, C0 and C1
-    labels taken out.
+    """The label DP at one level, held as vectors of counts, with the base
+    height of the C, C0 and C1 labels taken out.
 
     A C, C0 or C1 label of base height b >= 3 has one source, the same
     label with b - 1 one level up, so the label (b, k) at level n is the
-    label (2, k) that entered at level n - b + 2.  The state is:
+    label (2, k) that entered at level n - b + 2.  Pairs are indexed by
+    the rectangular flag; a list of rows holds, at index w - 1, the count
+    vector over r.  The state is:
 
-    * ``rest`` -- the L, S, L0, S0, R and NC labels, keyed as in ``counts``;
+    * ``l``, ``s`` -- the L and S labels, as pairs of lists of rows;
+    * ``l0``, ``s0`` -- the L0 and S0 labels, as vectors over w (index
+      w - 1); ``r`` -- the count of the R label;
+    * ``nc`` -- the NC labels, as a pair of vectors over r (index r);
     * ``history`` -- per level, oldest first, the C, C0 and C1 labels that
-      entered at b = 2 there, keyed (family, w, r, rect); the entry i
-      places from the end has b = i + 1 now;
-    * ``acc`` -- the history summed over levels, so over b;
-    * ``prefix`` -- per level, the history up to that level summed over
-      family and w, keyed (r, rect), with C0 at (0, True) and C1 at
-      (0, False): ``prefix[-j]`` counts the labels with b > j.
+      entered at b = 2 there, as (C rows, rectangular C rows, C0 vector,
+      C1 count); the entry i places from the end has b = i + 1 now;
+    * ``acc``, ``c0``, ``c1`` -- the history summed over levels, so over b;
+    * ``runs`` -- the Left Cell runs L(1, 1, r + j), j < b, of the C, C0
+      and C1 labels, summed over the labels, as a pair of vectors over r;
+      ``runs_total`` is their sum, the R children of those runs.
 
-    A step so costs O(m^2) at level m, not the O(m^3) of the C labels.
+    Lists are never changed once built, so a level's ``counts`` may keep
+    references to them.  A step is a few vector additions over the O(m^2)
+    (w, r) entries at level m, not a dict update per label.
     """
 
     def __init__(self, counts: dict[tuple, int]):
         """Seed the state from any label dict: its C, C0 and C1 labels go
         into the history by base height."""
-        self.rest: dict[tuple, int] = {}
-        by_b: dict[int, dict[tuple, int]] = defaultdict(dict)
+        self.l: tuple[list, list] = ([], [])
+        self.s: tuple[list, list] = ([], [])
+        self.l0: list[int] = []
+        self.s0: list[int] = []
+        self.r = 0
+        self.nc: tuple[list, list] = ([], [])
+        by_b: dict[int, list] = defaultdict(lambda: [[], [], [], 0])
         for (f, b, w, r, rect), x in counts.items():
-            if f in ("C", "C0", "C1"):
-                by_b[b][f, w, r, rect] = x
+            if f in ("C", "L", "S"):
+                pair = by_b[b][:2] if f == "C" else (self.l if f == "L" else self.s)
+                rows = pair[rect]
+                rows.extend([] for _ in range(w - len(rows)))
+                _put(rows[w - 1], r, x)
+            elif f in ("C0", "L0", "S0"):
+                vec = by_b[b][2] if f == "C0" else (self.l0 if f == "L0" else self.s0)
+                _put(vec, w - 1, x)
+            elif f == "C1":
+                by_b[b][3] += x
+            elif f == "R":
+                self.r += x
             else:
-                self.rest[f, b, w, r, rect] = x
-        self.history: list[dict[tuple, int]] = []
-        self.acc: dict[tuple, int] = {}
-        self.keys: dict[tuple, tuple] = {}
-        self.prefix: list[dict[tuple, int]] = []
+                _put(self.nc[rect], r, x)
+        self.history: list[tuple] = []
+        self.acc: tuple[list, list] = ([], [])
+        self.c0: list[int] = []
+        self.c1 = 0
+        self.runs: tuple[list, list] = ([], [])
+        self.runs_total = 0
         for b in range(max(by_b, default=1), 1, -1):
-            self._enter(by_b.get(b, {}))
+            self._enter(*by_b.get(b, ([], [], [], 0)))
 
-    def _enter(self, new: dict[tuple, int]) -> None:
-        """Append the labels entering at b = 2 to the history and sums.
-        The history levels share one key tuple per (family, w, r, rect),
-        so an entry costs its dict slot and count but no tuple of its
-        own."""
-        entry = {}
-        last = self.prefix[-1] if self.prefix else {}
-        if new:
-            last = dict(last)
-            acc, keys = self.acc, self.keys
-            for key, x in new.items():
-                key = keys.setdefault(key, key)
-                entry[key] = x
-                acc[key] = acc.get(key, 0) + x
-                _, _, r, rect = key
-                last[r, rect] = last.get((r, rect), 0) + x
-        self.history.append(entry)
-        self.prefix.append(last)
+    def _enter(self, c_plain: list, c_rect: list, c0: list, c1: int) -> tuple:
+        """Append the labels entering at b = 2 to the history and the sums
+        over b, and return the new C sums per r (the column sums of
+        ``acc``).  Every label of the history with b > j has a Left Cell
+        child L(1, 1, r + j), so one more level shifts the runs by one in
+        r on top of the new history's sum over w: runs' = shift(sum + runs).
+        """
+        self.history.append((c_plain, c_rect, c0, c1))
+        self.acc = (_add(self.acc[0], c_plain, _add), _add(self.acc[1], c_rect, _add))
+        self.c0 = _add(self.c0, c0)
+        self.c1 += c1
+        cols = tuple(reduce(_add, rows, []) for rows in self.acc)
+        # C1 runs start at r = 0 unrectangular, C0 runs at r = 0 rectangular.
+        plain, rect = _add(cols[0], [self.c1]), _add(cols[1], [sum(self.c0)])
+        self.runs = tuple(_trim([0, *_add(p, run)])
+                          for p, run in zip((plain, rect), self.runs))
+        self.runs_total += sum(plain) + sum(rect)
+        return cols
 
     def step(self) -> None:
         """Advance one level: the same multiset as summing ``succ`` over the
-        labels.  The single children are pushed per label of ``rest`` and
-        per key of ``acc``; the C labels' own Row children are the shift of
-        the history.  The runs are range sums: the Left Cell run
-        L(1, r + j), j < b, of C, C0 and C1 is ``prefix[-j]``; the Shift
-        run S(j, r + 1), j <= w, of S0 and S a suffix sum over w; the Nc
-        columns suffix sums of x and r*x over the source parameter r.
-        """
-        nxt: dict[tuple, int] = defaultdict(int)
-        new: dict[tuple, int] = defaultdict(int)    # labels entering at b = 2
-        rows = 0                                    # R(1, 0, 0) children
-        shift: dict[tuple, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        nc = {False: defaultdict(int), True: defaultdict(int)}
-        for j, by_r in enumerate(reversed(self.prefix), 1):
-            for (r, rect), x in by_r.items():       # L(1, r + j) of b > j
-                nxt["L", 1, 1, r + j, rect] += x
-                rows += x                           # one R per Left Cell child
-        for (f, w, r, rect), x in self.acc.items():
-            if f == "C":
-                nxt["L", 1, w + 1, r, rect] += x
-                nxt["S", 1, w, 0, False] += x
-                if r:
-                    nc[rect][r] += x
-            elif f == "C0":
-                nxt["L0", 1, w + 1, 0, True] += x
-                nxt["S0", 1, w + 1, 0, True] += x
-            else:  # C1: its Left Cell run starts at L(1, 0), one R more
-                nxt["L", 1, 1, 0, False] += x
-                rows += x
-        for (f, b, w, r, rect), x in self.rest.items():
-            if f == "S":
-                nxt["L", 1, w + 1, r, rect] += x
-                nxt["S", 1, w, 0, False] += x
-                new["C", w, r, rect] += x
-                shift[r + 1, rect][w] += x          # S(j, r + 1), j = 1..w
-            elif f == "L":
-                nxt["L", 1, w + 1, r, rect] += x
-                new["C", w, r, rect] += x
-            elif f == "NC":
-                if rect:
-                    nxt["NC", 1, 0, r + 1, True] += x
-            elif f == "L0":
-                nxt["L0", 1, w + 1, 0, True] += x
-                new["C0", w, 0, True] += x
-            elif f == "S0":
-                nxt["L0", 1, w + 1, 0, True] += x
-                nxt["S0", 1, w + 1, 0, True] += x
-                new["C0", w, 0, True] += x
-                if w > 1:
-                    shift[1, True][w - 1] += x      # S(j, 1), j = 1..w-1
-            else:  # R
-                nxt["L", 1, 1, 0, False] += x
-                new["C1", 0, 0, False] += x
-                rows += x
-            if r:  # only the L, S and NC families have r > 0 here
-                nc[rect][r] += x
+        labels, with each production applied to whole rows:
 
-        if rows:
-            nxt["R", 1, 0, 0, False] += rows
-        # Shift runs: S(j, r) counts every source with w >= j, a suffix sum.
-        for (r, rect), by_w in shift.items():
-            acc = 0
-            for w in range(max(by_w), 0, -1):
-                acc += by_w.get(w, 0)
-                nxt["S", 1, w, r, rect] += acc
+        * L(w + 1, r) sums the L, S and C rows at w, which is the row w of
+          ``acc`` once the new C labels (the L and S rows) are in; the same
+          holds for L0 and C0; L(1, r) is the Left Cell run, plus the C1
+          and R labels at r = 0;
+        * S(w, 0) sums the C and S rows at w over r; the Shift run
+          S(j, r + 1), j <= w, of S is the suffix sum of the S rows over
+          w, shifted by one in r, and S0(w) counts as an S row at w - 1
+          with r = 0;
+        * the Nc columns read the column sums of the new ``acc`` and the NC
+          vectors: suffix sums of x and r*x over the source parameter r.
+        """
+        l, s, acc = self.l, self.s, self.acc
+        left = (_add(self.runs[0], [self.c1 + self.r]), self.runs[1])
+        r_next = self.runs_total + self.c1 + self.r     # one R per Left Cell child
+        firsts = reduce(_add, [list(map(sum, by_w)) for by_w in (*s, *acc)])  # S(w, 0)
+        shifts = []     # the Shift runs; S0(w) joins as a rectangular S row at w - 1
+        for by_w in (s[0], _add(s[1], [[x] for x in self.s0[1:]], _add)):
+            run, out = [], []
+            for row in reversed(by_w):
+                run = _add(row, run)
+                out.append([0, *run])
+            out.reverse()
+            shifts.append(out)
+        new_c0 = _add(self.l0, self.s0)
+        self.s0 = [0, *_add(self.c0, self.s0)]
+        cols = self._enter(_add(l[0], s[0], _add), _add(l[1], s[1], _add),
+                           new_c0, self.r)
+        self.l = ([left[0], *self.acc[0]], [left[1], *self.acc[1]])
+        self.s = (_add(shifts[0], [[x] for x in firsts], _add), shifts[1])
+        self.l0 = [0, *self.c0]
+        self.r = r_next
         # Nc columns (see _nc_part): a source of parameter r and weight x gives
         # each r' <= r x(r - r') non-rectangular children, x more when it is
         # non-rectangular, and x rectangular ones when it is rectangular.  With
         # suffix sums over r >= r' of x and r*x, that is n1 - r'*n0 + n_plain.
-        plain, top = nc[False], nc[True]
+        nc_plain, nc_rect = _add(cols[0], self.nc[0]), _add(cols[1], self.nc[1])
+        n = max(len(nc_plain), len(nc_rect))
+        nc_plain += [0] * (n - len(nc_plain))
+        nc_rect += [0] * (n - len(nc_rect))
+        plain, top = [0] * n, [0] * n
         n0 = n1 = n_plain = n_top = 0
-        for rp in range(max(plain.keys() | top.keys(), default=0), 0, -1):
-            a, t = plain.get(rp, 0), top.get(rp, 0)
+        for rp in range(n - 1, 0, -1):
+            a, t = nc_plain[rp], nc_rect[rp]
             n0 += a + t
             n1 += rp * (a + t)
             n_plain += a
             n_top += t
-            if n_top:
-                nxt["NC", 1, 0, rp, True] += n_top
-            if n1 - rp * n0 + n_plain:
-                nxt["NC", 1, 0, rp, False] += n1 - rp * n0 + n_plain
-        self.rest = dict(nxt)
-        self._enter(new)
+            plain[rp] = n1 - rp * n0 + n_plain
+            top[rp] = n_top
+        # A rectangular NC label also grows one cell on top: NC(r + 1).
+        self.nc = (plain, _add(top, [0, *self.nc[1]]))
+
+    def _state(self) -> tuple:
+        return self.l, self.s, self.l0, self.s0, self.r, self.nc
 
     def counts(self) -> dict[tuple, int]:
         """The label dict of the current level."""
-        return _expand(self.rest, self.history, len(self.history))
+        return _expand(self._state(), self.history, len(self.history))
 
     def level(self, n: int) -> LabelLevel:
-        """The current level as level n: totals from ``rest`` and ``acc``,
-        ``counts`` built from the history on first read."""
-        total, centered, nc, rect, nc_rect = _totals(self.rest.items())
-        c = sum(self.acc.values())
-        c_rect = sum(x for (_, _, _, rc), x in self.acc.items() if rc)
+        """The current level as level n: totals from row sums, ``counts``
+        built from the history on first read."""
+        l_plain, l_rect, s_plain, s_rect, c_plain, c_rect = (
+            sum(map(sum, by_w)) for by_w in (*self.l, *self.s, *self.acc))
+        nc, nc_rect = sum(self.nc[0]) + sum(self.nc[1]), sum(self.nc[1])
+        rect = (l_rect + s_rect + c_rect + sum(self.l0) + sum(self.s0)
+                + sum(self.c0) + nc_rect)
+        total = rect + l_plain + s_plain + c_plain + self.c1 + self.r + nc - nc_rect
         return LabelLevel(
             n,
-            partial(_expand, self.rest, self.history, len(self.history)),
-            (total + c, centered + c, nc, rect + c_rect, nc_rect),
+            partial(_expand, self._state(), self.history, len(self.history)),
+            (total, total - nc, nc, rect, nc_rect),
         )
 
 
@@ -653,12 +696,12 @@ def levels(max_size: int) -> Iterator[LabelLevel]:
 
     Yields one LabelLevel per size 2..max_size, each computed only when
     asked for; the totals per level are the numbers of ascending
-    polyominoes.  A step at level m costs O(m^2), by ``_LabelDP``, and
-    the totals come from its sums; a level's ``counts`` is built from
-    the history only when read.  The state holds the level's L, S, L0,
-    S0, R and NC labels and, as the history, each C, C0 and C1 label
-    once: about as many entries as the level has labels.  Raises
-    ValueError below 2.
+    polyominoes.  A step at level m is O(m^2) vector additions over rows
+    of counts, by ``_LabelDP``, and the totals are row sums; a level's
+    ``counts`` is built from the vectors and the history only when read.
+    The state holds the level's L, S, L0, S0, R and NC counts and, as the
+    history, each C, C0 and C1 count once, in lists of counts rather than
+    dict entries.  Raises ValueError below 2.
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2")

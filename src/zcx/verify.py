@@ -14,16 +14,15 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from typing import NamedTuple
 
 from . import classify, gentree, series
 from .enumerate import all_convex
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     description: str
     passed: bool
     witness: str | None = None
@@ -35,11 +34,28 @@ class CheckResult:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    elapsed: float = 0.0
+    """The checks of one suite in the order they ran, and its run time.
+    Reports are equal when their suites, checks and times are."""
+
+    __slots__ = ("suite", "checks", "elapsed")
+    __hash__ = None     # mutable
+
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None,
+                 elapsed: float = 0.0):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is not SuiteReport:
+            return NotImplemented
+        return ((self.suite, self.checks, self.elapsed)
+                == (other.suite, other.checks, other.elapsed))
+
+    def __repr__(self) -> str:
+        return (f"SuiteReport(suite={self.suite!r}, checks={self.checks!r},"
+                f" elapsed={self.elapsed!r})")
 
     @property
     def passed(self) -> bool:

@@ -339,7 +339,8 @@ _FOOTPRINT = (
     "if sys.argv[1:]:\n"
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        assert cli.main(sys.argv[1:]) == 0\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'zcx')))\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m.split('.')[0] == 'zcx' or m == 'dataclasses')))\n"
 )
 
 
@@ -350,7 +351,9 @@ _FOOTPRINT = (
     (["gentree", "--max-size", "4", "--mode", "labels"], {"core", "gentree"}),
     (["enumerate", "--size", "4"], {"core", "enumerate"}),
     (["render", "--encoding", "0-1;1-1"], {"core"}),
-], ids=["import", "series", "census", "gentree", "enumerate", "render"])
+    (["verify", "--suite", "structure", "--max-size", "4"],
+     {"classify", "core", "enumerate", "gentree", "series", "verify"}),
+], ids=["import", "series", "census", "gentree", "enumerate", "render", "verify"])
 def test_each_command_imports_only_its_modules(argv, loaded):
     # A fresh interpreter: this process has imported every module already.
     src_dir = os.path.dirname(os.path.dirname(zcx.__file__))
@@ -358,4 +361,7 @@ def test_each_command_imports_only_its_modules(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     expected = {"zcx", "zcx.cli"} | {f"zcx.{m}" for m in loaded}
-    assert set(proc.stdout.split()) == expected
+    modules = set(proc.stdout.split())
+    # ``import dataclasses`` alone costs more than 10 ms (it loads inspect).
+    assert "dataclasses" not in modules
+    assert modules == expected

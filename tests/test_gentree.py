@@ -364,6 +364,25 @@ def test_step_equals_succ_label_by_label():
         assert dp.counts() == want, lab
 
 
+def _five_totals(lv):
+    return (lv.total, lv.centered_total, lv.non_centered_total,
+            lv.rectangular_total, lv.non_centered_rectangular_total)
+
+
+def test_dp_resumed_from_a_whole_level_equals_levels():
+    """A whole level seeds the history, the sums over b and the Left Cell
+    runs from C labels of every base height at once, which neither the
+    root nor a single label does."""
+    want = list(levels(20))
+    for k in range(2, 13):
+        dp = _LabelDP(want[k - 2].counts)
+        for n in range(k + 1, k + 9):
+            dp.step()
+            got = dp.level(n)
+            assert got == want[n - 2], (k, n)
+            assert _five_totals(got) == _five_totals(want[n - 2]), (k, n)
+
+
 def test_count_levels_equals_succ_expansion_to_24():
     for got, want in zip(count_levels(24), _succ_dp(24), strict=True):
         assert got == want, got.level
