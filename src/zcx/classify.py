@@ -18,11 +18,18 @@ to a few greedy walks:
   turn count is the smaller run count of two greedy walks, one per first
   heading, minus one; an empty first run is covered by the other heading.
 
-Every run after the first moves at least one cell, so a walk takes at most
-rows + width runs; the kernel raises AssertionError past that bound.  A NW
-walk on the mirror image is a NE walk, so one kernel serves both
-directions.  The tests check the kernel against a plain breadth-first
-oracle over all cell pairs.
+Only the maximum over the pairs is wanted, so the kernel prunes by it.  It
+walks north first to the end; if that walk needs no more turns than the
+best pair so far, the pair cannot raise the maximum and the east-first
+walk is skipped, and otherwise the east-first walk stops once it is no
+shorter than the north-first one.  The targets are scanned right to left,
+the far columns first, which raises the maximum early (about 11 % fewer
+east-first walks than left to right up to size 10).  Every run after the
+first moves at least one cell, so a walk takes at most rows + width runs;
+the north-first walk raises AssertionError past that bound, and the
+east-first walk, capped by it, stays within it.  A NW walk on the mirror
+image is a NE walk, so one kernel serves both directions.  The tests check
+the kernel against a plain breadth-first oracle over all cell pairs.
 
 The census (:func:`census`) builds no objects.  It walks the raw row tuples
 of the blocks with r rows <= c columns and validates each one.  The mirror,
@@ -68,36 +75,49 @@ def _column_ends(rows: tuple[tuple[int, int], ...],
 
 def _ne_max_turns(rows: tuple[tuple[int, int], ...], bottom: list[int],
                   top: list[int]) -> int:
-    """Largest minimal turn count over NE-reachable cell pairs, from two
-    greedy walks per (bottom of column i, top of column j) pair; see the
-    module docstring for why these walks suffice.  ``bottom`` and ``top``
-    are the column ends of ``rows`` (:func:`_column_ends`)."""
+    """Largest minimal turn count over NE-reachable cell pairs, from at
+    most two greedy walks per (bottom of column i, top of column j) pair,
+    pruned by the running maximum; see the module docstring for why these
+    walks suffice.  ``bottom`` and ``top`` are the column ends of ``rows``
+    (:func:`_column_ends`)."""
     width = len(bottom)
     limit = len(rows) + width  # runs after the first are never empty
     best = 0
     for i in range(width):
         y0 = bottom[i]
-        for j in range(i + 1, width):
+        for j in range(width - 1, i, -1):
             ty = top[j]
             if ty < y0:
                 continue
-            turns = limit
-            for north in (True, False):
-                x, y, runs = i, y0, 0
-                while x != j or y != ty:
-                    # a ternary, not min(): this loop is the census hot spot
-                    if north:
-                        y = top[x] if top[x] < ty else ty
-                    else:
-                        x = rows[y][1] if rows[y][1] < j else j
-                    north = not north
-                    runs += 1
-                    if runs > limit:
-                        raise AssertionError(f"greedy walk stuck at {(x, y)}")
-                if runs - 1 < turns:
-                    turns = runs - 1
-            if turns > best:
-                best = turns
+            # North first, to the end: the pair needs at most runs - 1
+            # turns.  Ternaries, not min(): this is the census hot spot.
+            x, y, runs = i, y0, 0
+            while True:
+                y = top[x] if top[x] < ty else ty
+                runs += 1
+                if x == j and y == ty:
+                    break
+                x = rows[y][1] if rows[y][1] < j else j
+                runs += 1
+                if x == j and y == ty or runs > limit:
+                    break
+            if runs > limit:
+                raise AssertionError(f"greedy walk stuck at {(x, y)}")
+            if runs - 1 <= best:
+                continue
+            # East first, only while it is shorter than the north walk.
+            x, y, east = i, y0, 0
+            while east < runs:
+                x = rows[y][1] if rows[y][1] < j else j
+                east += 1
+                if x == j and y == ty or east == runs:
+                    break
+                y = top[x] if top[x] < ty else ty
+                east += 1
+                if x == j and y == ty:
+                    break
+            if east - 1 > best:
+                best = east - 1
     return best
 
 
@@ -351,10 +371,10 @@ class CensusRow:
 
 
 # The smallest size whose census pays for worker processes.  On a 2-core VM
-# with Python 3.11, timed alternately, the census at 9 takes 0.10-0.15 s on
-# one worker and 0.37-0.41 s with a pool of two spawned workers started for
-# it, at 10 0.61-0.87 s against 0.56-0.82 s, and at 11 2.2-3.0 s against
-# 1.7-2.0 s.
+# with Python 3.11, timed alternately, the census at 9 takes 0.04-0.07 s on
+# one worker and 0.16-0.25 s with a pool of two spawned workers started for
+# it, at 10 0.32-0.47 s against 0.32-0.51 s (medians equal), and at 11
+# 1.0-1.8 s against 0.63-0.96 s.
 POOL_MIN_SIZE = 10
 
 
@@ -362,8 +382,9 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
     """Census of the (r, c) shapes whose bottom row is ``first``, and for
     r < c of their transposes, the (c, r) shapes, read off the raw row
     tuples one symmetry orbit at a time; see :func:`census`.  The tests are
-    those of the predicates above, written again over the rows."""
-    counts: Counter[Signature] = Counter()
+    those of the predicates above, written again over the rows.  The
+    counts are keyed by plain tuples, made ``Signature`` keys at the end."""
+    counts: Counter[tuple] = Counter()    # Signature fields, as tuples
     w = c - 1
     # The mirror of a bottom row right of centre starts further left, so a
     # task with such a bottom row holds no orbit representative.
@@ -372,8 +393,11 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
         check_rows(rows)
         if not has_reps:
             continue
+        # The flip and (by its bottom row) the rotation before the mirror
+        # is built: most tuples that are not representatives stop here.
         flip = rows[::-1]
-        if flip < rows:
+        (l0, r0), (lt, rt) = rows[0], rows[-1]
+        if flip < rows or (w - rt, w - lt) < (l0, r0):
             continue
         mir = tuple((w - b, w - a) for a, b in rows)
         rot = mir[::-1]
@@ -382,61 +406,74 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
         bottom, top = _column_ends(rows, c)
         ne = _ne_max_turns(rows, bottom, top)
         nw = _ne_max_turns(mir, bottom[::-1], top[::-1])
-        # Four-stack as in is_four_stack.  The lefts are valley- and the
-        # rights mountain-unimodal, so the inside extrema of rows i..j are
-        # those of rows i and j.
-        pre_l, pre_r = [_INF], [-_INF]
-        for a, b in rows:
-            pre_l.append(a if a < pre_l[-1] else pre_l[-1])
-            pre_r.append(b if b > pre_r[-1] else pre_r[-1])
-        suf_l, suf_r = [_INF] * (r + 1), [-_INF] * (r + 1)
-        for k in range(r - 1, -1, -1):
-            a, b = rows[k]
-            suf_l[k] = a if a < suf_l[k + 1] else suf_l[k + 1]
-            suf_r[k] = b if b > suf_r[k + 1] else suf_r[k + 1]
-        four_stack = False
-        for i in range(r):
-            li, ri = rows[i]
-            for j in range(i, r):
-                lj, rj = rows[j]
-                a = li if li > lj else lj
-                b = ri if ri < rj else rj
-                if (a <= b and a <= pre_l[i] and a <= suf_l[j + 1]
-                        and pre_r[i] <= b and suf_r[j + 1] <= b):
-                    four_stack = True
-                    break
-            if four_stack:
-                break
-        centered = any(a == 0 and b == w for a, b in rows)
+        # Four-stack as in is_four_stack: some rows i..j whose common
+        # columns hold every other row.  A full-width row is one; without
+        # one, rows i..j must hold every row at column 0 or w (an outside
+        # one would put i..j at its wall, and then some row at both), so
+        # i <= i_hi and j >= j_lo.  Rows 0..i_hi widen upward and rows
+        # j_lo.. narrow, so the other rows fit iff row i - 1 lies within
+        # row j and row j + 1 within row i, and rows i and j overlap.
+        centered = four_stack = (0, w) in rows
+        if not centered:
+            lefts, rights = [a for a, _ in rows], [b for _, b in rows]
+            i_hi = min(lefts.index(0), rights.index(w))
+            j_lo = r - 1 - min(lefts[::-1].index(0), rights[::-1].index(w))
+            four_stack = any(
+                li <= rj and lj <= ri
+                and (i == 0 or lj <= lefts[i - 1] and rights[i - 1] <= rj)
+                and (j == r - 1 or li <= lefts[j + 1] and rights[j + 1] <= ri)
+                for i, (li, ri) in enumerate(rows[:i_hi + 1])
+                for j, (lj, rj) in enumerate(rows[j_lo:], j_lo))
         # The transpose is centered iff some column is full height, that is
         # iff the bottom and top rows overlap.
-        (l0, r0), (lt, rt) = rows[0], rows[-1]
         full_column = max(l0, lt) <= min(r0, rt)
         # Equal images carry equal degrees, so the dict counts each once.
         images = {rows: (ne, nw), mir: (nw, ne), flip: (nw, ne), rot: (ne, nw)}
         for img, (img_ne, img_nw) in images.items():
-            # Ascending: no higher row strictly NW-shifted from a lower one;
-            # descending: none strictly NE-shifted (ascending of the mirror).
-            ascending = descending = True
-            for j in range(1, r):
-                lj, rj = img[j]
-                for i in range(j):
-                    li, ri = img[i]
-                    if lj < li:
-                        if rj < ri:
-                            ascending = False
-                    elif lj > li and rj > ri:
-                        descending = False
-            directed = img[0][0] == 0 and all(
-                x[0] <= y[0] for x, y in zip(img, img[1:]))
+            # One pass for directed convex (bottom row at column 0, lefts
+            # never fall), ascending (no row strictly NW-shifted from a
+            # lower one) and descending (none strictly NE-shifted), linear
+            # as in gentree._label_rows: the rows are convex, so a row is
+            # NW-shifted iff its right is below ``bound``, the largest right
+            # of the lower rows with a larger left.  Descending swaps the
+            # roles of lefts and rights.
+            a, b = img[0]
+            directed, ascending, descending = a == 0, True, True
+            falls, rises = [], []
+            bound, dbound, hi, lo = -1, c, b, a
+            for a1, b1 in img[1:]:
+                if a1 < a:
+                    directed = False
+                    falls.append((a, hi))
+                    bound = hi
+                elif a1 > a:
+                    while falls and falls[-1][0] <= a1:
+                        falls.pop()
+                    bound = falls[-1][1] if falls else -1
+                if b1 > b:
+                    rises.append((b, lo))
+                    dbound = lo
+                elif b1 < b:
+                    while rises and rises[-1][0] >= b1:
+                        rises.pop()
+                    dbound = rises[-1][1] if rises else c
+                if b1 < bound:
+                    ascending = False
+                if a1 > dbound:
+                    descending = False
+                if b1 > hi:
+                    hi = b1
+                if a1 < lo:
+                    lo = a1
+                a, b = a1, b1
             top_rect = img[-1][1] == w
-            counts[Signature(img_ne, img_nw, centered, four_stack, ascending,
-                             descending, directed, top_rect)] += 1
+            counts[img_ne, img_nw, centered, four_stack, ascending,
+                   descending, directed, top_rect] += 1
             if r < c:
-                counts[Signature(img_ne, img_nw, full_column, four_stack,
-                                 ascending, descending, directed,
-                                 top_rect)] += 1
-    return CensusRow(r + c, counts)
+                counts[img_ne, img_nw, full_column, four_stack, ascending,
+                       descending, directed, top_rect] += 1
+    return CensusRow(r + c, Counter(
+        {Signature._make(key): v for key, v in counts.items()}))
 
 
 class _SpawnPool:
@@ -521,7 +558,7 @@ def census(n: int, pool: Any = None) -> CensusRow:
     run = pool.map if pool is not None and n >= POOL_MIN_SIZE else map
     out = CensusRow(n)
     for part in run(_census_task, *zip(*tasks)):
-        out = out.merge(part)
+        out.counts.update(part.counts)
     out.validate()
     return out
 

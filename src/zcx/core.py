@@ -127,33 +127,33 @@ def from_rows(intervals) -> Polyomino:
 
 def check_rows(rows) -> None:
     """Raise Disconnected or NotConvex unless consecutive rows overlap and
-    every column is an interval; the rows must be nonempty intervals."""
-    for (l0, r0), (l1, r1) in zip(rows, rows[1:]):
+    every column is an interval; the rows must be nonempty intervals.
+
+    Columns are intervals iff the left endpoints are valley-unimodal
+    (non-increasing then non-decreasing) and the right endpoints are
+    mountain-unimodal; a violation pins down a non-contiguous column.  One
+    pass checks every overlap and notes the first gap at each end; a gap
+    is reported after all overlaps, a left one before a right one."""
+    if not rows:
+        return
+    left_gap = right_gap = None
+    rising = falling = False
+    l0, r0 = rows[0]
+    for l1, r1 in rows[1:]:
         if l1 > r0 or l0 > r1:
-            raise Disconnected(
-                f"rows {l0}-{r0} and {l1}-{r1} do not overlap"
-            )
-    _check_column_intervals(rows)
-
-
-def _check_column_intervals(rows) -> None:
-    # Columns are intervals iff the left endpoints are valley-unimodal
-    # (non-increasing then non-decreasing) and the right endpoints are
-    # mountain-unimodal; a violation pins down a non-contiguous column.
-    lefts = [l for l, _ in rows]
-    rights = [r for _, r in rows]
-    rising = False
-    for a, b in zip(lefts, lefts[1:]):
-        if b > a:
+            raise Disconnected(f"rows {l0}-{r0} and {l1}-{r1} do not overlap")
+        if l1 > l0:
             rising = True
-        elif b < a and rising:
-            raise NotConvex(f"column {b} occupied on both sides of a gap")
-    falling = False
-    for a, b in zip(rights, rights[1:]):
-        if b < a:
+        elif l1 < l0 and rising and left_gap is None:
+            left_gap = l1
+        if r1 < r0:
             falling = True
-        elif b > a and falling:
-            raise NotConvex(f"column {b} occupied on both sides of a gap")
+        elif r1 > r0 and falling and right_gap is None:
+            right_gap = r1
+        l0, r0 = l1, r1
+    gap = right_gap if left_gap is None else left_gap
+    if gap is not None:
+        raise NotConvex(f"column {gap} occupied on both sides of a gap")
 
 
 def size(p: Polyomino) -> int:

@@ -4,10 +4,13 @@ A convex polyomino with r rows and c columns (r + c = n) is a sequence of
 row intervals whose left endpoints are valley-unimodal, whose right
 endpoints are mountain-unimodal, with consecutive rows overlapping, some
 left endpoint equal to 0 and some right endpoint equal to c-1.  The
-generator walks this space row by row, abandoning a prefix as soon as the
-required column span can no longer be reached: once the left endpoints have
-started rising they can never return to 0, and once the right endpoints
-have started falling they can never reach c-1.
+generator walks this space depth first, row by row, in one loop over an
+explicit stack of prefixes, so each tuple passes through one generator
+frame rather than one per row.  A prefix is dropped as soon as the required
+column span can no longer be reached: once the left endpoints have started
+rising they can never return to 0, and once the right endpoints have
+started falling they can never reach c-1.  The last row is chosen in place,
+reaching column 0 or c-1 where the prefix has not.
 
 Every shape that reaches a census or a listing is re-validated, so a slip
 in the unimodality characterization would surface as an exception rather
@@ -28,41 +31,42 @@ def _block_intervals(
     r: int, c: int, first: tuple[int, int] | None = None
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """All convex interval sequences with exactly r rows and c columns; with
-    ``first``, only those whose bottom row is that interval."""
-    out_rows: list[tuple[int, int]] = []
-
-    def rec(prev_l, prev_r, l_rising, r_falling, min_l, max_r):
-        depth = len(out_rows)
-        if depth == r:
-            if min_l == 0 and max_r == c - 1:
-                yield tuple(out_rows)
-            return
-        # Feasibility: endpoints that can no longer move toward the walls.
-        if l_rising and min_l > 0:
-            return
-        if r_falling and max_r < c - 1:
-            return
-        lo_l = prev_l if l_rising else 0
-        for l2 in range(lo_l, prev_r + 1):
-            next_l_rising = l_rising or l2 > prev_l
-            hi_r = prev_r if r_falling else c - 1
-            for r2 in range(max(l2, prev_l), hi_r + 1):
-                next_r_falling = r_falling or r2 < prev_r
-                out_rows.append((l2, r2))
-                yield from rec(
-                    l2,
-                    r2,
-                    next_l_rising,
-                    next_r_falling,
-                    min(min_l, l2),
-                    max(max_r, r2),
-                )
-                out_rows.pop()
-
+    ``first``, only those whose bottom row is that interval, in walk order.
+    The stack holds (rows, min left, max right, lefts rising, rights
+    falling) per prefix; children are pushed in reverse so that they pop
+    in order."""
+    w = c - 1
     for l0, r0 in [first] if first else first_rows(c):
-        out_rows.append((l0, r0))
-        yield from rec(l0, r0, False, False, l0, r0)
-        out_rows.pop()
+        stack = [(((l0, r0),), l0, r0, False, False)]
+        while stack:
+            rows, mn, mx, rising, falling = stack.pop()
+            pl, pr = rows[-1]
+            hi = pr if falling else w
+            if len(rows) == r:
+                if mn == 0 and mx == w:
+                    yield rows
+            elif len(rows) == r - 1:
+                # The last row must reach the walls the prefix missed.
+                lefts = range(pl if rising else 0, pr + 1) if mn == 0 else (0,)
+                for l2 in lefts:
+                    if mx == w:
+                        for r2 in range(l2 if l2 > pl else pl, hi + 1):
+                            yield rows + ((l2, r2),)
+                    else:
+                        yield rows + ((l2, w),)
+            else:
+                kids = []
+                for l2 in range(pl if rising else 0, pr + 1):
+                    up = rising or l2 > pl
+                    if up and mn > 0 and l2 > 0:
+                        continue    # the lefts can no longer reach 0
+                    for r2 in range(l2 if l2 > pl else pl, hi + 1):
+                        down = falling or r2 < pr
+                        if down and mx < w and r2 < w:
+                            continue
+                        kids.append((rows + ((l2, r2),), mn if mn < l2 else l2,
+                                     mx if mx > r2 else r2, up, down))
+                stack += reversed(kids)
 
 
 def first_rows(c: int) -> list[tuple[int, int]]:

@@ -14,6 +14,7 @@ from zcx.core import (
     NotConvex,
     Polyomino,
     PolyominoError,
+    check_rows,
     decode,
     from_rows,
     mirror,
@@ -88,6 +89,44 @@ def test_from_rows_not_convex():
         from_rows([(0, 1), (1, 1), (0, 1)])
     with pytest.raises(NotConvex):
         from_rows([(0, 1), (0, 0), (0, 1)])
+
+
+# Bad row lists, with the exception and message the checks raise: every
+# overlap is checked before any column, a left-end gap is named before a
+# right-end gap, and the first gap at an end is the one named.
+FAULTS = [
+    pytest.param([(0, 1), (1, 1), (0, 1), (3, 3)], Disconnected,
+                 "rows 0-1 and 3-3 do not overlap",
+                 id="left-gap-then-disconnection"),
+    pytest.param([(0, 1), (0, 0), (0, 1), (2, 2)], Disconnected,
+                 "rows 0-1 and 2-2 do not overlap",
+                 id="right-gap-then-disconnection"),
+    pytest.param([(0, 0), (2, 2)], Disconnected,
+                 "rows 0-0 and 2-2 do not overlap", id="disconnection"),
+    pytest.param([(0, 3), (0, 2), (0, 3), (1, 3), (0, 3)], NotConvex,
+                 "column 0 occupied on both sides of a gap",
+                 id="right-gap-below-left-gap"),
+    pytest.param([(0, 2), (1, 1), (0, 2)], NotConvex,
+                 "column 0 occupied on both sides of a gap",
+                 id="both-gaps-on-one-row"),
+    pytest.param([(0, 3), (0, 1), (0, 2), (0, 1), (0, 3)], NotConvex,
+                 "column 2 occupied on both sides of a gap",
+                 id="two-right-gaps"),
+    pytest.param([(3, 4), (0, 4), (2, 4), (1, 4), (0, 4)], NotConvex,
+                 "column 1 occupied on both sides of a gap",
+                 id="two-left-gaps"),
+    pytest.param([(1, 3), (0, 2), (1, 3)], NotConvex,
+                 "column 3 occupied on both sides of a gap", id="right-gap"),
+]
+
+
+@pytest.mark.parametrize("rows, error, message", FAULTS)
+def test_row_checks_keep_their_fault_order(rows, error, message):
+    # The census checks row tuples; from_rows checks a list.
+    for check, arg in ((check_rows, tuple(rows)), (from_rows, rows)):
+        with pytest.raises(PolyominoError) as info:
+            check(arg)
+        assert info.type is error and str(info.value) == message
 
 
 def test_size_examples():

@@ -6,7 +6,14 @@ from collections import deque
 from itertools import product
 
 from zcx.core import size
-from zcx.enumerate import all_convex, block_polyominoes, blocks, count_convex
+from zcx.enumerate import (
+    _block_intervals,
+    all_convex,
+    block_polyominoes,
+    blocks,
+    count_convex,
+    first_rows,
+)
 from zcx.series import gf
 
 
@@ -109,3 +116,20 @@ def test_block_partition_is_a_partition():
         union += [p.encode() for p in block_polyominoes(r, c)]
     assert sorted(union) == sorted(p.encode() for p in all_convex(n))
     assert len(union) == len(set(union))
+
+
+def test_bottom_row_split_is_the_block_walk_in_order():
+    # The census splits each block into one task per bottom row.  The walk
+    # takes each row's left, then its right, in increasing order, so it
+    # yields the row tuples in lexicographic order.
+    for n in range(2, 11):
+        for r, c in blocks(n):
+            whole = list(_block_intervals(r, c))
+            assert whole == sorted(whole), (r, c)
+            parts = []
+            for first in first_rows(c):
+                part = list(_block_intervals(r, c, first))
+                assert all(rows[0] == first for rows in part), (r, c, first)
+                parts += part
+            assert parts == whole, (r, c)
+            assert len(set(whole)) == len(whole), (r, c)
