@@ -18,7 +18,7 @@ _HOMES = {
         "InvalidLabel", "NotAscending", "TreeLabel", "children",
         "count_levels", "label_of", "parent", "succ",
     ),
-    "series": ("Series", "gf", "h_formula", "rect_formula", "scalar_gf"),
+    "series": ("Series", "gf", "h_formula", "rect_formula"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 _SUBMODULES = ("core", "classify", "enumerate", "gentree", "series", "verify", "cli")

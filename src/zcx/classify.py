@@ -494,8 +494,16 @@ class _SpawnPool:
     def map(self, fn, *iterables):
         if self.executor is None:
             import multiprocessing as mp
+            import os
+            import sys
             from concurrent.futures import ProcessPoolExecutor
 
+            # A spawned worker imports the main script from its file.
+            path = getattr(sys.modules["__main__"], "__file__", None)
+            if path is not None and not os.path.isfile(path):
+                raise ValueError(
+                    f"census workers cannot import the main script {path!r}:"
+                    " it names no file; save the script to a file and run that")
             spawn = mp.get_context("spawn")
             self.executor = ProcessPoolExecutor(self.workers, mp_context=spawn)
         return self.executor.map(fn, *iterables)
@@ -510,6 +518,9 @@ def census_pool(workers: int) -> ContextManager[Any]:
     ``if __name__ == "__main__":`` guard; without it each worker runs the
     script again while it starts, fails, and the census raises
     ``BrokenProcessPool`` instead of waiting for a worker that never comes.
+    A script read from stdin (``python - <<EOF``) names no file the
+    workers could import, guard or not: the first census that maps over
+    the pool raises ValueError before any process starts.
     """
     return contextlib.nullcontext() if workers < 2 else _SpawnPool(workers)
 

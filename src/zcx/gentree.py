@@ -52,16 +52,18 @@ Both read the label, the base position and the last column from
 ``_label_rows``, and pick operations by family, as ``succ`` does.  That
 labeller works on a raw row tuple: in one pass it checks the rows convex,
 tests them ascending and reads the label, and it validates each distinct
-label once.  The growth step ``_grow`` and the parent step
-``_parent_rows`` also work on rows.  ``walk`` visits the tree of actual
-polyominoes depth first, holding one root path rather than a level.  It
-labels each shape once, from its rows when the shape is made, and grows
-it from that label with the same growth step as ``children``.
-``constructive_levels`` counts the labels it carries, which the gentree
-and refined suites read, and the gentree suite checks each edge with the
-parent step on the label the walk carries for the child.  ``children``,
-``label_of`` and ``parent`` stay the per-shape oracles, and the tests
-check that the walk, the enumerator and the label DP agree level by level.
+label once.  The parent step ``_parent_rows`` also works on rows, and so
+does the one grow-and-label step ``_kids``: it makes the children's rows
+with ``_grow`` and labels each child with ``_label_rows``.  ``walk``
+visits the tree depth first on row tuples, holding one root path rather
+than a level and building no Polyomino.  It labels each shape once, when
+``_kids`` makes it, and grows it from that label with the same step as
+``children``.  ``constructive_levels`` counts the labels it carries,
+which the gentree and refined suites read, and the gentree suite checks
+each edge with the parent step on the label the walk carries for the
+child.  ``children``, ``label_of`` and ``parent`` stay the per-shape
+oracles, and the tests check that the walk, the enumerator and the label
+DP agree level by level.
 """
 
 from __future__ import annotations
@@ -242,22 +244,28 @@ def children(p: Polyomino) -> list[tuple[str, Polyomino]]:
     """All ascending polyominoes of the next size grown from p, tagged by
     operation, in deterministic order.  The label decides which operations
     apply, as in ``succ``; each child is checked by labelling it."""
-    grown = _grow(p, *_label_rows(p.rows))
-    for _, rows in grown:
-        _label_rows(rows)
-    return [(op, Polyomino(rows)) for op, rows in grown]
+    return [(op, Polyomino(rows))
+            for op, rows, *_ in _kids(p.rows, *_label_rows(p.rows))]
+
+
+def _kids(
+    rows: tuple, label: TreeLabel, top: int, last: int
+) -> list[tuple[str, tuple, TreeLabel, int, int]]:
+    """The (operation, rows, label, top, last) of each child of the shape
+    with these rows, label, top row and last column: ``_grow`` makes the
+    rows and ``_label_rows`` checks and labels each child."""
+    return [(op, kid, *_label_rows(kid)) for op, kid in _grow(rows, label, top, last)]
 
 
 def _grow(
-    p: Polyomino, label: TreeLabel, top: int, last: int
+    rows: tuple, label: TreeLabel, top: int, last: int
 ) -> list[tuple[str, tuple]]:
-    """The (operation, rows) of ``children(p)``, given the label, top row
-    and last column of p.  The operations keep the leftmost column at 0
-    and copy the unchanged rows by slicing; the children are not checked
-    here (the caller labels each one), but no two may have the same rows.
+    """The (operation, rows) of each child, as for ``_kids``.  The
+    operations keep the leftmost column at 0 and copy the unchanged rows
+    by slicing; the children are not checked here, but no two may have
+    the same rows.
     """
     f, b, w, r, rect = label
-    rows = p.rows
     above = top + 1
     grown: list[tuple[str, tuple]] = []
 
@@ -295,7 +303,7 @@ def _grow(
         grown.append((OP_NC_STAR, rows + ((last, last),)))
 
     if len({g for _, g in grown}) != len(grown):
-        raise AssertionError(f"duplicate children of {p.encode()}")
+        raise AssertionError(f"duplicate children of {Polyomino(rows).encode()}")
     return grown
 
 
@@ -718,17 +726,13 @@ def count_levels(max_size: int) -> list[LabelLevel]:
     return list(levels(max_size))
 
 
-def walk(
-    max_size: int,
-) -> Iterator[tuple[int, Polyomino, TreeLabel, list[tuple]]]:
-    """Depth-first walk of the tree from the size-2 root.
+def walk(max_size: int) -> Iterator[tuple[int, tuple, TreeLabel, list[tuple]]]:
+    """Depth-first walk of the tree from the size-2 root, on row tuples.
 
-    Yields ``(n, p, label_of(p), kids)`` once for every shape p of size n
-    in 2..max_size, where kids lists ``(op, child, label, top, last)`` for
-    each ``(op, child)`` of ``children(p)``, in that order, with the
-    child's label, top row and last column as ``_label_rows`` gives them;
-    kids is empty at max_size.  Each shape is labelled once, when it is
-    made, from its rows: that checks it convex and ascending, and its
+    Yields ``(n, rows, label, kids)`` once for every shape of size n in
+    2..max_size, where kids is ``_kids`` of the shape, in the order of
+    ``children``, and empty at max_size.  Each shape is labelled once,
+    when ``_kids`` makes it: that checks it convex and ascending, and its
     label, top row and last column ride on the stack to its own growth.
     The stack holds the unvisited children along one root path, so memory
     grows with the depth, not with a level.  Raises ValueError below 2.
@@ -737,17 +741,13 @@ def walk(
         raise ValueError("max_size must be >= 2")
     # The size rides on the stack: recomputing it per shape costs more.
     root = ((0, 0),)
-    stack = [(2, Polyomino(root), *_label_rows(root))]
+    stack = [(2, root, *_label_rows(root))]
     while stack:
-        n, p, label, top, last = stack.pop()
-        kids = []
-        if n < max_size:
-            for op, rows in _grow(p, label, top, last):
-                child = Polyomino(rows)
-                child_label, child_top, child_last = _label_rows(rows)
-                kids.append((op, child, child_label, child_top, child_last))
-                stack.append((n + 1, child, child_label, child_top, child_last))
-        yield n, p, label, kids
+        n, rows, label, top, last = stack.pop()
+        kids = _kids(rows, label, top, last) if n < max_size else []
+        for _, kid, kid_label, kid_top, kid_last in kids:
+            stack.append((n + 1, kid, kid_label, kid_top, kid_last))
+        yield n, rows, label, kids
 
 
 def constructive_levels(max_size: int) -> list[LabelLevel]:

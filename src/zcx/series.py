@@ -496,15 +496,13 @@ _CATALOG = {
     "Cp": (_gf_cp, ("x", "y", "z")),
     "Lp": (_gf_lp, ("x", "y", "z")),
     "Np": (_gf_np, ("z",)),
-}
-
-_SCALARS = {
-    "S111": _scalar_s111,
-    "R1": _scalar_r1,
-    "C1at1": _scalar_c1at1,
-    "C111": _scalar_c111,
-    "L111": _scalar_l111,
-    "N1": _scalar_n1,
+    # The scalar class evaluations (the classes at x = y = z = 1).
+    "S111": (_scalar_s111, ()),
+    "R1": (_scalar_r1, ()),
+    "C1at1": (_scalar_c1at1, ()),
+    "C111": (_scalar_c111, ()),
+    "L111": (_scalar_l111, ()),
+    "N1": (_scalar_n1, ()),
 }
 
 _ALIASES = {
@@ -521,20 +519,19 @@ _ALIASES = {
     "C21": "C21gf",
 }
 
-GF_NAMES = tuple(_CATALOG) + tuple(_SCALARS)
+GF_NAMES = tuple(_CATALOG)
 
 
 def resolve_name(name: str) -> str:
     canon = _ALIASES.get(name, name)
-    if canon not in _CATALOG and canon not in _SCALARS:
+    if canon not in _CATALOG:
         raise KeyError(f"unknown generating function {name!r}")
     return canon
 
 
 def parameters(name: str) -> tuple[str, ...]:
     """The rational parameters (of x, y, z) a catalog entry takes, in order."""
-    canon = resolve_name(name)
-    return _CATALOG[canon][1] if canon in _CATALOG else ()
+    return _CATALOG[resolve_name(name)][1]
 
 
 def gf(name: str, terms: int = DEFAULT_ORDER, x=None, y=None, z=None) -> Series:
@@ -546,8 +543,6 @@ def gf(name: str, terms: int = DEFAULT_ORDER, x=None, y=None, z=None) -> Series:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     canon = resolve_name(name)
-    if canon in _SCALARS:
-        return scalar_gf(canon, terms)
     builder, wanted = _CATALOG[canon]
     supplied = {"x": x, "y": y, "z": z}
     params = []
@@ -556,14 +551,6 @@ def gf(name: str, terms: int = DEFAULT_ORDER, x=None, y=None, z=None) -> Series:
             raise MissingParam(f"{canon} requires parameter {p}")
         params.append(Fraction(supplied[p]))
     return _expand(builder(*params), terms)
-
-
-def scalar_gf(name: str, terms: int = DEFAULT_ORDER) -> Series:
-    """Expand one of the scalar class evaluations (classes at x=y=z=1)."""
-    canon = resolve_name(name)
-    if canon not in _SCALARS:
-        raise KeyError(f"{name!r} is not a scalar catalog entry")
-    return _expand(_SCALARS[canon](), terms)
 
 
 def h_formula(n: int) -> int:

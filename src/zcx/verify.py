@@ -19,6 +19,7 @@ from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 from . import classify, gentree, series
+from .core import Polyomino
 from .enumerate import all_convex
 
 
@@ -206,21 +207,22 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
     bad_parent: dict[int, str] = {}
     bad_succ = None
     expanded = 0
-    for n, p, lab, kids in gentree.walk(max_construct):
+    for n, rows, lab, kids in gentree.walk(max_construct):
         tree[n - 2][lab] += 1
         if n == max_construct:
             continue
         for op, child, *info in kids:
-            if gentree._parent_rows(child.rows, *info) != (op, p.rows):
+            if gentree._parent_rows(child, *info) != (op, rows):
                 bad_parent.setdefault(
-                    n + 1, f"{child.encode()} grown by {op} from {p.encode()}"
+                    n + 1, f"{Polyomino(child).encode()} grown by {op}"
+                    f" from {Polyomino(rows).encode()}"
                 )
         expanded += 1
         want = Counter()
         for child_lab, m in gentree.succ(lab):
             want[child_lab] += m
         if Counter(child_lab for _, _, child_lab, _, _ in kids) != want:
-            bad_succ = bad_succ or p.encode()
+            bad_succ = bad_succ or Polyomino(rows).encode()
 
     for n, counts in enumerate(tree, 2):
         ascending, built = census(n).ascending, sum(counts.values())
@@ -239,7 +241,7 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
     a_gf = series.gf("Agf", order)
     h_gf = series.gf("Hgf", order)
     r_gf = series.gf("RectGf", order)
-    n1_gf = series.scalar_gf("N1", order)
+    n1_gf = series.gf("N1", order)
     np1_gf = series.gf("Np", order, z=1)
     bad = None
     for lv in gentree.levels(max_labels):
@@ -317,7 +319,7 @@ def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
                          ("R", "R1"), ("C1", "C1at1"), ("NC", "N1")):
         checks.append((
             f"non-rectangular class {family}: count = {name}, n <= {max_n}",
-            series.scalar_gf(name, order), (family, False), lambda lab: 1,
+            series.gf(name, order), (family, False), lambda lab: 1,
         ))
 
     for description, g, cls, weight in checks:

@@ -347,6 +347,17 @@ def test_census_pool_fails_fast_without_main_guard(tmp_path):
     assert "BrokenProcessPool" in proc.stderr
 
 
+def test_census_pool_refuses_a_main_script_without_a_file(monkeypatch):
+    # ``python - <<EOF`` sets __main__.__file__ to '<stdin>', which spawned
+    # workers cannot import; the pool refuses it before it starts anything.
+    monkeypatch.setattr(sys.modules["__main__"], "__file__", "<stdin>")
+    monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
+    with classify.census_pool(2) as pool:
+        with pytest.raises(ValueError, match="save the script to a file"):
+            census(5, pool)
+        assert pool.executor is None
+
+
 def test_census_pool_starts_no_process_below_pool_min_size(tmp_path):
     # Making an executor starts multiprocessing's resource tracker, so a
     # pool no census reaches must not make one.

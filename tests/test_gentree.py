@@ -18,6 +18,7 @@ from zcx.core import (
     PolyominoError,
     check_rows,
     decode,
+    from_rows,
     size,
 )
 from zcx.enumerate import all_convex
@@ -28,6 +29,7 @@ from zcx.gentree import (
     ROOT_LABEL,
     TreeLabel,
     _LabelDP,
+    _kids,
     _label_rows,
     _parent_rows,
     children,
@@ -223,31 +225,35 @@ def test_parent_of_dominoes():
 
 
 def test_unique_parentage_up_to_9():
+    # On rows: the parent step names a parent whose grow-and-label step
+    # makes the shape exactly once, by the operation the parent step names.
     for n in range(3, 10):
         for p in _ascending(n):
-            op, par = parent(p)
-            kids = [c.encode() for _, c in children(par)]
-            assert kids.count(p.encode()) == 1, p.encode()
+            op, par = _parent_rows(p.rows, *_label_rows(p.rows))
+            kids = [(o, c) for o, c, *_ in _kids(par, *_label_rows(par))]
+            assert kids.count((op, p.rows)) == 1, p.encode()
 
 
 def test_bijection_with_enumeration_up_to_9():
     levels = {n: [] for n in range(2, 10)}
-    for n, p, _, kids in walk(9):
-        assert size(p) == n and (kids == []) == (n == 9)
-        levels[n].append(p.encode())
-    for n, encs in levels.items():
-        assert sorted(encs) == sorted(p.encode() for p in _ascending(n))
+    for n, rows, _, kids in walk(9):
+        assert size(from_rows(rows)) == n and (kids == []) == (n == 9)
+        levels[n].append(rows)
+    for n, shapes in levels.items():
+        assert sorted(shapes) == sorted(p.rows for p in _ascending(n))
 
 
 def test_walk_carries_the_per_shape_labels_and_children_up_to_9():
     # The walk labels each shape once, when it is made, and grows it from
-    # that label; the per-shape oracles recompute both from the shape.
-    for n, p, lab, kids in walk(9):
-        assert lab == label_of(p), p.encode()
+    # that label; the per-shape oracles recompute both from the shape,
+    # which from_rows checks and normalizes.
+    for n, rows, lab, kids in walk(9):
+        p = from_rows(rows)
+        assert p.rows == rows and lab == label_of(p), p.encode()
         if n < 9:
-            assert [(op, c) for op, c, *_ in kids] == children(p), p.encode()
+            assert [(op, from_rows(c)) for op, c, *_ in kids] == children(p), p.encode()
             assert [c_lab for _, _, c_lab, _, _ in kids] == [
-                label_of(c) for _, c, *_ in kids
+                label_of(from_rows(c)) for _, c, *_ in kids
             ], p.encode()
 
 
@@ -255,11 +261,11 @@ def test_parent_step_on_the_carried_label_equals_parent_up_to_9():
     # The gentree suite checks each edge with _parent_rows on the label,
     # top row and last column the walk carries; parent is its oracle.
     edges = 0
-    for n, p, _, kids in walk(9):
+    for n, rows, _, kids in walk(9):
         for op, child, *info in kids:
-            step = _parent_rows(child.rows, *info)
-            want_op, want = parent(child)
-            assert step == (want_op, want.rows) == (op, p.rows), child.encode()
+            step = _parent_rows(child, *info)
+            want_op, want = parent(from_rows(child))
+            assert step == (want_op, want.rows) == (op, rows), child
             edges += 1
     assert edges == sum(len(_ascending(n)) for n in range(3, 10))
 

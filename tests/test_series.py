@@ -21,7 +21,6 @@ from zcx.series import (
     h_formula,
     one,
     rect_formula,
-    scalar_gf,
     t,
     tpoly,
 )
@@ -158,7 +157,7 @@ _XYZ1 = {**_XY1, "z": Fraction(5, 7)}
 _XY2 = {"x": Fraction(-1, 2), "y": Fraction(2, 7)}
 _XYZ2 = {**_XY2, "z": Fraction(3, 4)}
 
-_RING_CASES = [(name, {}) for name in UNPARAMETERIZED + list(S._SCALARS)] + [
+_RING_CASES = [(name, {}) for name in UNPARAMETERIZED] + [
     (name, xyz if S.parameters(name) == ("x", "y", "z") else xy)
     for xy, xyz in ((_XY1, _XYZ1), (_XY2, _XYZ2))
     for name in ("C0p", "L0p", "S0p", "Sp", "Cp", "Lp")
@@ -175,7 +174,7 @@ def test_expansion_matches_ring_oracle(name, params):
     # Fraction division and square root, B = 1/sqrt(1-4t); at rational
     # parameters the expansion runs an integer recurrence instead
     n = 120
-    builder = S._SCALARS.get(name) or S._CATALOG[name][0]
+    builder = S._CATALOG[name][0]
     b = one(n) / tpoly(n, [1, -4]).sqrt()
     ring = S.zero(n)
     for c, p, q, e in builder(*params.values()):
@@ -343,13 +342,13 @@ def test_class_sum_identities():
         + gf("Sp", n, x=1, y=1, z=1)
     )
     scalars = (
-        scalar_gf("C111", n) + scalar_gf("L111", n) + scalar_gf("S111", n)
-        + scalar_gf("R1", n) + scalar_gf("C1at1", n)
+        gf("C111", n) + gf("L111", n) + gf("S111", n) + gf("R1", n)
+        + gf("C1at1", n)
     )
     np1 = gf("Np", n, z=1)
     assert (gf("Hgf", n) - rect_classes - scalars).is_zero()
     assert (gf("RectGf", n) - rect_classes - np1).is_zero()
-    assert (gf("Agf", n) - gf("Hgf", n) - scalar_gf("N1", n) - np1).is_zero()
+    assert (gf("Agf", n) - gf("Hgf", n) - gf("N1", n) - np1).is_zero()
 
 
 def test_missing_param():

@@ -205,13 +205,13 @@ def test_gentree_suite_catches_a_wrong_parent(monkeypatch):
 
 
 def test_gentree_suite_catches_a_dropped_child(monkeypatch):
-    # The walk grows each shape through ``_grow``, from the label it carries.
+    # The walk grows each shape through ``_kids``, which calls ``_grow``.
     victim = decode("0-2")
     real = gentree._grow
 
-    def grow(p, *info):
-        kids = real(p, *info)
-        return kids[:-1] if p == victim else kids
+    def grow(rows, *info):
+        kids = real(rows, *info)
+        return kids[:-1] if rows == victim.rows else kids
 
     monkeypatch.setattr(gentree, "_grow", grow)
     rep = verify.suite_gentree(max_construct=6, max_labels=10)
@@ -229,9 +229,9 @@ def test_refined_suite_catches_a_dropped_child(monkeypatch):
     victim = decode("0-2")
     real = gentree._grow
 
-    def grow(p, *info):
-        kids = real(p, *info)
-        return kids[:-1] if p == victim else kids
+    def grow(rows, *info):
+        kids = real(rows, *info)
+        return kids[:-1] if rows == victim.rows else kids
 
     monkeypatch.setattr(gentree, "_grow", grow)
     rep = verify.suite_refined_gf(max_n=6)
