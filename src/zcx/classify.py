@@ -44,7 +44,12 @@ block onto the (c, r) block and keeps every census bit except
 full-height column, which for a convex shape holds iff its bottom and top
 rows overlap.  So each image in an r < c block is counted twice, as itself
 and as its transpose.  The object path (:meth:`CensusRow.add` over
-:func:`degree_pair` and the ``is_*`` predicates) is the tests' oracle.
+:func:`degree_pair` and the ``is_*`` predicates) calls the same rules on a
+shape's own rows, so the census adds only the orbit and transpose
+bookkeeping, which the tests check against it.  The rules' oracles are
+the brute-force searches (:func:`degree_pair_bruteforce`,
+:func:`is_four_stack_bruteforce`) and the tests' quadratic and
+breadth-first definitions of ascending and directed convex.
 """
 
 from __future__ import annotations
@@ -55,8 +60,6 @@ from typing import Any, Callable, ContextManager, NamedTuple
 
 from .core import Polyomino, check_rows, mirror
 from .enumerate import _block_intervals, blocks, first_rows
-
-_INF = 1 << 30
 
 
 def _column_ends(rows: tuple[tuple[int, int], ...],
@@ -203,76 +206,104 @@ def is_four_stack_bruteforce(p: Polyomino) -> bool:
     return False
 
 
+def _four_stack(rows: tuple[tuple[int, int], ...], w: int) -> bool:
+    """Four-stack test on the rows of a convex shape whose columns are
+    0..w: some rows i..j whose common columns hold every other row.
+
+    A full-width row is one.  Without one, rows i..j must hold every row at
+    column 0 or w (an outside one would put i..j at its wall, and then some
+    row at both), so i <= i_hi and j >= j_lo.  Rows 0..i_hi widen upward
+    and rows j_lo.. narrow, so the other rows fit iff row i - 1 lies within
+    row j and row j + 1 within row i, and rows i and j overlap.
+    """
+    if (0, w) in rows:
+        return True
+    last = len(rows) - 1
+    lefts, rights = [a for a, _ in rows], [b for _, b in rows]
+    i_hi = min(lefts.index(0), rights.index(w))
+    j_lo = last - min(lefts[::-1].index(0), rights[::-1].index(w))
+    return any(
+        li <= rj and lj <= ri
+        and (i == 0 or lj <= lefts[i - 1] and rights[i - 1] <= rj)
+        and (j == last or li <= lefts[j + 1] and rights[j + 1] <= ri)
+        for i, (li, ri) in enumerate(rows[:i_hi + 1])
+        for j, (lj, rj) in enumerate(rows[j_lo:], j_lo))
+
+
+def _shift_bits(rows: tuple[tuple[int, int], ...]) -> tuple[bool, bool, bool]:
+    """(ascending, descending, directed convex) of the rows of a convex
+    shape whose leftmost column is 0, in one linear pass.
+
+    Ascending: no row is strictly NW-shifted from a lower one (strictly
+    left of it at both ends).  The rows are convex, so a row is NW-shifted
+    iff its right is below ``bound``, the largest right of the lower rows
+    with a larger left; the ``falls`` stack holds the candidates, as in
+    ``gentree._label_rows``.  Descending (no row strictly NE-shifted) swaps
+    the roles of lefts and rights; with no lower row of a smaller right,
+    ``dbound`` is the row's own right, which its left never exceeds.
+    Directed convex: every cell is reached from (0, 0) by N/E steps; a
+    row's leftmost cell can only be entered from below, and consecutive
+    rows overlap, so the bottom row starts at column 0 and the lefts never
+    fall upward.
+    """
+    a, b = rows[0]
+    directed, ascending, descending = a == 0, True, True
+    falls, rises = [], []
+    bound, dbound, hi, lo = -1, b, b, a
+    for a1, b1 in rows[1:]:
+        if a1 < a:
+            directed = False
+            falls.append((a, hi))
+            bound = hi
+        elif a1 > a:
+            while falls and falls[-1][0] <= a1:
+                falls.pop()
+            bound = falls[-1][1] if falls else -1
+        if b1 > b:
+            rises.append((b, lo))
+            dbound = lo
+        elif b1 < b:
+            while rises and rises[-1][0] >= b1:
+                rises.pop()
+            dbound = rises[-1][1] if rises else b1
+        if b1 < bound:
+            ascending = False
+        if a1 > dbound:
+            descending = False
+        if b1 > hi:
+            hi = b1
+        if a1 < lo:
+            lo = a1
+        a, b = a1, b1
+    return ascending, descending, directed
+
+
 def is_centered(p: Polyomino) -> bool:
     """Some row spans the full width of the bounding rectangle."""
-    w = p.width - 1
-    return any(l == 0 and r == w for l, r in p.rows)
+    return (0, p.width - 1) in p.rows
 
 
 def is_four_stack(p: Polyomino) -> bool:
-    """Decomposable into a supporting rectangle with empty corner regions.
-
-    A rectangle over rows [i..j] and columns [a..b] works iff rows inside
-    [i..j] contain [a, b] and rows outside are contained in it; for fixed
-    (i, j) that leaves a in [max inside left, min outside left] and b in
-    [max outside right, min inside right], nonempty with a <= b.  Scanning
-    the O(rows^2) row ranges covers every candidate rectangle.
-    """
-    rows = p.rows
-    nr = len(rows)
-    lefts = [l for l, _ in rows]
-    rights = [r for _, r in rows]
-    # prefix/suffix extrema of the outside rows
-    pref_min_l = [_INF] * (nr + 1)
-    pref_max_r = [-_INF] * (nr + 1)
-    for i in range(nr):
-        pref_min_l[i + 1] = min(pref_min_l[i], lefts[i])
-        pref_max_r[i + 1] = max(pref_max_r[i], rights[i])
-    suf_min_l = [_INF] * (nr + 1)
-    suf_max_r = [-_INF] * (nr + 1)
-    for i in range(nr - 1, -1, -1):
-        suf_min_l[i] = min(suf_min_l[i + 1], lefts[i])
-        suf_max_r[i] = max(suf_max_r[i + 1], rights[i])
-    for i in range(nr):
-        in_max_l = -_INF
-        in_min_r = _INF
-        for j in range(i, nr):
-            in_max_l = max(in_max_l, lefts[j])
-            in_min_r = min(in_min_r, rights[j])
-            a_hi = min(pref_min_l[i], suf_min_l[j + 1])
-            b_lo = max(pref_max_r[i], suf_max_r[j + 1])
-            if in_max_l <= a_hi and b_lo <= in_min_r and in_max_l <= in_min_r:
-                return True
-    return False
+    """Decomposable into a supporting rectangle with empty corner regions
+    (:func:`_four_stack`)."""
+    return _four_stack(p.rows, p.width - 1)
 
 
 def is_ascending(p: Polyomino) -> bool:
     """No row pair is strictly NW-shifted (a higher row strictly left of a
     lower one on both endpoints); the surviving relations are inclusion
     and NE-shift."""
-    rows = p.rows
-    for j in range(1, len(rows)):
-        lj, rj = rows[j]
-        for i in range(j):
-            li, ri = rows[i]
-            if lj < li and rj < ri:
-                return False
-    return True
+    return _shift_bits(p.rows)[0]
 
 
 def is_descending(p: Polyomino) -> bool:
-    return is_ascending(mirror(p))
+    """The mirror image is ascending: no row is strictly NE-shifted."""
+    return _shift_bits(p.rows)[1]
 
 
 def is_directed_convex(p: Polyomino) -> bool:
-    """Cell (0,0) present and every cell reachable from it by N/E steps.
-
-    A row's leftmost cell can only be entered from below, and consecutive
-    rows of a convex polyomino overlap, so this holds exactly when the
-    bottom row starts at column 0 and the left ends never decrease upward.
-    """
-    rows = p.rows
-    return rows[0][0] == 0 and all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
+    """Cell (0,0) present and every cell reachable from it by N/E steps."""
+    return _shift_bits(p.rows)[2]
 
 
 class Signature(NamedTuple):
@@ -352,11 +383,6 @@ class CensusRow:
             pairs[s.ne, s.nw] += v
         return dict(sorted(pairs.items()))
 
-    def merge(self, other: "CensusRow") -> "CensusRow":
-        if other.size != self.size:
-            raise ValueError("cannot merge censuses of different sizes")
-        return CensusRow(self.size, self.counts + other.counts)
-
     def validate(self) -> None:
         if sum(self.by_degree_pair.values()) != self.total_convex:
             raise AssertionError("degree histogram does not sum to the total")
@@ -381,9 +407,10 @@ POOL_MIN_SIZE = 10
 def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
     """Census of the (r, c) shapes whose bottom row is ``first``, and for
     r < c of their transposes, the (c, r) shapes, read off the raw row
-    tuples one symmetry orbit at a time; see :func:`census`.  The tests are
-    those of the predicates above, written again over the rows.  The
-    counts are keyed by plain tuples, made ``Signature`` keys at the end."""
+    tuples one symmetry orbit at a time; see :func:`census`.  The class
+    bits come from the rules the ``is_*`` predicates call; only the orbit
+    and transpose bookkeeping is this function's own.  The counts are
+    keyed by plain tuples, made ``Signature`` keys at the end."""
     counts: Counter[tuple] = Counter()    # Signature fields, as tuples
     w = c - 1
     # The mirror of a bottom row right of centre starts further left, so a
@@ -406,66 +433,15 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
         bottom, top = _column_ends(rows, c)
         ne = _ne_max_turns(rows, bottom, top)
         nw = _ne_max_turns(mir, bottom[::-1], top[::-1])
-        # Four-stack as in is_four_stack: some rows i..j whose common
-        # columns hold every other row.  A full-width row is one; without
-        # one, rows i..j must hold every row at column 0 or w (an outside
-        # one would put i..j at its wall, and then some row at both), so
-        # i <= i_hi and j >= j_lo.  Rows 0..i_hi widen upward and rows
-        # j_lo.. narrow, so the other rows fit iff row i - 1 lies within
-        # row j and row j + 1 within row i, and rows i and j overlap.
-        centered = four_stack = (0, w) in rows
-        if not centered:
-            lefts, rights = [a for a, _ in rows], [b for _, b in rows]
-            i_hi = min(lefts.index(0), rights.index(w))
-            j_lo = r - 1 - min(lefts[::-1].index(0), rights[::-1].index(w))
-            four_stack = any(
-                li <= rj and lj <= ri
-                and (i == 0 or lj <= lefts[i - 1] and rights[i - 1] <= rj)
-                and (j == r - 1 or li <= lefts[j + 1] and rights[j + 1] <= ri)
-                for i, (li, ri) in enumerate(rows[:i_hi + 1])
-                for j, (lj, rj) in enumerate(rows[j_lo:], j_lo))
+        centered = (0, w) in rows
+        four_stack = _four_stack(rows, w)
         # The transpose is centered iff some column is full height, that is
         # iff the bottom and top rows overlap.
         full_column = max(l0, lt) <= min(r0, rt)
         # Equal images carry equal degrees, so the dict counts each once.
         images = {rows: (ne, nw), mir: (nw, ne), flip: (nw, ne), rot: (ne, nw)}
         for img, (img_ne, img_nw) in images.items():
-            # One pass for directed convex (bottom row at column 0, lefts
-            # never fall), ascending (no row strictly NW-shifted from a
-            # lower one) and descending (none strictly NE-shifted), linear
-            # as in gentree._label_rows: the rows are convex, so a row is
-            # NW-shifted iff its right is below ``bound``, the largest right
-            # of the lower rows with a larger left.  Descending swaps the
-            # roles of lefts and rights.
-            a, b = img[0]
-            directed, ascending, descending = a == 0, True, True
-            falls, rises = [], []
-            bound, dbound, hi, lo = -1, c, b, a
-            for a1, b1 in img[1:]:
-                if a1 < a:
-                    directed = False
-                    falls.append((a, hi))
-                    bound = hi
-                elif a1 > a:
-                    while falls and falls[-1][0] <= a1:
-                        falls.pop()
-                    bound = falls[-1][1] if falls else -1
-                if b1 > b:
-                    rises.append((b, lo))
-                    dbound = lo
-                elif b1 < b:
-                    while rises and rises[-1][0] >= b1:
-                        rises.pop()
-                    dbound = rises[-1][1] if rises else c
-                if b1 < bound:
-                    ascending = False
-                if a1 > dbound:
-                    descending = False
-                if b1 > hi:
-                    hi = b1
-                if a1 < lo:
-                    lo = a1
-                a, b = a1, b1
+            ascending, descending, directed = _shift_bits(img)
             top_rect = img[-1][1] == w
             counts[img_ne, img_nw, centered, four_stack, ascending,
                    descending, directed, top_rect] += 1

@@ -279,7 +279,7 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
 _REFINED_PARAMS = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
 
 
-def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
+def suite_refined_gf(max_n: int = 10) -> SuiteReport:
     """Refined (b, w, r)-statistics against the closed class functions.
 
     The labels are those the tree walk carries, counted per size by
@@ -288,11 +288,11 @@ def suite_refined_gf(max_n: int = 10, params=_REFINED_PARAMS) -> SuiteReport:
     ascending and its label valid, and rejects duplicate children; the
     gentree suite ties each level's size to the census.  Each check sums a
     weight over the labels of one (family, rectangular) class: x^b y^w z^r
-    against the class function at the rational parameters, z^r against
+    against the class function at ``_REFINED_PARAMS``, z^r against
     Np, and 1 against the scalar evaluation at x = y = z = 1 for the
     non-rectangular classes.  Raises ValueError below 2.
     """
-    x, y, z = (Fraction(v) for v in params)
+    x, y, z = _REFINED_PARAMS
     rep = SuiteReport("refined")
     t0 = time.perf_counter()
     labels = {lv.level: lv.counts for lv in gentree.constructive_levels(max_n)}

@@ -105,7 +105,7 @@ def test_four_stack_examples():
 
 
 def test_four_stack_agrees_with_bruteforce():
-    for n in range(2, 8):
+    for n in range(2, 10):
         for p in all_convex(n):
             assert is_four_stack(p) == is_four_stack_bruteforce(p), p.encode()
 
@@ -129,6 +129,20 @@ def test_descending_is_mirror_ascending():
     for n in range(2, 8):
         for p in all_convex(n):
             assert is_descending(p) == is_ascending(mirror(p))
+
+
+def _ascending_oracle(p):
+    # The definition: no row strictly left of a lower row at both ends.
+    rows = p.rows
+    return not any(rows[j][0] < rows[i][0] and rows[j][1] < rows[i][1]
+                   for j in range(len(rows)) for i in range(j))
+
+
+def test_ascending_and_descending_agree_with_the_definition():
+    for n in range(2, 11):
+        for p in all_convex(n):
+            assert is_ascending(p) == _ascending_oracle(p), p.encode()
+            assert is_descending(p) == _ascending_oracle(mirror(p)), p.encode()
 
 
 def _directed_oracle(p):
@@ -196,16 +210,6 @@ def test_census_spec_examples():
     row5 = census(5)
     assert row5.c21 == 2 and row5.c12 == 2
     assert census(5).total_convex == 28
-
-
-def test_census_merge_matches_single_pass():
-    row = census(7)
-    left = CensusRow(7)
-    right = CensusRow(7)
-    for i, p in enumerate(all_convex(7)):
-        (left if i % 2 else right).add(p)
-    merged = left.merge(right)
-    assert merged.to_dict() == row.to_dict()
 
 
 def test_census_parallel_equals_serial(monkeypatch):
@@ -375,11 +379,6 @@ def test_census_pool_starts_no_process_below_pool_min_size(tmp_path):
     proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "None\n"
-
-
-def test_census_merge_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        CensusRow(4).merge(CensusRow(5))
 
 
 def test_census_csv_shape():
