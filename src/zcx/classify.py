@@ -32,14 +32,15 @@ image is a NE walk, so one kernel serves both directions.  The tests check
 the kernel against a plain breadth-first oracle over all cell pairs.
 
 The census (:func:`census`) builds no objects.  It walks the raw row tuples
-of the blocks with r rows <= c columns and validates each one.  The mirror,
-the vertical flip and the 180 degree rotation map a block onto itself, keep
-the four-stack and centered bits and keep or swap the NE and NW degrees.
-So the kernel runs only on one tuple per orbit, the least of its four
-images, and on its mirror; each distinct image is counted with that degree
-pair, swapped where the image is a mirror or a flip, and with the other
-class tests repeated over its own rows.  Transposition maps the (r, c)
-block onto the (c, r) block and keeps every census bit except
+of the blocks with r rows <= c columns and validates each one, which also
+tests it ascending.  The mirror, the vertical flip and the 180 degree
+rotation map a block onto itself, keep the four-stack and centered bits
+and keep or swap the NE and NW degrees and the ascending and descending
+bits.  So the kernel and the descent scan run only once per orbit, from
+the least of its four images; each distinct image is counted with those
+degrees and bits, swapped where the image is a mirror or a flip, and with
+its corners read for the directed and top-right bits.  Transposition maps
+the (r, c) block onto the (c, r) block and keeps every census bit except
 ``centered``: the transpose has a full-width row iff the shape has a
 full-height column, which for a convex shape holds iff its bottom and top
 rows overlap.  So each image in an r < c block is counted twice, as itself
@@ -230,54 +231,6 @@ def _four_stack(rows: tuple[tuple[int, int], ...], w: int) -> bool:
         for j, (lj, rj) in enumerate(rows[j_lo:], j_lo))
 
 
-def _shift_bits(rows: tuple[tuple[int, int], ...]) -> tuple[bool, bool, bool]:
-    """(ascending, descending, directed convex) of the rows of a convex
-    shape whose leftmost column is 0, in one linear pass.
-
-    Ascending: no row is strictly NW-shifted from a lower one (strictly
-    left of it at both ends).  The rows are convex, so a row is NW-shifted
-    iff its right is below ``bound``, the largest right of the lower rows
-    with a larger left; the ``falls`` stack holds the candidates, as in
-    ``gentree._label_rows``.  Descending (no row strictly NE-shifted) swaps
-    the roles of lefts and rights; with no lower row of a smaller right,
-    ``dbound`` is the row's own right, which its left never exceeds.
-    Directed convex: every cell is reached from (0, 0) by N/E steps; a
-    row's leftmost cell can only be entered from below, and consecutive
-    rows overlap, so the bottom row starts at column 0 and the lefts never
-    fall upward.
-    """
-    a, b = rows[0]
-    directed, ascending, descending = a == 0, True, True
-    falls, rises = [], []
-    bound, dbound, hi, lo = -1, b, b, a
-    for a1, b1 in rows[1:]:
-        if a1 < a:
-            directed = False
-            falls.append((a, hi))
-            bound = hi
-        elif a1 > a:
-            while falls and falls[-1][0] <= a1:
-                falls.pop()
-            bound = falls[-1][1] if falls else -1
-        if b1 > b:
-            rises.append((b, lo))
-            dbound = lo
-        elif b1 < b:
-            while rises and rises[-1][0] >= b1:
-                rises.pop()
-            dbound = rises[-1][1] if rises else b1
-        if b1 < bound:
-            ascending = False
-        if a1 > dbound:
-            descending = False
-        if b1 > hi:
-            hi = b1
-        if a1 < lo:
-            lo = a1
-        a, b = a1, b1
-    return ascending, descending, directed
-
-
 def is_centered(p: Polyomino) -> bool:
     """Some row spans the full width of the bounding rectangle."""
     return (0, p.width - 1) in p.rows
@@ -292,18 +245,21 @@ def is_four_stack(p: Polyomino) -> bool:
 def is_ascending(p: Polyomino) -> bool:
     """No row pair is strictly NW-shifted (a higher row strictly left of a
     lower one on both endpoints); the surviving relations are inclusion
-    and NE-shift."""
-    return _shift_bits(p.rows)[0]
+    and NE-shift.  The test is :func:`zcx.core.check_rows`'s."""
+    return check_rows(p.rows)[0]
 
 
 def is_descending(p: Polyomino) -> bool:
     """The mirror image is ascending: no row is strictly NE-shifted."""
-    return _shift_bits(p.rows)[1]
+    return check_rows(mirror(p).rows)[0]
 
 
 def is_directed_convex(p: Polyomino) -> bool:
-    """Cell (0,0) present and every cell reachable from it by N/E steps."""
-    return _shift_bits(p.rows)[2]
+    """Cell (0,0) present and every cell reachable from it by N/E steps:
+    the bottom row starts at column 0 and, as a row's leftmost cell is
+    entered from below, the lefts never fall, which the valley-unimodal
+    lefts of a convex shape ensure once the bottom one is 0."""
+    return p.rows[0][0] == 0
 
 
 class Signature(NamedTuple):
@@ -408,16 +364,17 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
     """Census of the (r, c) shapes whose bottom row is ``first``, and for
     r < c of their transposes, the (c, r) shapes, read off the raw row
     tuples one symmetry orbit at a time; see :func:`census`.  The class
-    bits come from the rules the ``is_*`` predicates call; only the orbit
-    and transpose bookkeeping is this function's own.  The counts are
-    keyed by plain tuples, made ``Signature`` keys at the end."""
+    bits come from the rules the ``is_*`` predicates call, the images'
+    ascending and descending bits, like their degrees, from the orbit;
+    only the orbit and transpose bookkeeping is this function's own.  The
+    counts are keyed by plain tuples, made ``Signature`` keys at the end."""
     counts: Counter[tuple] = Counter()    # Signature fields, as tuples
     w = c - 1
     # The mirror of a bottom row right of centre starts further left, so a
     # task with such a bottom row holds no orbit representative.
     has_reps = first[0] + first[1] <= w
     for rows in _block_intervals(r, c, first):
-        check_rows(rows)
+        ascending = check_rows(rows)[0]
         if not has_reps:
             continue
         # The flip and (by its bottom row) the rotation before the mirror
@@ -438,16 +395,19 @@ def _census_task(r: int, c: int, first: tuple[int, int]) -> CensusRow:
         # The transpose is centered iff some column is full height, that is
         # iff the bottom and top rows overlap.
         full_column = max(l0, lt) <= min(r0, rt)
-        # Equal images carry equal degrees, so the dict counts each once.
-        images = {rows: (ne, nw), mir: (nw, ne), flip: (nw, ne), rot: (ne, nw)}
-        for img, (img_ne, img_nw) in images.items():
-            ascending, descending, directed = _shift_bits(img)
+        # The mirror image is ascending iff the shape is descending.
+        descending = check_rows(mir)[0]
+        # Equal images carry equal bits, so the dict counts each once.
+        ours, swapped = (ne, nw, ascending, descending), (nw, ne, descending, ascending)
+        images = {rows: ours, mir: swapped, flip: swapped, rot: ours}
+        for img, (img_ne, img_nw, img_asc, img_desc) in images.items():
+            directed = img[0][0] == 0
             top_rect = img[-1][1] == w
-            counts[img_ne, img_nw, centered, four_stack, ascending,
-                   descending, directed, top_rect] += 1
+            counts[img_ne, img_nw, centered, four_stack, img_asc,
+                   img_desc, directed, top_rect] += 1
             if r < c:
-                counts[img_ne, img_nw, full_column, four_stack, ascending,
-                       descending, directed, top_rect] += 1
+                counts[img_ne, img_nw, full_column, four_stack, img_asc,
+                       img_desc, directed, top_rect] += 1
     return CensusRow(r + c, Counter(
         {Signature._make(key): v for key, v in counts.items()}))
 
@@ -509,16 +469,20 @@ def census(n: int, pool: Any = None) -> CensusRow:
     r rows and c columns onto itself.  The rotation keeps the degree pair;
     the mirror and the flip swap NE and NW (a N/E path becomes a N/W path,
     or a S/E path, which read backwards is a N/W path with the same turns).
-    All three keep the four-stack and centered bits, and the
-    full-height-column bit below.  So the kernel runs only on each orbit's
-    representative, the least of its four row tuples, and on its mirror.
-    Every distinct image of the representative is counted once, with the
-    representative's degree pair (swapped for the mirror and the flip), the
-    shared bits, and the ascending, descending, directed-convex and
-    top-right-corner bits tested again on the image's own rows, so the
-    ``prop4_mismatch`` column still checks Prop. 4 on every shape.  The
-    walk runs :func:`zcx.core.check_rows` on every tuple it visits and then
-    skips those that are not representatives.
+    So do the ascending and descending bits: the mirror and the flip turn
+    a strictly NW-shifted row pair into a NE-shifted one.  All three keep the
+    four-stack and centered bits, and the full-height-column bit below.
+    So the kernel runs only on each orbit's representative, the least of
+    its four row tuples, and on its mirror.  The walk runs
+    :func:`zcx.core.check_rows`, which gives the ascending bit, on every
+    tuple it visits and then skips those that are not representatives; one
+    more scan, of the mirror, gives the descending bit.  Every distinct
+    image is counted once, with the representative's degree pair and
+    ascending and descending bits (swapped for the mirror and the flip),
+    the shared bits, and the directed-convex and top-right-corner bits read
+    off the corners of its own rows.  So the flip and rotation images'
+    Prop. 4 bits are read by symmetry, like their degrees, and
+    ``prop4_mismatch`` still counts every shape.
 
     Transposing a shape (its columns become its rows) maps the (r rows,
     c cols) block onto the (c, r) block.  It keeps the degree pair (a N/E

@@ -125,35 +125,57 @@ def from_rows(intervals) -> Polyomino:
     return Polyomino(tuple(rows))
 
 
-def check_rows(rows) -> None:
+def check_rows(rows) -> tuple[bool, int]:
     """Raise Disconnected or NotConvex unless consecutive rows overlap and
-    every column is an interval; the rows must be nonempty intervals.
+    every column is an interval, else return (ascending, the largest
+    right).  The rows must be nonempty intervals, at least one.
 
     Columns are intervals iff the left endpoints are valley-unimodal
     (non-increasing then non-decreasing) and the right endpoints are
     mountain-unimodal; a violation pins down a non-contiguous column.  One
     pass checks every overlap and notes the first gap at each end; a gap
-    is reported after all overlaps, a left one before a right one."""
-    if not rows:
-        return
+    is reported after all overlaps, a left one before a right one.
+
+    Ascending: no row is strictly NW-shifted from a lower one (strictly
+    left of it at both ends).  The lower rows with a left strictly right
+    of the current row's form a prefix, and the row is NW-shifted iff its
+    right is below their largest right, ``bound``: a strict fall of the
+    lefts makes it the running maximum, a rise pops it back to the last
+    fall from a left still strictly right of the current one."""
     left_gap = right_gap = None
     rising = falling = False
+    ascending = True
     l0, r0 = rows[0]
+    last = r0
+    falls = []      # per strict fall of the lefts: (left before it, bound)
+    bound = -1
     for l1, r1 in rows[1:]:
         if l1 > r0 or l0 > r1:
             raise Disconnected(f"rows {l0}-{r0} and {l1}-{r1} do not overlap")
-        if l1 > l0:
+        if l1 < l0:
+            if rising and left_gap is None:
+                left_gap = l1
+            falls.append((l0, last))
+            bound = last
+        elif l1 > l0:
             rising = True
-        elif l1 < l0 and rising and left_gap is None:
-            left_gap = l1
+            while falls and falls[-1][0] <= l1:
+                falls.pop()
+            bound = falls[-1][1] if falls else -1
+        if r1 < bound:
+            ascending = False
         if r1 < r0:
             falling = True
-        elif r1 > r0 and falling and right_gap is None:
-            right_gap = r1
+        elif r1 > r0:
+            if falling and right_gap is None:
+                right_gap = r1
+            # The largest so far, or a right gap raises NotConvex below.
+            last = r1
         l0, r0 = l1, r1
     gap = right_gap if left_gap is None else left_gap
     if gap is not None:
         raise NotConvex(f"column {gap} occupied on both sides of a gap")
+    return ascending, last
 
 
 def size(p: Polyomino) -> int:

@@ -17,7 +17,8 @@ in the unimodality characterization would surface as an exception rather
 than a wrong count: :func:`block_polyominoes` (and so :func:`all_convex`)
 builds each shape through :func:`zcx.core.from_rows`, and the census walk
 (:func:`zcx.classify.census`) runs :func:`zcx.core.check_rows` on each raw
-row tuple it classifies.  :func:`count_convex` counts without validating.
+row tuple it classifies, which also gives the tuple's ascending bit.
+:func:`count_convex` counts without validating.
 """
 
 from __future__ import annotations

@@ -50,9 +50,10 @@ with.
 ``children`` and ``parent`` realize the same tree on actual polyominoes.
 Both read the label, the base position and the last column from
 ``_label_rows``, and pick operations by family, as ``succ`` does.  That
-labeller works on a raw row tuple: in one pass it checks the rows convex,
-tests them ascending and reads the label, and it validates each distinct
-label once.  The parent step ``_parent_rows`` also works on rows, and so
+labeller works on a raw row tuple: ``core.check_rows``, the package's one
+row scan, checks the rows convex, tests them ascending and finds the last
+column, and a reverse scan reads the label; each distinct label is
+validated once.  The parent step ``_parent_rows`` also works on rows, and so
 does the one grow-and-label step ``_kids``: it makes the children's rows
 with ``_grow`` and labels each child with ``_label_rows``.  ``walk``
 visits the tree depth first on row tuples, holding one root path rather
@@ -73,7 +74,7 @@ from functools import cache, partial, reduce
 from operator import add
 from typing import Callable, Iterator, NamedTuple
 
-from .core import Disconnected, NotConvex, Polyomino, from_rows
+from .core import Polyomino, check_rows, from_rows
 
 
 class NotAscending(ValueError):
@@ -157,52 +158,17 @@ def _label_rows(rows: tuple) -> tuple[TreeLabel, int, int]:
     starts at top + 1.
 
     Every shape the module labels, walks or grows goes through this one
-    function.  A forward pass over the rows raises Disconnected or
-    NotConvex where ``core.check_rows`` would (all overlaps are checked
-    before any column), then NotAscending when a row is strictly
-    NW-shifted from a lower one.  The ascending test is linear: once the
-    lefts are valley-unimodal, the lower rows whose left lies strictly
-    right of the current row's form a prefix, and the current row is
-    NW-shifted from one of them exactly when its right is below the
-    largest right of that prefix (``bound``).  Each strict fall of the
-    lefts extends the prefix to every row so far, so ``bound`` becomes
-    the running maximum; a rise shrinks it, back to the last fall from a
-    left still strictly right of the current one.  A reverse scan from
-    the top then reads the last column's run, the base and the label's
-    fields.
+    function.  ``core.check_rows`` raises Disconnected or NotConvex on
+    rows that are not convex and returns the ascending bit and the last
+    column in the same pass; a false bit raises NotAscending.  A reverse
+    scan from the top then reads the last column's run, the base and the
+    label's fields.
     """
-    l0, r0 = rows[0]
-    last = r0
-    falls = []      # per strict fall of the lefts: (left before it, bound)
-    bound = -1
-    rising = falling = gap = shifted = False
-    for l1, r1 in rows[1:]:
-        if l1 > r0 or l0 > r1:
-            raise Disconnected(f"rows {l0}-{r0} and {l1}-{r1} do not overlap")
-        if l1 < l0:
-            gap = gap or rising
-            falls.append((l0, last))
-            bound = last
-        elif l1 > l0:
-            rising = True
-            while falls and falls[-1][0] <= l1:
-                falls.pop()
-            bound = falls[-1][1] if falls else -1
-        if r1 < bound:
-            shifted = True
-        if r1 < r0:
-            falling = True
-        elif r1 > r0:
-            # Rights rise only before they fall, so this is the largest.
-            gap = gap or falling
-            last = r1
-        l0, r0 = l1, r1
-    if gap:
-        raise NotConvex("a column is occupied on both sides of a gap")
-    if shifted:
+    ascending, last = check_rows(rows)
+    if not ascending:
         raise NotAscending(Polyomino(rows).encode())
 
-    rect = r0 == last
+    rect = rows[-1][1] == last
     y = len(rows) - 1
     while rows[y][1] < last:
         y -= 1

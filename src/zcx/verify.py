@@ -458,7 +458,8 @@ def load_fixtures(path: str) -> dict[str, tuple[int, list[int]] | None]:
     The file is JSON: {"<OEIS id>": {"start": <size of the first value>,
     "values": [..]}, ...}.  Returns each id, in sorted order, with its
     (start, values), or None for an id outside the catalog.  Raises OSError
-    for an unreadable file and ValueError for a malformed one.
+    for an unreadable file and ValueError for a malformed one, including a
+    negative start and an empty list or one with a non-integer value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -470,10 +471,15 @@ def load_fixtures(path: str) -> dict[str, tuple[int, list[int]] | None]:
             table[seq_id] = None
             continue
         try:
-            table[seq_id] = int(spec["start"]), [int(v) for v in spec["values"]]
-        except (KeyError, TypeError, ValueError):
+            start, values = spec["start"], spec["values"]
+        except (KeyError, TypeError):
+            start = values = None
+        # type() is int, not isinstance: json.load reads true as a bool.
+        if (type(start) is not int or start < 0 or type(values) is not list
+                or not values or any(type(v) is not int for v in values)):
             raise ValueError(f'{path}: fixture {seq_id} is not '
-                             '{"start": <int>, "values": [<int>, ...]}') from None
+                             '{"start": <int>, "values": [<int>, ...]}')
+        table[seq_id] = start, values
     return table
 
 

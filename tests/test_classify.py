@@ -267,9 +267,10 @@ def test_transpose_keeps_signature_but_centered():
 def test_orbit_images_share_the_representative_signature():
     # The lemma behind the census walk's orbits: each image of a shape under
     # the mirror, the vertical flip and the 180 degree rotation has the
-    # representative's signature with the degrees swapped by the mirror and
-    # the flip, four_stack, centered and the full-height-column bit shared,
-    # and only the remaining bits depending on the image's own rows.
+    # representative's signature with the degrees and the ascending and
+    # descending bits swapped by the mirror and the flip, four_stack,
+    # centered and the full-height-column bit shared, and only the directed
+    # and top-right bits depending on the image's own rows.
     for n in range(2, 10):
         images_total = 0
         for r, c in blocks(n):
@@ -288,11 +289,12 @@ def test_orbit_images_share_the_representative_signature():
                     assert (max(l0, lt) <= min(r0, rt)) == (
                         max(rows[0][0], rows[-1][0])
                         <= min(rows[0][1], rows[-1][1])), q.encode()
-                    ne, nw = (rep.nw, rep.ne) if swapped else (rep.ne, rep.nw)
+                    ne, nw, asc, desc = (
+                        (rep.nw, rep.ne, rep.descending, rep.ascending) if swapped
+                        else (rep.ne, rep.nw, rep.ascending, rep.descending))
                     derived = Signature(
-                        ne, nw, rep.centered, rep.four_stack, is_ascending(q),
-                        is_descending(q), is_directed_convex(q),
-                        q.rows[-1][1] == q.width - 1)
+                        ne, nw, rep.centered, rep.four_stack, asc, desc,
+                        is_directed_convex(q), q.rows[-1][1] == q.width - 1)
                     assert _signature(q) == derived, (p.encode(), q.encode())
         assert images_total == count_convex(n)
 

@@ -209,8 +209,12 @@ def test_verify_missing_fixtures_is_usage_error(capsys, tmp_path):
     assert err == f"zcx: error: {missing}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("entry", [[2, 5], {"values": [1]}],
-                         ids=["list", "no_start"])
+@pytest.mark.parametrize("entry", [
+    [2, 5], {"values": [1]}, {"start": -2, "values": [1, 2, 3]},
+    {"start": 2.5, "values": [1]}, {"start": 2, "values": [1, 7.9]},
+    {"start": 2, "values": [1, True]}, {"start": 2, "values": []},
+], ids=["list", "no_start", "negative_start", "float_start", "float_value",
+        "bool_value", "empty_values"])
 def test_verify_malformed_fixture_is_usage_error(capsys, tmp_path, entry):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"A005436": entry}))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,24 @@ def test_row_checks_keep_their_fault_order(rows, error, message):
         with pytest.raises(PolyominoError) as info:
             check(arg)
         assert info.type is error and str(info.value) == message
+
+
+def test_check_rows_returns_ascent_and_last_column():
+    # On every convex tuple of up to 4 rows over columns 0..3, the one row
+    # scan returns the quadratic definition of ascending (no row strictly
+    # left of a lower row at both ends) and the largest right endpoint.
+    spans = [(l, r) for l in range(4) for r in range(l, 4)]
+    seen = Counter()
+    for height in range(1, 5):
+        for rows in itertools.product(spans, repeat=height):
+            if not cellset_oracle_is_convex(rows):
+                continue
+            ascending = not any(
+                rows[j][0] < rows[i][0] and rows[j][1] < rows[i][1]
+                for j in range(height) for i in range(j))
+            assert check_rows(rows) == (ascending, max(r for _, r in rows)), rows
+            seen[ascending] += 1
+    assert seen[True] and seen[False]
 
 
 def test_size_examples():
