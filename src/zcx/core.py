@@ -109,14 +109,17 @@ class Polyomino:
 def from_rows(intervals) -> Polyomino:
     """Validate and normalize a list of (left, right) row intervals.
 
-    Raises EmptyRow, Disconnected or NotConvex when the intervals do not
-    describe a convex polyomino.  Normalization translates columns so the
-    minimum left endpoint is 0; row order is preserved (bottom to top).
+    Raises PolyominoError unless each endpoint is an int, else EmptyRow,
+    Disconnected or NotConvex unless the rows describe a convex polyomino.
+    Columns shift so the least left is 0; row order is kept (bottom to top).
     """
-    rows = [(int(l), int(r)) for l, r in intervals]
+    rows = [(l, r) for l, r in intervals]
     if not rows:
         raise EmptyRow("no rows")
     for l, r in rows:
+        # type() is int, not isinstance: a bool is an int too.
+        if type(l) is not int or type(r) is not int:
+            raise PolyominoError(f"row endpoints {l!r}, {r!r} are not both ints")
         if l > r:
             raise EmptyRow(f"row interval {l}-{r} is empty")
     shift = min(l for l, _ in rows)

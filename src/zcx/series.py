@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import partial
 
 DEFAULT_ORDER = 300
+ASYMPTOTIC_N = 1024     # the n of asymptotic_report
 
 
 class SeriesError(ValueError):
@@ -582,8 +583,8 @@ def _check(description: str, delta: Series):
     return (description, delta.is_zero(), delta.valuation())
 
 
-def kernel_checks(terms: int = 100) -> list[tuple[str, bool, int | None]]:
-    """Verify the kernel roots used to solve the functional equations.
+def kernel_checks() -> list[tuple[str, bool, int | None]]:
+    """Verify the kernel roots of the functional equations, to order 100.
 
     (i)  z0 = (1 - sqrt(1-4t))/(2t) annihilates 1 - z + t z^2;
     (ii) in s with t = s^2, Z = (1 +/- s)/(1 - s^2) annihilates
@@ -591,8 +592,7 @@ def kernel_checks(terms: int = 100) -> list[tuple[str, bool, int | None]]:
     plus the y-root 1/(1-tz) of 1 - y + tyz and the identity
     t z0 = d(t) + t relating z0 to the Catalan series.
     """
-    if terms < 4:
-        raise ValueError("terms must be >= 4")
+    terms = 100
     n = terms + 2
     results = []
 
@@ -726,9 +726,9 @@ def _richardson_half(r_n: float, r_2n: float) -> float:
     s = math.sqrt(2.0)
     return (s * r_2n - r_n) / (s - 1.0)
 
-def asymptotic_report(n: int = 1024) -> list[dict]:
+def asymptotic_report() -> list[dict]:
     """Check the growth constants: coefficient ratios against the stated
-    asymptotic laws, extrapolated from n and 2n.
+    asymptotic laws at n = ASYMPTOTIC_N (1024) and 2n, extrapolated.
 
     The n*4^n classes (ascending 1/256, C21 1/768, Z 1/384, convex 1/128)
     and centered (3/128 * 4^n) are required within 2 percent after
@@ -737,7 +737,7 @@ def asymptotic_report(n: int = 1024) -> list[dict]:
     rational/algebraic functions are of order n^(-1/2), which fixes the
     extrapolation exponent.
     """
-    order = 2 * n + 1
+    order = 2 * ASYMPTOTIC_N + 1
     coeffs = {
         name: gf(name, order) for name in ("Agf", "C21gf", "Zgf", "Cgf", "Egf", "C22gf")
     }
@@ -767,7 +767,7 @@ def asymptotic_report(n: int = 1024) -> list[dict]:
 
     report = []
     for label, fn, tol in cases:
-        r_n, r_2n = fn(n), fn(2 * n)
+        r_n, r_2n = fn(ASYMPTOTIC_N), fn(2 * ASYMPTOTIC_N)
         extrap = _richardson_half(r_n, r_2n)
         report.append(
             {

@@ -3,10 +3,10 @@ and generating functions together.
 
 Each suite runs a fixed list of checks, never aborts on a failure, and
 returns a :class:`SuiteReport` whose failing entries carry a witness (a
-canonical encoding or an (n, expected, got) triple).  Identical inputs give
-byte-identical reports.  The suites that read censuses take them from a
-``census`` argument; :func:`run_suites` passes one memo over one process
-pool to all of them, so a command computes each size once.
+canonical encoding or an (n, expected, got) triple).  A suite's bounds
+follow from its size argument alone, so equal sizes give byte-identical
+reports.  The census readers take a ``census`` argument; :func:`run_suites`
+passes them one memo over one process pool, computing each size once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from typing import NamedTuple
 
 from . import classify, gentree, series
@@ -42,11 +42,10 @@ class SuiteReport:
     __slots__ = ("suite", "checks", "elapsed")
     __hash__ = None     # mutable
 
-    def __init__(self, suite: str, checks: list[CheckResult] | None = None,
-                 elapsed: float = 0.0):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.checks = [] if checks is None else checks
-        self.elapsed = elapsed
+        self.checks: list[CheckResult] = []
+        self.elapsed = 0.0
 
     def __eq__(self, other):
         if other.__class__ is not SuiteReport:
@@ -89,21 +88,17 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=32)
-def _gf(name: str, order: int) -> series.Series:
-    return series.gf(name, order)
-
-
-def _coeff(name: str, n: int) -> int:
-    return _gf(name, 32 if n < 32 else n + 1).integer_coefficient(n)
-
-
-def suite_identities(max_n: int = 12, series_order: int = 300,
-                     census=None) -> SuiteReport:
-    """The counting identity, the partition claims, and their series forms."""
+def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
+    """The counting identity and partition claims for sizes 2..max_n, each
+    census column against its series, and the series forms of the
+    identities to order 300, reading each series from one expansion."""
     census = census or classify.census
     rep = SuiteReport("identities")
     t0 = time.perf_counter()
+    order = 300
+    gfs = {name: series.gf(name, max(order, max_n + 1))
+           for name in ("Lgf", "Egf", "Zgf", "S4gf", "Cgf", "Hgf", "RectGf",
+                        "Agf", "C22gf", "C21gf")}
     for n in range(2, max_n + 1):
         row = census(n)
         a, k, l = row.ascending, row.c22, row.l_convex
@@ -134,7 +129,7 @@ def suite_identities(max_n: int = 12, series_order: int = 300,
             ("c21", row.c21, "C21gf"),
             ("c12", row.c12, "C21gf"),
         ):
-            exp = _coeff(gf_name, n)
+            exp = gfs[gf_name].integer_coefficient(n)
             rep.record(
                 f"n={n}: census {label} = [t^{n}] {gf_name}",
                 got == exp,
@@ -151,13 +146,9 @@ def suite_identities(max_n: int = 12, series_order: int = 300,
             (n, row.l_convex, row.ascending_and_descending),
         )
 
-    order = series_order
-    c = _gf("Cgf", order)
-    a = _gf("Agf", order)
-    l = _gf("Lgf", order)
-    z = _gf("Zgf", order)
-    c22 = _gf("C22gf", order)
-    c21 = _gf("C21gf", order)
+    gfs = {name: g.truncate(order) for name, g in gfs.items()}
+    c, a, l, z = gfs["Cgf"], gfs["Agf"], gfs["Lgf"], gfs["Zgf"]
+    c22, c21 = gfs["C22gf"], gfs["C21gf"]
     delta = c - a.scale(2) - c22 + l
     rep.record(
         f"series: C = 2A + C22 - L to order {order}",
@@ -168,9 +159,7 @@ def suite_identities(max_n: int = 12, series_order: int = 300,
         f"series: Z = L + 2*C21 + C22 to order {order}",
         delta.is_zero(), f"first difference at order {delta.valuation()}",
     )
-    for name in ("Lgf", "Egf", "Zgf", "S4gf", "Cgf", "Hgf", "RectGf",
-                 "Agf", "C22gf", "C21gf"):
-        g = _gf(name, order)
+    for name, g in gfs.items():
         bad = None
         for i in range(order):
             coeff = g.coefficient(i)
@@ -337,13 +326,14 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
     return rep
 
 
-def suite_structure(max_n: int = 12, oracle_max_n: int = 7,
-                    census=None) -> SuiteReport:
-    """Structural laws of the degree classes over the census, plus
-    small-size oracle comparisons."""
+def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
+    """Structural laws of the degree classes over the census for sizes
+    2..max_n, plus brute-force oracle comparisons for sizes 2..7."""
     census = census or classify.census
     rep = SuiteReport("structure")
     t0 = time.perf_counter()
+    s4 = series.gf("S4gf", max_n + 1)
+    oracle_max_n = 7
     for n in range(2, max_n + 1):
         row = census(n)
         rep.record(
@@ -353,8 +343,8 @@ def suite_structure(max_n: int = 12, oracle_max_n: int = 7,
         )
         rep.record(
             f"n={n}: 4-stack count matches its generating function",
-            row.four_stack == _coeff("S4gf", n),
-            (n, _coeff("S4gf", n), row.four_stack),
+            row.four_stack == s4.integer_coefficient(n),
+            (n, s4.integer_coefficient(n), row.four_stack),
         )
         bad = [
             pair for pair in row.by_degree_pair
@@ -403,34 +393,31 @@ def suite_structure(max_n: int = 12, oracle_max_n: int = 7,
     return rep
 
 
-def suite_kernels(terms: int = 100, eq_terms: int = 60) -> SuiteReport:
-    """Kernel-root identities and functional-equation substitution."""
+def suite_kernels() -> SuiteReport:
+    """The kernel-root identities, and the seven functional equations to
+    order 60 at two parameter points."""
     rep = SuiteReport("kernels")
     t0 = time.perf_counter()
-    for desc, ok, fail in series.kernel_checks(terms):
+    terms = 60
+    for desc, ok, fail in series.kernel_checks():
         rep.record(desc, ok, f"first failure at order {fail}")
-    x, y, z = _REFINED_PARAMS
-    for desc, ok, fail in series.functional_equation_checks(x, y, z, eq_terms):
-        rep.record(
-            f"{desc} at (x,y,z)=({x},{y},{z}) to order {eq_terms}",
-            ok, f"first failure at order {fail}",
-        )
-    for desc, ok, fail in series.functional_equation_checks(
-        Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), eq_terms
-    ):
-        rep.record(
-            f"{desc} at (x,y,z)=(1/2,1/3,2/5) to order {eq_terms}",
-            ok, f"first failure at order {fail}",
-        )
+    for x, y, z in (_REFINED_PARAMS,
+                    (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))):
+        for desc, ok, fail in series.functional_equation_checks(x, y, z, terms):
+            rep.record(
+                f"{desc} at (x,y,z)=({x},{y},{z}) to order {terms}",
+                ok, f"first failure at order {fail}",
+            )
     rep.elapsed = time.perf_counter() - t0
     return rep
 
 
-def suite_asymptotics(n: int = 1024) -> SuiteReport:
-    """Growth-constant ratios, Richardson-extrapolated from n and 2n."""
+def suite_asymptotics() -> SuiteReport:
+    """Growth-constant ratios at n = 1024 and 2n, Richardson-extrapolated."""
     rep = SuiteReport("asymptotics")
     t0 = time.perf_counter()
-    for entry in series.asymptotic_report(n):
+    n = series.ASYMPTOTIC_N
+    for entry in series.asymptotic_report():
         rep.record(
             f"{entry['law']}: extrapolated ratio within {entry['tolerance']:.0%}",
             entry["ok"],
@@ -533,8 +520,8 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run the named suites (or all) in deterministic order.
 
-    ``max_size`` goes unchanged to the size-bounded suites; the others run
-    at their defaults.  The census readers share one memo over one
+    ``max_size`` goes unchanged to the size-bounded suites; the others
+    take no size.  The census readers share one memo over one
     ``census_pool(workers)``, so each size is computed once per call.  No
     names, unknown names and sizes no suite can run raise before any suite
     starts, and so does an unreadable or malformed fixture file.

@@ -239,7 +239,7 @@ def test_criterion_8_functional_equations_and_kernels():
     assert len(eq) == 7
     for desc, ok, fail in eq:
         assert ok, (desc, fail)
-    for desc, ok, fail in series.kernel_checks(100):
+    for desc, ok, fail in series.kernel_checks():
         assert ok, (desc, fail)
     _report(
         8,
@@ -291,7 +291,7 @@ def test_remaining_module_invariants_at_full_size(census_rows, ascending_by_size
 
 
 def test_criterion_10_asymptotic_constants():
-    report = series.asymptotic_report(1024)
+    report = series.asymptotic_report()
     for entry in report:
         assert entry["ok"], entry
     c22 = next(e for e in report if e["law"].startswith("C(2,2)"))

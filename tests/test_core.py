@@ -72,6 +72,13 @@ def test_from_rows_normalizes_translation():
     assert p.rows == ((1, 2), (0, 1))
 
 
+def test_from_rows_accepts_lists_and_rejects_non_int_endpoints():
+    assert from_rows([[3, 4], [2, 3]]).rows == ((1, 2), (0, 1))
+    for rows in ([(0.7, 1.9)], [(0, 1), (True, 2)], [("0", "1")]):
+        with pytest.raises(PolyominoError, match="not both ints"):
+            from_rows(rows)
+
+
 def test_from_rows_disconnected():
     with pytest.raises(Disconnected):
         from_rows([(0, 0), (2, 2)])

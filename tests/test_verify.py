@@ -8,13 +8,13 @@ import json
 
 import pytest
 
-from zcx import classify, gentree, verify
+from zcx import classify, gentree, series, verify
 from zcx.core import decode
 
 
 def test_identities_suite_passes_and_is_deterministic():
-    a = verify.suite_identities(max_n=7, series_order=80)
-    b = verify.suite_identities(max_n=7, series_order=80)
+    a = verify.suite_identities(max_n=7)
+    b = verify.suite_identities(max_n=7)
     assert a.passed
     da, db = a.to_dict(), b.to_dict()
     da.pop("elapsed_seconds"), db.pop("elapsed_seconds")
@@ -38,13 +38,35 @@ def test_refined_suite_refuses_sizes_below_2():
 
 
 def test_structure_suite_passes():
-    rep = verify.suite_structure(max_n=8, oracle_max_n=6)
+    rep = verify.suite_structure(max_n=8)
     assert rep.passed, rep.to_text()
 
 
 def test_kernels_suite_passes():
-    rep = verify.suite_kernels(terms=60, eq_terms=30)
+    rep = verify.suite_kernels()
     assert rep.passed, rep.to_text()
+
+
+def test_suites_expand_each_series_once_per_call(monkeypatch):
+    # No expansion outlives its call: a second call expands every series
+    # again, each at one order.
+    calls = []
+    real = series.gf
+
+    def gf(name, terms, **params):
+        calls.append((name, terms))
+        return real(name, terms, **params)
+
+    monkeypatch.setattr(series, "gf", gf)
+    names = ["Lgf", "Egf", "Zgf", "S4gf", "Cgf", "Hgf", "RectGf", "Agf",
+             "C22gf", "C21gf"]
+    for _ in range(2):
+        calls.clear()
+        assert verify.suite_identities(max_n=8).passed
+        assert calls == [(name, 300) for name in names]
+    calls.clear()
+    assert verify.suite_structure(max_n=8).passed
+    assert calls == [("S4gf", 9)]
 
 
 def test_failing_checks_carry_witnesses():
