@@ -18,13 +18,15 @@ Rational parameters stay in integers too: P and Q are scaled to integer
 polynomials and each coefficient is divided out once, at the end.
 Floating point appears only in the asymptotic-ratio report at the very
 bottom.
+
+The seven functional equations of the generating tree are one table of
+linear terms c t^s F(params) over the class functions, summed by one loop.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 
 DEFAULT_ORDER = 300
 ASYMPTOTIC_N = 1024     # the n of asymptotic_report
@@ -631,89 +633,58 @@ def functional_equation_checks(
     x, y, z, terms: int = 60
 ) -> list[tuple[str, bool, int | None]]:
     """Substitute the closed class functions into the seven rectangular-case
-    equations and report the first order (if any) where a side differs."""
+    equations and report the first order (if any) where a side differs.
+
+    Each equation is a row of one table: its description and the terms
+    (c, s, F, params) of lhs - rhs, which holds when the sum of
+    c t^s F(params) vanishes to ``terms``.  F is a class-function builder
+    and None the constant 1; each (F, params) pair is expanded once.  The
+    equations do not pin N': its first term t^3 z/(sqrt(1-4t) K), with
+    K = 1 - z + t z^2, solves K T(z) = tz T(1), the kernel method's free
+    solution.  The label statistics of the refined suite pin N'.
+    """
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     if z == 1 or y == 1:
         raise DegenerateParam("divided differences need y != 1 and z != 1")
     if terms < 4:
         raise ValueError("terms must be >= 4")
 
-    # Each (class function, parameters) pair is expanded once per call.
-    expanded: dict[tuple, Series] = {}
+    c0p, l0p, s0p, cp, lp, sp, np_ = (
+        _gf_c0p, _gf_l0p, _gf_s0p, _gf_cp, _gf_lp, _gf_sp, _gf_np)
+    xy, xyz = (x, y), (x, y, z)
+    u, v, w = z / (1 - y), z / (1 - z), x * y / (1 - z)   # divided differences
+    table = [
+        ("C'0 = tx C'0 + tx L'0 + tx S'0",
+         [(1, 0, c0p, xy), (-x, 1, c0p, xy), (-x, 1, l0p, xy), (-x, 1, s0p, xy)]),
+        ("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0",
+         [(1, 0, l0p, xy), (-x * y, 2, None, ()), (-x * y, 1, c0p, (1, y)),
+          (-y, 1, l0p, xy), (-y, 1, s0p, xy)]),
+        ("S'0 = txy C'0(1,y) + ty S'0",
+         [(1, 0, s0p, xy), (-x * y, 1, c0p, (1, y)), (-y, 1, s0p, xy)]),
+        ("C' = tx C' + tx L' + tx S'",
+         [(1, 0, cp, xyz), (-x, 1, cp, xyz), (-x, 1, lp, xyz), (-x, 1, sp, xyz)]),
+        ("L' = txy C'(1,y,z) + divided differences + ty L' + ty S'",
+         [(1, 0, lp, xyz), (-x * y, 1, cp, (1, y, z)), (-w * z, 1, cp, (1, 1, z)),
+          (w, 1, cp, (z, 1, z)), (-w * z, 1, c0p, (1, 1)), (w, 1, c0p, (z, 1)),
+          (-y, 1, lp, xyz), (-y, 1, sp, xyz)]),
+        ("S' = tz/(1-y)[y S'0(x,1) - S'0(x,y)] + tyz/(1-y)[S'(x,1,z) - S'(x,y,z)]",
+         [(1, 0, sp, xyz), (-u * y, 1, s0p, (x, 1)), (u, 1, s0p, xy),
+          (-u * y, 1, sp, (x, 1, z)), (u * y, 1, sp, xyz)]),
+        ("N' = tz/(1-z)[C'+L'+S' differences] + tz/(1-z)[N'(1) - z N'(z)]",
+         [(1, 0, np_, (z,)), (-v, 1, cp, (1, 1, 1)), (v, 1, cp, (1, 1, z)),
+          (-v, 1, lp, (1, 1, 1)), (v, 1, lp, (1, 1, z)), (-v, 1, sp, (1, 1, 1)),
+          (v, 1, sp, (1, 1, z)), (-v, 1, np_, (1,)), (v * z, 1, np_, (z,))]),
+    ]
 
-    def expand(builder, *params) -> Series:
-        key = (builder, *params)
-        if key not in expanded:
-            expanded[key] = _expand(builder(*params), terms)
-        return expanded[key]
-
-    c0p = partial(expand, _gf_c0p)
-    l0p = partial(expand, _gf_l0p)
-    s0p = partial(expand, _gf_s0p)
-    cp = partial(expand, _gf_cp)
-    lp = partial(expand, _gf_lp)
-    sp = partial(expand, _gf_sp)
-    np_ = partial(expand, _gf_np)
-
+    pairs = dict.fromkeys((f, p) for _, row in table for _, _, f, p in row)
+    expanded = {(f, p): one(terms) if f is None else _expand(f(*p), terms)
+                for f, p in pairs}
     results = []
-
-    lhs = c0p(x, y)
-    rhs = (c0p(x, y) + l0p(x, y) + s0p(x, y)).shift(1).scale(x)
-    results.append(_check("C'0 = tx C'0 + tx L'0 + tx S'0", lhs - rhs))
-
-    lhs = l0p(x, y)
-    rhs = (
-        tpoly(terms, [0, 0, x * y])
-        + c0p(1, y).shift(1).scale(x * y)
-        + (l0p(x, y) + s0p(x, y)).shift(1).scale(y)
-    )
-    results.append(
-        _check("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0", lhs - rhs)
-    )
-
-    lhs = s0p(x, y)
-    rhs = c0p(1, y).shift(1).scale(x * y) + s0p(x, y).shift(1).scale(y)
-    results.append(_check("S'0 = txy C'0(1,y) + ty S'0", lhs - rhs))
-
-    lhs = cp(x, y, z)
-    rhs = (cp(x, y, z) + lp(x, y, z) + sp(x, y, z)).shift(1).scale(x)
-    results.append(_check("C' = tx C' + tx L' + tx S'", lhs - rhs))
-
-    lhs = lp(x, y, z)
-    bracket_c = (cp(1, 1, z).scale(z) - cp(z, 1, z)).scale(Fraction(1, 1 - z))
-    bracket_c0 = (c0p(1, 1).scale(z) - c0p(z, 1)).scale(Fraction(1, 1 - z))
-    rhs = (
-        cp(1, y, z).shift(1).scale(x * y)
-        + bracket_c.shift(1).scale(x * y)
-        + bracket_c0.shift(1).scale(x * y)
-        + (lp(x, y, z) + sp(x, y, z)).shift(1).scale(y)
-    )
-    results.append(
-        _check("L' = txy C'(1,y,z) + divided differences + ty L' + ty S'",
-               lhs - rhs)
-    )
-
-    lhs = sp(x, y, z)
-    b1 = (s0p(x, 1).scale(y) - s0p(x, y)).scale(Fraction(1, 1 - y))
-    b2 = (sp(x, 1, z) - sp(x, y, z)).scale(Fraction(1, 1 - y))
-    rhs = b1.shift(1).scale(z) + b2.shift(1).scale(y * z)
-    results.append(
-        _check("S' = tz/(1-y)[y S'0(x,1) - S'0(x,y)] + tyz/(1-y)[S'(x,1,z) - S'(x,y,z)]",
-               lhs - rhs)
-    )
-
-    lhs = np_(z)
-    scale_zz = Fraction(1, 1 - z)
-    rhs = (
-        (cp(1, 1, 1) - cp(1, 1, z)).shift(1).scale(z * scale_zz)
-        + (lp(1, 1, 1) - lp(1, 1, z)).shift(1).scale(z * scale_zz)
-        + (sp(1, 1, 1) - sp(1, 1, z)).shift(1).scale(z * scale_zz)
-        + (np_(1) - np_(z).scale(z)).shift(1).scale(z * scale_zz)
-    )
-    results.append(
-        _check("N' = tz/(1-z)[C'+L'+S' differences] + tz/(1-z)[N'(1) - z N'(z)]",
-               lhs - rhs)
-    )
+    for description, row in table:
+        delta = [0] * terms
+        for c, s, f, p in row:
+            delta[s:] = [d + c * a for d, a in zip(delta[s:], expanded[f, p].coeffs)]
+        results.append(_check(description, Series(delta)))
     return results
 
 

@@ -36,26 +36,14 @@ class CheckResult(NamedTuple):
 
 
 class SuiteReport:
-    """The checks of one suite in the order they ran, and its run time.
-    Reports are equal when their suites, checks and times are."""
+    """The checks of one suite in the order they ran, and its run time."""
 
     __slots__ = ("suite", "checks", "elapsed")
-    __hash__ = None     # mutable
 
     def __init__(self, suite: str):
         self.suite = suite
         self.checks: list[CheckResult] = []
         self.elapsed = 0.0
-
-    def __eq__(self, other):
-        if other.__class__ is not SuiteReport:
-            return NotImplemented
-        return ((self.suite, self.checks, self.elapsed)
-                == (other.suite, other.checks, other.elapsed))
-
-    def __repr__(self) -> str:
-        return (f"SuiteReport(suite={self.suite!r}, checks={self.checks!r},"
-                f" elapsed={self.elapsed!r})")
 
     @property
     def passed(self) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcx import series as S
+from zcx import verify
 from zcx.series import (
     BadConstantTerm,
     DegenerateParam,
@@ -410,6 +411,44 @@ def test_functional_equations_expand_each_class_function_once(monkeypatch):
         results = S.functional_equation_checks(*params, 20)
         assert [ok for _, ok, _ in results] == [True] * 7
         assert calls == [20] * 21
+
+
+def _first_term_perturbed(builder):
+    # The builder with its first term's scalar multiplied by 1 + 10^-6.
+    def perturbed(*params):
+        (c, p, q, e), *rest = builder(*params)
+        return [(c * (1 + Fraction(1, 10**6)), p, q, e), *rest]
+    return perturbed
+
+
+def _failing_equations(x, y, z, terms):
+    return {desc.split(" = ")[0]
+            for desc, ok, _ in S.functional_equation_checks(x, y, z, terms) if not ok}
+
+
+@pytest.mark.parametrize("builder, failing", [
+    ("_gf_c0p", {"C'0", "L'0", "S'0", "L'"}),
+    ("_gf_s0p", {"C'0", "L'0", "S'0", "S'"}),
+    ("_gf_lp", {"C'", "L'", "N'"}),
+])
+def test_functional_equations_read_their_class_functions(monkeypatch, builder, failing):
+    # A wrong class function breaks exactly the equations that read it.
+    monkeypatch.setattr(S, builder, _first_term_perturbed(getattr(S, builder)))
+    params = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
+    assert _failing_equations(*params, 60) == failing
+
+
+def test_np_is_pinned_by_the_label_statistics_not_the_equations(monkeypatch):
+    # Np's first term t^3 z/(sqrt(1-4t) K), K = 1 - z + t z^2, solves the
+    # homogeneous equation K T(z) = tz T(1): the N' equation cannot see it.
+    np_ = _first_term_perturbed(S._gf_np)
+    monkeypatch.setattr(S, "_gf_np", np_)
+    assert _failing_equations(Fraction(2, 3), Fraction(3, 5), Fraction(5, 7), 60) == set()
+    monkeypatch.setitem(S._CATALOG, "Np", (np_, ("z",)))
+    failed = [c for c in verify.suite_refined_gf(8).checks if not c.passed]
+    assert [c.description for c in failed] == [
+        f"rectangular non-centered: statistic = Np(z={z}), n <= 8" for z in ("5/7", "2/3")]
+    assert all(c.witness.startswith("(3, ") for c in failed)
 
 
 def test_degenerate_params_rejected():
