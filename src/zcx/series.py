@@ -19,8 +19,8 @@ polynomials and each coefficient is divided out once, at the end.
 Floating point appears only in the asymptotic-ratio report at the very
 bottom.
 
-The seven functional equations of the generating tree are one table of
-linear terms c t^s F(params) over the class functions, summed by one loop.
+The functional equations and the size identities are rows of linear terms
+c t^s F(params) over the catalog builders, each checked by one expansion.
 """
 
 from __future__ import annotations
@@ -585,6 +585,17 @@ def _check(description: str, delta: Series):
     return (description, delta.is_zero(), delta.valuation())
 
 
+def linear_checks(rows, terms: int) -> list[tuple[str, bool, int | None]]:
+    """Check rows (description, terms (c, s, F, params)) of sum c t^s F(params) = 0
+    to ``terms``, each by one expansion of its joined terms (c, t^s P, Q, e)."""
+    return [
+        _check(description, _expand(
+            [(k * c, [0] * s + p, q, e)
+             for k, s, f, params in row for c, p, q, e in f(*params)], terms))
+        for description, row in rows
+    ]
+
+
 def kernel_checks() -> list[tuple[str, bool, int | None]]:
     """Verify the kernel roots of the functional equations, to order 100.
 
@@ -635,11 +646,8 @@ def functional_equation_checks(
     """Substitute the closed class functions into the seven rectangular-case
     equations and report the first order (if any) where a side differs.
 
-    Each equation is a row of one table: its description and the terms
-    (c, s, F, params) of lhs - rhs, which holds when the sum of
-    c t^s F(params) vanishes to ``terms``.  F is a class-function builder
-    and None the constant 1; each (F, params) pair is expanded once.  The
-    equations do not pin N': its first term t^3 z/(sqrt(1-4t) K), with
+    Each equation is a row of ``linear_checks``, the terms of lhs - rhs.
+    The equations do not pin N': its first term t^3 z/(sqrt(1-4t) K), with
     K = 1 - z + t z^2, solves K T(z) = tz T(1), the kernel method's free
     solution.  The label statistics of the refined suite pin N'.
     """
@@ -653,12 +661,12 @@ def functional_equation_checks(
         _gf_c0p, _gf_l0p, _gf_s0p, _gf_cp, _gf_lp, _gf_sp, _gf_np)
     xy, xyz = (x, y), (x, y, z)
     u, v, w = z / (1 - y), z / (1 - z), x * y / (1 - z)   # divided differences
-    table = [
+    return linear_checks([
         ("C'0 = tx C'0 + tx L'0 + tx S'0",
          [(1, 0, c0p, xy), (-x, 1, c0p, xy), (-x, 1, l0p, xy), (-x, 1, s0p, xy)]),
         ("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0",
-         [(1, 0, l0p, xy), (-x * y, 2, None, ()), (-x * y, 1, c0p, (1, y)),
-          (-y, 1, l0p, xy), (-y, 1, s0p, xy)]),
+         [(1, 0, l0p, xy), (-x * y, 2, lambda: [_term(1, [])], ()),
+          (-x * y, 1, c0p, (1, y)), (-y, 1, l0p, xy), (-y, 1, s0p, xy)]),
         ("S'0 = txy C'0(1,y) + ty S'0",
          [(1, 0, s0p, xy), (-x * y, 1, c0p, (1, y)), (-y, 1, s0p, xy)]),
         ("C' = tx C' + tx L' + tx S'",
@@ -674,18 +682,17 @@ def functional_equation_checks(
          [(1, 0, np_, (z,)), (-v, 1, cp, (1, 1, 1)), (v, 1, cp, (1, 1, z)),
           (-v, 1, lp, (1, 1, 1)), (v, 1, lp, (1, 1, z)), (-v, 1, sp, (1, 1, 1)),
           (v, 1, sp, (1, 1, z)), (-v, 1, np_, (1,)), (v * z, 1, np_, (z,))]),
-    ]
+    ], terms)
 
-    pairs = dict.fromkeys((f, p) for _, row in table for _, _, f, p in row)
-    expanded = {(f, p): one(terms) if f is None else _expand(f(*p), terms)
-                for f, p in pairs}
-    results = []
-    for description, row in table:
-        delta = [0] * terms
-        for c, s, f, p in row:
-            delta[s:] = [d + c * a for d, a in zip(delta[s:], expanded[f, p].coeffs)]
-        results.append(_check(description, Series(delta)))
-    return results
+
+def size_identity_checks(terms: int) -> list[tuple[str, bool, int | None]]:
+    """C = 2A + C22 - L and Z = L + 2*C21 + C22 as rows of ``linear_checks``."""
+    return linear_checks([
+        ("C = 2A + C22 - L", [(1, 0, _gf_convex, ()), (-2, 0, _gf_ascending, ()),
+                              (-1, 0, _gf_c22, ()), (1, 0, _gf_lconvex, ())]),
+        ("Z = L + 2*C21 + C22", [(1, 0, _gf_zconvex, ()), (-1, 0, _gf_lconvex, ()),
+                                 (-2, 0, _gf_c21, ()), (-1, 0, _gf_c22, ())]),
+    ], terms)
 
 
 # ---------------------------------------------------------------------------

@@ -392,9 +392,9 @@ def test_functional_equations_hold_at_several_parameter_sets():
             assert ok, (params, desc, fail)
 
 
-def test_functional_equations_expand_each_class_function_once(monkeypatch):
-    # The seven equations read seven class functions at 21 distinct
-    # (function, parameters) pairs; each is expanded once per call.
+def test_linear_checks_expand_each_row_once(monkeypatch):
+    # Every row of linear terms is one expansion: seven per call of the
+    # functional equations, two per call of the size identities.
     calls = []
     real = S._expand
 
@@ -410,7 +410,55 @@ def test_functional_equations_expand_each_class_function_once(monkeypatch):
         calls.clear()
         results = S.functional_equation_checks(*params, 20)
         assert [ok for _, ok, _ in results] == [True] * 7
-        assert calls == [20] * 21
+        assert calls == [20] * 7
+    calls.clear()
+    assert [ok for _, ok, _ in S.size_identity_checks(300)] == [True] * 2
+    assert calls == [300] * 2
+
+
+def _sum_expanded_terms(rows, terms):
+    # The reference: expand each distinct (F, params) pair of the rows
+    # once and sum each row's c t^s F(params) in Fractions.
+    expanded = {}
+    sums = []
+    for _, row in rows:
+        delta = [0] * terms
+        for c, s, f, p in row:
+            if (f, p) not in expanded:
+                expanded[f, p] = S._expand(f(*p), terms)
+            delta[s:] = [d + c * a for d, a in zip(delta[s:], expanded[f, p].coeffs)]
+        sums.append(tuple(delta))
+    return sums
+
+
+@pytest.mark.parametrize("terms", [60, 200])
+@pytest.mark.parametrize("params", [
+    (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
+    (Fraction(-1, 2), Fraction(2, 7), Fraction(3, 4)),
+    (Fraction(2), Fraction(2, 5), Fraction(1, 2)),
+    (Fraction(5, 2), Fraction(5, 4), Fraction(1, 5)),
+])
+def test_each_equation_row_expands_to_the_sum_of_its_terms(monkeypatch, params, terms):
+    # One expansion of a row's joined terms equals, coefficient by
+    # coefficient, the sum of its terms' separate expansions.
+    rows, joined = [], []
+    real_checks, real_expand = S.linear_checks, S._expand
+
+    def linear_checks(table, n):
+        rows.extend(table)
+        return real_checks(table, n)
+
+    def expand(term_list, n):
+        joined.append(real_expand(term_list, n))
+        return joined[-1]
+
+    monkeypatch.setattr(S, "linear_checks", linear_checks)
+    monkeypatch.setattr(S, "_expand", expand)
+    S.functional_equation_checks(*params, terms)
+    monkeypatch.undo()
+    assert len(rows) == len(joined) == 7
+    assert [g.coeffs for g in joined] == _sum_expanded_terms(rows, terms)
 
 
 def _first_term_perturbed(builder):
@@ -436,6 +484,18 @@ def test_functional_equations_read_their_class_functions(monkeypatch, builder, f
     monkeypatch.setattr(S, builder, _first_term_perturbed(getattr(S, builder)))
     params = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
     assert _failing_equations(*params, 60) == failing
+
+
+@pytest.mark.parametrize("builder, failing", [
+    ("_gf_c22", {"C", "Z"}),
+    ("_gf_c21", {"Z"}),
+    ("_gf_ascending", {"C"}),
+])
+def test_size_identities_read_their_class_functions(monkeypatch, builder, failing):
+    # A wrong class function breaks exactly the size identities that read it.
+    monkeypatch.setattr(S, builder, _first_term_perturbed(getattr(S, builder)))
+    assert {desc.split(" = ")[0]
+            for desc, ok, _ in S.size_identity_checks(60) if not ok} == failing
 
 
 def test_np_is_pinned_by_the_label_statistics_not_the_equations(monkeypatch):
