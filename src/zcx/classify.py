@@ -29,7 +29,9 @@ first moves at least one cell, so a walk takes at most rows + width runs;
 the north-first walk raises AssertionError past that bound, and the
 east-first walk, capped by it, stays within it.  A NW walk on the mirror
 image is a NE walk, so one kernel serves both directions.  The tests check
-the kernel against a plain breadth-first oracle over all cell pairs.
+the kernel against an exhaustive oracle that uses none of these lemmas: from
+every cell, one pass over the cells in the order N/E steps visit them
+(:func:`degree_pair_bruteforce`).
 
 The census (:func:`census`) builds no objects.  It walks the raw row tuples
 of the blocks with r rows <= c columns and validates each one, which also
@@ -140,48 +142,35 @@ def degree_pair(p: Polyomino) -> DegreePair:
 
 
 def degree_pair_bruteforce(p: Polyomino) -> DegreePair:
-    """Reference oracle: deque-based 0/1 search over (cell, heading) states
-    from every cell, maximizing the minimal turn count over all reachable
-    ordered pairs.  Quadratic in the cell count per source; used to validate
-    the production implementation on small sizes."""
-    from collections import deque
+    """Reference oracle: from every cell as a start, one pass over the
+    shape's cells in the order N/E steps visit them (rows bottom to top,
+    each left to right), so every step leads to a later cell.  The pass
+    carries the fewest turns to stand on each cell heading across and
+    heading up, and the NE-degree is the largest over every start and every
+    reached cell.  NW is the same pass with each row read right to left.
+    Quadratic in the cell count and free of the kernel's lemmas; used to
+    validate the production implementation."""
 
-    cells = p.cell_set()
-
-    def max_turns(dx_steps) -> int:
+    def max_turns(dx: int) -> int:
+        order = [(x, y) for y, (l, r) in enumerate(p.rows)
+                 for x in (range(l, r + 1) if dx == 1 else range(r, l - 1, -1))]
+        far = len(order)        # more turns than any path makes
         best = 0
-        for sx, sy in cells:
-            dist: dict[tuple[int, int, int], int] = {}
-            dq = deque()
-            for h in range(len(dx_steps)):
-                dist[(sx, sy, h)] = 0
-                dq.append((sx, sy, h))
-            while dq:
-                x, y, h = dq.popleft()
-                d = dist[(x, y, h)]
-                for h2, (dx, dy) in enumerate(dx_steps):
-                    nx, ny = x + dx, y + dy
-                    if (nx, ny) not in cells:
-                        continue
-                    nd = d + (h2 != h)
-                    key = (nx, ny, h2)
-                    if key not in dist or nd < dist[key]:
-                        dist[key] = nd
-                        if h2 == h:
-                            dq.appendleft(key)
-                        else:
-                            dq.append(key)
-            reach: dict[tuple[int, int], int] = {}
-            for (x, y, h), d in dist.items():
-                cur = reach.get((x, y))
-                if cur is None or d < cur:
-                    reach[(x, y)] = d
-            best = max(best, max(reach.values()))
+        for i, start in enumerate(order):
+            turns = {start: (0, 0)}     # cell -> (across, up)
+            for x, y in order[i + 1:]:
+                ba, bu = turns.get((x - dx, y), (far, far))
+                sa, su = turns.get((x, y - 1), (far, far))
+                # Ternaries, not min(): about three times faster here.
+                a = ba if ba <= bu else bu + 1
+                u = su if su <= sa else sa + 1
+                if a < far or u < far:
+                    turns[x, y] = a, u
+                    if a > best and u > best:
+                        best = a if a < u else u
         return best
 
-    ne = max_turns(((1, 0), (0, 1)))          # East, North
-    nw = max_turns(((-1, 0), (0, 1)))         # West, North
-    return DegreePair(ne, nw)
+    return DegreePair(max_turns(1), max_turns(-1))
 
 
 def is_four_stack_bruteforce(p: Polyomino) -> bool:

@@ -36,14 +36,16 @@ class CheckResult(NamedTuple):
 
 
 class SuiteReport:
-    """The checks of one suite in the order they ran, and its run time."""
+    """The checks of one suite in the order they ran, and its run time:
+    the clock starts when the report is made and stops at :meth:`finish`."""
 
-    __slots__ = ("suite", "checks", "elapsed")
+    __slots__ = ("suite", "checks", "elapsed", "started")
 
     def __init__(self, suite: str):
         self.suite = suite
         self.checks: list[CheckResult] = []
         self.elapsed = 0.0
+        self.started = time.perf_counter()
 
     @property
     def passed(self) -> bool:
@@ -55,6 +57,15 @@ class SuiteReport:
         self.checks.append(
             CheckResult(description, bool(ok), None if ok else str(witness))
         )
+
+    def check(self, description: str, n: int, expected, got) -> None:
+        """Record ``got == expected``, with the witness (n, expected, got)."""
+        self.record(description, got == expected, (n, expected, got))
+
+    def finish(self) -> "SuiteReport":
+        """Stop the clock and return the report."""
+        self.elapsed = time.perf_counter() - self.started
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +93,6 @@ def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
     identities to order 300, reading each series from one expansion."""
     census = census or classify.census
     rep = SuiteReport("identities")
-    t0 = time.perf_counter()
     order = 300
     # Checked before the ten series are held, so the rows add no memory peak.
     size_rows = series.size_identity_checks(order)
@@ -92,22 +102,12 @@ def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
     for n in range(2, max_n + 1):
         row = census(n)
         a, k, l = row.ascending, row.c22, row.l_convex
-        rep.record(
-            f"n={n}: c(n) = 2a(n) + k(n) - l(n)",
-            row.total_convex == 2 * a + k - l,
-            (n, 2 * a + k - l, row.total_convex),
-        )
-        rep.record(
-            f"n={n}: degree histogram sums to the total",
-            sum(row.by_degree_pair.values()) == row.total_convex,
-            (n, row.total_convex, sum(row.by_degree_pair.values())),
-        )
-        z_parts = l + row.c12 + row.c21 + row.c22
-        rep.record(
-            f"n={n}: z(n) = l(n) + c12 + c21 + c22",
-            row.z_convex == z_parts,
-            (n, z_parts, row.z_convex),
-        )
+        rep.check(f"n={n}: c(n) = 2a(n) + k(n) - l(n)",
+                  n, 2 * a + k - l, row.total_convex)
+        rep.check(f"n={n}: degree histogram sums to the total",
+                  n, row.total_convex, sum(row.by_degree_pair.values()))
+        rep.check(f"n={n}: z(n) = l(n) + c12 + c21 + c22",
+                  n, l + row.c12 + row.c21 + row.c22, row.z_convex)
         for label, got, gf_name in (
             ("total", row.total_convex, "Cgf"),
             ("l_convex", row.l_convex, "Lgf"),
@@ -119,22 +119,12 @@ def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
             ("c21", row.c21, "C21gf"),
             ("c12", row.c12, "C21gf"),
         ):
-            exp = gfs[gf_name].integer_coefficient(n)
-            rep.record(
-                f"n={n}: census {label} = [t^{n}] {gf_name}",
-                got == exp,
-                (n, exp, got),
-            )
-        rep.record(
-            f"n={n}: ascending count = descending count",
-            row.ascending == row.descending,
-            (n, row.ascending, row.descending),
-        )
-        rep.record(
-            f"n={n}: ascending-and-descending = L-convex",
-            row.ascending_and_descending == row.l_convex,
-            (n, row.l_convex, row.ascending_and_descending),
-        )
+            rep.check(f"n={n}: census {label} = [t^{n}] {gf_name}",
+                      n, gfs[gf_name].integer_coefficient(n), got)
+        rep.check(f"n={n}: ascending count = descending count",
+                  n, row.ascending, row.descending)
+        rep.check(f"n={n}: ascending-and-descending = L-convex",
+                  n, row.l_convex, row.ascending_and_descending)
 
     for description, ok, first in size_rows:
         rep.record(f"series: {description} to order {order}", ok,
@@ -150,8 +140,7 @@ def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
             f"series: {name} has nonnegative integer coefficients to {order}",
             bad is None, bad,
         )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 def suite_gentree(max_construct: int = 11, max_labels: int = 100,
@@ -170,7 +159,6 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
     """
     census = census or classify.census
     rep = SuiteReport("gentree")
-    t0 = time.perf_counter()
 
     tree = [Counter() for _ in range(max_construct - 1)]
     bad_parent: dict[int, str] = {}
@@ -194,9 +182,8 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
             bad_succ = bad_succ or Polyomino(rows).encode()
 
     for n, counts in enumerate(tree, 2):
-        ascending, built = census(n).ascending, sum(counts.values())
-        rep.record(f"n={n}: constructive level = ascending polyominoes",
-                   built == ascending, (n, ascending, built))
+        rep.check(f"n={n}: constructive level = ascending polyominoes",
+                  n, census(n).ascending, sum(counts.values()))
     for n in range(3, max_construct + 1):
         rep.record(f"n={n}: unique parent reconstruction",
                    n not in bad_parent, bad_parent.get(n))
@@ -241,8 +228,7 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
         f" for n <= {max_labels}",
         bad is None, bad,
     )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 _REFINED_PARAMS = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
@@ -263,7 +249,6 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
     """
     x, y, z = _REFINED_PARAMS
     rep = SuiteReport("refined")
-    t0 = time.perf_counter()
     labels = {lv.level: lv.counts for lv in gentree.constructive_levels(max_n)}
 
     order = max_n + 1
@@ -302,8 +287,7 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
                 bad = (n, str(g.coefficient(n)), str(got))
                 break
         rep.record(description, bad is None, bad)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
@@ -311,21 +295,14 @@ def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
     2..max_n, plus brute-force oracle comparisons for sizes 2..7."""
     census = census or classify.census
     rep = SuiteReport("structure")
-    t0 = time.perf_counter()
     s4 = series.gf("S4gf", max_n + 1)
     oracle_max_n = 7
     for n in range(2, max_n + 1):
         row = census(n)
-        rep.record(
-            f"n={n}: every degree-(2,2) polyomino is a 4-stack",
-            row.c22_four_stack == row.c22,
-            (n, row.c22, row.c22_four_stack),
-        )
-        rep.record(
-            f"n={n}: 4-stack count matches its generating function",
-            row.four_stack == s4.integer_coefficient(n),
-            (n, s4.integer_coefficient(n), row.four_stack),
-        )
+        rep.check(f"n={n}: every degree-(2,2) polyomino is a 4-stack",
+                  n, row.c22, row.c22_four_stack)
+        rep.check(f"n={n}: 4-stack count matches its generating function",
+                  n, s4.integer_coefficient(n), row.four_stack)
         bad = [
             pair for pair in row.by_degree_pair
             if pair[1] < pair[0] and pair[0] > 2 and pair[1] > 1
@@ -353,31 +330,25 @@ def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
         )
 
     bad = None
-    for n in range(2, oracle_max_n + 1):
-        for p in all_convex(n):
-            fast = classify.degree_pair(p)
-            slow = classify.degree_pair_bruteforce(p)
-            if fast != slow:
-                bad = f"{p.encode()}: fast {fast} oracle {slow}"
-                break
-            if classify.is_four_stack(p) != classify.is_four_stack_bruteforce(p):
-                bad = f"{p.encode()}: four-stack tests disagree"
-                break
+    for p in (p for n in range(2, oracle_max_n + 1) for p in all_convex(n)):
+        fast, slow = classify.degree_pair(p), classify.degree_pair_bruteforce(p)
+        if fast != slow:
+            bad = f"{p.encode()}: fast {fast} oracle {slow}"
+        elif classify.is_four_stack(p) != classify.is_four_stack_bruteforce(p):
+            bad = f"{p.encode()}: four-stack tests disagree"
         if bad:
             break
     rep.record(
         f"degree and 4-stack tests agree with brute-force oracles, n <= {oracle_max_n}",
         bad is None, bad,
     )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 def suite_kernels() -> SuiteReport:
     """The kernel-root identities, and the seven functional equations to
     order 60 at two parameter points."""
     rep = SuiteReport("kernels")
-    t0 = time.perf_counter()
     terms = 60
     for desc, ok, fail in series.kernel_checks():
         rep.record(desc, ok, f"first failure at order {fail}")
@@ -388,14 +359,12 @@ def suite_kernels() -> SuiteReport:
                 f"{desc} at (x,y,z)=({x},{y},{z}) to order {terms}",
                 ok, f"first failure at order {fail}",
             )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 def suite_asymptotics() -> SuiteReport:
     """Growth-constant ratios at n = 1024 and 2n, Richardson-extrapolated."""
     rep = SuiteReport("asymptotics")
-    t0 = time.perf_counter()
     n = series.ASYMPTOTIC_N
     for entry in series.asymptotic_report():
         rep.record(
@@ -405,8 +374,7 @@ def suite_asymptotics() -> SuiteReport:
             f" ratio({2*n})={entry['ratio_2n']:.5f}"
             f" extrapolated={entry['extrapolated']:.5f}",
         )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 _FIXTURE_MAP = {
@@ -457,7 +425,6 @@ def suite_fixtures(
     ``load_fixtures``.  Unknown ids are reported as failures so typos do
     not silently pass."""
     rep = SuiteReport("fixtures")
-    t0 = time.perf_counter()
     for seq_id, entry in table.items():
         if entry is None:
             rep.record(f"{seq_id}: known sequence id", False,
@@ -475,8 +442,7 @@ def suite_fixtures(
             f"{seq_id} prefix matches {name} ({len(values)} terms from n={start})",
             bad is None, bad,
         )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.finish()
 
 
 SUITES = {
@@ -503,8 +469,9 @@ def run_suites(
     ``max_size`` goes unchanged to the size-bounded suites; the others
     take no size.  The census readers share one memo over one
     ``census_pool(workers)``, so each size is computed once per call.  No
-    names, unknown names and sizes no suite can run raise before any suite
-    starts, and so does an unreadable or malformed fixture file.
+    names, unknown names, sizes no suite can run and a size for suites
+    that take none raise before any suite starts, and so does an
+    unreadable or malformed fixture file.
     """
     names = [names] if isinstance(names, str) else names
     if "all" in names:
@@ -517,6 +484,9 @@ def run_suites(
             raise KeyError(f"unknown suite {name!r}; {choices}")
     if max_size is not None and max_size < 2:
         raise ValueError("max size must be >= 2")
+    if max_size is not None and not set(names) & set(_SIZE_BOUNDED):
+        raise ValueError(f"max size bounds only {','.join(_SIZE_BOUNDED)};"
+                         f" {','.join(names)} take no size")
     table = load_fixtures(fixtures) if fixtures is not None else None
     reports = []
     with classify.census_pool(workers) as pool:

@@ -41,6 +41,17 @@ def test_degree_examples():
     assert (d.ne, d.nw) == (0, 2)
 
 
+@pytest.mark.parametrize("code, degrees", [
+    ("0-0", (0, 0)),
+    ("0-1;1-2;2-3", (4, 0)),    # E N E N E is the only path across
+    ("2-3;1-2;0-1", (0, 4)),    # its mirror
+    ("1-2;0-1", (0, 2)),
+    ("0-0;0-2;2-2", (2, 0)),    # N E N from the bottom cell to the top
+])
+def test_degree_oracle_on_degrees_worked_by_hand(code, degrees):
+    assert degree_pair_bruteforce(decode(code)) == degrees
+
+
 def test_degree_walk_bound_raises_on_unreachable_target():
     # Diagonal cells, not a polyomino: the greedy walk from (0, 0) to (1, 1)
     # cannot move, and the run bound stops it instead of looping forever.

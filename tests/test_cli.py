@@ -248,6 +248,15 @@ def test_verify_max_size_below_2_is_usage_error(capsys):
     assert "max size must be >= 2" in err
 
 
+def test_verify_max_size_for_suites_without_one_is_usage_error(capsys):
+    code, out, err = _run(
+        capsys, "--threads", "1", "verify", "--suite", "kernels", "--max-size", "5"
+    )
+    assert code == 2 and out == ""
+    assert err == ("zcx: error: max size bounds only identities,gentree,refined,"
+                   "structure; kernels take no size\n")
+
+
 def test_render(capsys):
     code, out, _ = _run(capsys, "render", "--encoding", "1-2;0-1")
     assert code == 0 and out == "##.\n.##\n"

@@ -80,6 +80,26 @@ def test_failing_checks_carry_witnesses():
     assert "FAIL" in text and "(3, 10, 11)" in text
 
 
+def test_identities_witnesses_read_n_expected_got(monkeypatch):
+    # One extra shape of degree (3, 3) in no other class: only the total is
+    # off by one, and each failing check names (n, expected, got).
+    real = classify.census
+    extra = classify.Signature(3, 3, False, False, False, False, False, False)
+
+    def census(n, pool=None):
+        row = real(n, pool)
+        if n == 6:
+            row.counts[extra] += 1
+        return row
+
+    monkeypatch.setattr(classify, "census", census)
+    rep = verify.suite_identities(max_n=6)
+    assert [(c.description, c.witness) for c in rep.checks if not c.passed] == [
+        ("n=6: c(n) = 2a(n) + k(n) - l(n)", "(6, 120, 121)"),
+        ("n=6: census total = [t^6] Cgf", "(6, 120, 121)"),
+    ]
+
+
 def test_fixture_suite(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(
@@ -188,6 +208,19 @@ def test_run_suites_checks_max_size_before_any_suite(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "identities", identities)
     with pytest.raises(ValueError, match=">= 2"):
         verify.run_suites(["identities", "gentree"], max_size=1)
+
+
+@pytest.mark.parametrize("names", [["kernels"], ["kernels", "asymptotics"]])
+def test_run_suites_refuses_a_size_no_selected_suite_takes(monkeypatch, names):
+    def kernels():
+        raise AssertionError("kernels suite ran")
+
+    monkeypatch.setitem(verify.SUITES, "kernels", kernels)
+    with pytest.raises(ValueError, match=f"; {','.join(names)} take no size$"):
+        verify.run_suites(names, max_size=5)
+    # A size below 2 is named first.
+    with pytest.raises(ValueError, match=">= 2"):
+        verify.run_suites(names, max_size=1)
 
 
 @pytest.mark.parametrize("content, error", [
