@@ -14,6 +14,8 @@ import os
 import sys
 from fractions import Fraction
 
+RENDER_CELLS = 10**6    # the largest picture, rows times width, render draws
+
 
 def _default_workers(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("ZCX_THREADS")
@@ -230,7 +232,11 @@ def _cmd_verify(args, workers: int) -> tuple[str, int]:
 def _cmd_render(args) -> tuple[str, int]:
     from .core import decode
 
-    return decode(args.encoding).render() + "\n", 0
+    p = decode(args.encoding)
+    if p.n_rows * p.width > RENDER_CELLS:
+        raise ValueError(f"rows x width = {p.n_rows} x {p.width} is over the "
+                         f"bound of {RENDER_CELLS} cells for a picture")
+    return p.render() + "\n", 0
 
 
 def main(argv=None) -> int:

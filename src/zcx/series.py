@@ -2,8 +2,8 @@
 
 Series hold exact rational coefficients for exponents 0..order-1 and every
 ring operation truncates at the shorter operand.  Multiplication, division
-and square root are the plain coefficient recurrences.  The kernel checks
-use them, and the tests compare the catalog expansion with them.
+and square root are the plain coefficient recurrences.  The ring is only
+the tests' oracle of the integer expansion below: no check here uses it.
 
 The catalog section collects the closed generating functions this package
 is built to verify: the size generating functions of
@@ -19,8 +19,10 @@ polynomials and each coefficient is divided out once, at the end.
 Floating point appears only in the asymptotic-ratio report at the very
 bottom.
 
-The functional equations and the size identities are rows of linear terms
-c t^s F(params) over the catalog builders, each checked by one expansion.
+Every check is a table read by one function.  The functional equations,
+the size identities and the kernel roots are rows of linear terms c t^s F
+over term lists F, each row checked by one expansion; the growth laws are
+the rows of ``_LAWS``.
 """
 
 from __future__ import annotations
@@ -148,9 +150,6 @@ class Series:
         d = da * db
         return Series._raw(tuple(Fraction(c, d) for c in out))
 
-    def square(self) -> "Series":
-        return self * self
-
     def __pow__(self, k: int) -> "Series":
         if k < 0 or int(k) != k:
             raise ValueError("only non-negative integer powers")
@@ -207,16 +206,8 @@ class Series:
         return Series._raw(tuple(r))
 
 
-def zero(n: int) -> Series:
-    return Series([0] * n)
-
-
 def one(n: int) -> Series:
     return tpoly(n, [1])
-
-
-def t(n: int) -> Series:
-    return tpoly(n, [0, 1])
 
 
 def tpoly(n: int, coeffs) -> Series:
@@ -586,14 +577,24 @@ def _check(description: str, delta: Series):
 
 
 def linear_checks(rows, terms: int) -> list[tuple[str, bool, int | None]]:
-    """Check rows (description, terms (c, s, F, params)) of sum c t^s F(params) = 0
-    to ``terms``, each by one expansion of its joined terms (c, t^s P, Q, e)."""
+    """Check rows (description, [(k, s, F)]) of sum k t^s F = 0 to
+    ``terms``, each F a term list (c, P, Q, e), by one expansion of the
+    row's joined terms (k c, t^s P, Q, e).  A failing row reports the
+    first order of t where its sum is nonzero; for the kernel's z0 row,
+    taken times t, that is an order of t (1 - z0 + t z0^2)."""
     return [
         _check(description, _expand(
             [(k * c, [0] * s + p, q, e)
-             for k, s, f, params in row for c, p, q, e in f(*params)], terms))
+             for k, s, f in row for c, p, q, e in f], terms))
         for description, row in rows
     ]
+
+
+def _times(a, b):
+    """The product of two term lists, term by term: B B = 1/(1-4t) moves
+    into Q, so every product term is again (c, P, Q, e) with e in {0, 1}."""
+    return [(c1 * c2, _pmul(p1, p2), _pmul(q1, q2, *[_M4] * (e1 & e2)), e1 ^ e2)
+            for c1, p1, q1, e1 in a for c2, p2, q2, e2 in b]
 
 
 def kernel_checks() -> list[tuple[str, bool, int | None]]:
@@ -604,40 +605,33 @@ def kernel_checks() -> list[tuple[str, bool, int | None]]:
          (1-z)^2 - t z^2 (the Puiseux roots of the non-centered kernel);
     plus the y-root 1/(1-tz) of 1 - y + tyz and the identity
     t z0 = d(t) + t relating z0 to the Catalan series.
+
+    Each is a row of ``linear_checks``, with sqrt(1-4t) = (1-4t) B.  Row (i)
+    is taken times t, on half = t z0: its failure order counts orders of
+    t (1 - z0 + t z0^2).  The rows in s expand to order 200.
     """
     terms = 100
     n = terms + 2
-    results = []
-
-    half = (one(n) - tpoly(n, [1, -4]).sqrt()).scale(Fraction(1, 2))  # valuation 1
-    z0 = half.shift(-1)
-    results.append(
-        _check("1 - z + t z^2 vanishes at z0 = (1-sqrt(1-4t))/(2t)",
-               one(n - 1) - z0 + t(n - 1) * z0 * z0)
-    )
-
-    m = 2 * terms
-    s = tpoly(m, [0, 1])
-    inv_1ms2 = tpoly(m, [1, 0, -1]).inverse()
-    for sign, tag in ((1, "+"), (-1, "-")):
-        zroot = tpoly(m, [1, sign]) * inv_1ms2
-        delta = (one(m) - zroot).square() - s * s * zroot * zroot
-        results.append(
-            _check(f"(1-Z)^2 - t Z^2 vanishes at Z{tag} = (1{tag}sqrt t)/(1-t)",
-                   delta)
-        )
-
+    unit = [_term(1, [])]
+    half = [_term(_H, []), _term(-_H, [], [], -1)]   # t z0, valuation 1
     zr = Fraction(1, 3)
-    y0 = tpoly(n, [1, -zr]).inverse()
-    results.append(
-        _check("1 - y + t y z vanishes at y0 = 1/(1-tz), z = 1/3",
-               one(n) - y0 + t(n).scale(zr) * y0)
+    y0 = [_term(1, [], [(1, -zr)])]
+    puiseux = []
+    for sign, tag in ((1, "+"), (-1, "-")):
+        root = [_term(1, [(1, sign)], [(1, 0, -1)])]
+        w = unit + [(-c, p, q, e) for c, p, q, e in root]   # 1 - Z
+        puiseux.append((f"(1-Z)^2 - t Z^2 vanishes at Z{tag} = (1{tag}sqrt t)/(1-t)",
+                     [(1, 0, _times(w, w)), (-1, 2, _times(root, root))]))
+    return (
+        linear_checks([("1 - z + t z^2 vanishes at z0 = (1-sqrt(1-4t))/(2t)",
+                        [(1, 1, unit), (-1, 0, half), (1, 0, _times(half, half))])], n)
+        + linear_checks(puiseux, 2 * terms)
+        + linear_checks([
+            ("1 - y + t y z vanishes at y0 = 1/(1-tz), z = 1/3",
+             [(1, 0, unit), (-1, 0, y0), (zr, 1, y0)]),
+            ("t z0 = d(t) + t", [(1, 0, half), (-1, 0, _gf_dcat()), (-1, 1, unit)]),
+        ], n)
     )
-
-    results.append(
-        _check("t z0 = d(t) + t", half - (_expand(_gf_dcat(), n) + t(n)))
-    )
-    return results
 
 
 def functional_equation_checks(
@@ -659,39 +653,40 @@ def functional_equation_checks(
 
     c0p, l0p, s0p, cp, lp, sp, np_ = (
         _gf_c0p, _gf_l0p, _gf_s0p, _gf_cp, _gf_lp, _gf_sp, _gf_np)
-    xy, xyz = (x, y), (x, y, z)
+    c0, l0, s0 = c0p(x, y), l0p(x, y), s0p(x, y)
+    c, l, s = cp(x, y, z), lp(x, y, z), sp(x, y, z)
     u, v, w = z / (1 - y), z / (1 - z), x * y / (1 - z)   # divided differences
     return linear_checks([
         ("C'0 = tx C'0 + tx L'0 + tx S'0",
-         [(1, 0, c0p, xy), (-x, 1, c0p, xy), (-x, 1, l0p, xy), (-x, 1, s0p, xy)]),
+         [(1, 0, c0), (-x, 1, c0), (-x, 1, l0), (-x, 1, s0)]),
         ("L'0 = t^2xy + txy C'0(1,y) + ty L'0 + ty S'0",
-         [(1, 0, l0p, xy), (-x * y, 2, lambda: [_term(1, [])], ()),
-          (-x * y, 1, c0p, (1, y)), (-y, 1, l0p, xy), (-y, 1, s0p, xy)]),
+         [(1, 0, l0), (-x * y, 2, [_term(1, [])]), (-x * y, 1, c0p(1, y)),
+          (-y, 1, l0), (-y, 1, s0)]),
         ("S'0 = txy C'0(1,y) + ty S'0",
-         [(1, 0, s0p, xy), (-x * y, 1, c0p, (1, y)), (-y, 1, s0p, xy)]),
+         [(1, 0, s0), (-x * y, 1, c0p(1, y)), (-y, 1, s0)]),
         ("C' = tx C' + tx L' + tx S'",
-         [(1, 0, cp, xyz), (-x, 1, cp, xyz), (-x, 1, lp, xyz), (-x, 1, sp, xyz)]),
+         [(1, 0, c), (-x, 1, c), (-x, 1, l), (-x, 1, s)]),
         ("L' = txy C'(1,y,z) + divided differences + ty L' + ty S'",
-         [(1, 0, lp, xyz), (-x * y, 1, cp, (1, y, z)), (-w * z, 1, cp, (1, 1, z)),
-          (w, 1, cp, (z, 1, z)), (-w * z, 1, c0p, (1, 1)), (w, 1, c0p, (z, 1)),
-          (-y, 1, lp, xyz), (-y, 1, sp, xyz)]),
+         [(1, 0, l), (-x * y, 1, cp(1, y, z)), (-w * z, 1, cp(1, 1, z)),
+          (w, 1, cp(z, 1, z)), (-w * z, 1, c0p(1, 1)), (w, 1, c0p(z, 1)),
+          (-y, 1, l), (-y, 1, s)]),
         ("S' = tz/(1-y)[y S'0(x,1) - S'0(x,y)] + tyz/(1-y)[S'(x,1,z) - S'(x,y,z)]",
-         [(1, 0, sp, xyz), (-u * y, 1, s0p, (x, 1)), (u, 1, s0p, xy),
-          (-u * y, 1, sp, (x, 1, z)), (u * y, 1, sp, xyz)]),
+         [(1, 0, s), (-u * y, 1, s0p(x, 1)), (u, 1, s0),
+          (-u * y, 1, sp(x, 1, z)), (u * y, 1, s)]),
         ("N' = tz/(1-z)[C'+L'+S' differences] + tz/(1-z)[N'(1) - z N'(z)]",
-         [(1, 0, np_, (z,)), (-v, 1, cp, (1, 1, 1)), (v, 1, cp, (1, 1, z)),
-          (-v, 1, lp, (1, 1, 1)), (v, 1, lp, (1, 1, z)), (-v, 1, sp, (1, 1, 1)),
-          (v, 1, sp, (1, 1, z)), (-v, 1, np_, (1,)), (v * z, 1, np_, (z,))]),
+         [(1, 0, np_(z)), (-v, 1, cp(1, 1, 1)), (v, 1, cp(1, 1, z)),
+          (-v, 1, lp(1, 1, 1)), (v, 1, lp(1, 1, z)), (-v, 1, sp(1, 1, 1)),
+          (v, 1, sp(1, 1, z)), (-v, 1, np_(1)), (v * z, 1, np_(z))]),
     ], terms)
 
 
 def size_identity_checks(terms: int) -> list[tuple[str, bool, int | None]]:
     """C = 2A + C22 - L and Z = L + 2*C21 + C22 as rows of ``linear_checks``."""
     return linear_checks([
-        ("C = 2A + C22 - L", [(1, 0, _gf_convex, ()), (-2, 0, _gf_ascending, ()),
-                              (-1, 0, _gf_c22, ()), (1, 0, _gf_lconvex, ())]),
-        ("Z = L + 2*C21 + C22", [(1, 0, _gf_zconvex, ()), (-1, 0, _gf_lconvex, ()),
-                                 (-2, 0, _gf_c21, ()), (-1, 0, _gf_c22, ())]),
+        ("C = 2A + C22 - L", [(1, 0, _gf_convex()), (-2, 0, _gf_ascending()),
+                              (-1, 0, _gf_c22()), (1, 0, _gf_lconvex())]),
+        ("Z = L + 2*C21 + C22", [(1, 0, _gf_zconvex()), (-1, 0, _gf_lconvex()),
+                                 (-2, 0, _gf_c21()), (-1, 0, _gf_c22())]),
     ], terms)
 
 
@@ -704,57 +699,41 @@ def _richardson_half(r_n: float, r_2n: float) -> float:
     s = math.sqrt(2.0)
     return (s * r_2n - r_n) / (s - 1.0)
 
-def asymptotic_report() -> list[dict]:
-    """Check the growth constants: coefficient ratios against the stated
-    asymptotic laws at n = ASYMPTOTIC_N (1024) and 2n, extrapolated.
 
-    The n*4^n classes (ascending 1/256, C21 1/768, Z 1/384, convex 1/128)
-    and centered (3/128 * 4^n) are required within 2 percent after
-    extrapolation; the sqrt(n)-law class C22 (4^n sqrt(n)/(64 sqrt(pi)))
-    within 5 percent.  The subleading corrections of the mixed
+# (law, catalog entry, K, e, tolerance): [t^n] F ~ n^e 4^n / K, each law
+# within 2 percent but C22's, within 5.  A half-integer e has sqrt(pi)
+# beside K, from Gamma(3/2) = sqrt(pi)/2.
+_LAWS = (
+    ("ascending ~ n 4^n / 256", "Agf", 256, 1, 0.02),
+    ("C(2,1) ~ n 4^n / 768", "C21gf", 768, 1, 0.02),
+    ("Z-convex ~ n 4^n / 384", "Zgf", 384, 1, 0.02),
+    ("convex ~ n 4^n / 128", "Cgf", 128, 1, 0.02),
+    ("centered ~ 3 * 4^n / 128", "Egf", Fraction(128, 3), 0, 0.02),
+    ("C(2,2) ~ sqrt(n) 4^n / (64 sqrt(pi))", "C22gf", 64, _H, 0.05),
+)
+
+
+def _law_ratio(c: Fraction, k, e, m: int) -> float:
+    """c K / (m^e 4^m), exact but for the final float and sqrt(pi / m)."""
+    whole = int(e)
+    ratio = float(c * k / (m**whole * 4**m))
+    return ratio * math.sqrt(math.pi / m) if e != whole else ratio
+
+
+def asymptotic_report() -> list[dict]:
+    """Check the growth laws of ``_LAWS``: the ratio of each coefficient to
+    its law at n = ASYMPTOTIC_N (1024) and 2n, extrapolated, within the
+    law's tolerance.  The subleading corrections of the mixed
     rational/algebraic functions are of order n^(-1/2), which fixes the
     extrapolation exponent.
     """
-    order = 2 * ASYMPTOTIC_N + 1
-    coeffs = {
-        name: gf(name, order) for name in ("Agf", "C21gf", "Zgf", "Cgf", "Egf", "C22gf")
-    }
-
-    def ratio_linear(name, const_den, m):
-        return float(coeffs[name].coefficient(m) * const_den / (m * 4**m))
-
-    def ratio_centered(m):
-        return float(coeffs["Egf"].coefficient(m) * 128 / (3 * 4**m))
-
-    def ratio_c22(m):
-        c = coeffs["C22gf"].coefficient(m)
-        return float(c * 64 / 4**m) * math.sqrt(math.pi / m)
-
-    cases = [
-        ("ascending ~ n 4^n / 256",
-         lambda m: ratio_linear("Agf", 256, m), 0.02),
-        ("C(2,1) ~ n 4^n / 768",
-         lambda m: ratio_linear("C21gf", 768, m), 0.02),
-        ("Z-convex ~ n 4^n / 384",
-         lambda m: ratio_linear("Zgf", 384, m), 0.02),
-        ("convex ~ n 4^n / 128",
-         lambda m: ratio_linear("Cgf", 128, m), 0.02),
-        ("centered ~ 3 * 4^n / 128", ratio_centered, 0.02),
-        ("C(2,2) ~ sqrt(n) 4^n / (64 sqrt(pi))", ratio_c22, 0.05),
-    ]
-
+    n = ASYMPTOTIC_N
     report = []
-    for label, fn, tol in cases:
-        r_n, r_2n = fn(ASYMPTOTIC_N), fn(2 * ASYMPTOTIC_N)
+    for label, name, k, e, tol in _LAWS:
+        g = gf(name, 2 * n + 1)
+        r_n, r_2n = (_law_ratio(g.coefficient(m), k, e, m) for m in (n, 2 * n))
         extrap = _richardson_half(r_n, r_2n)
-        report.append(
-            {
-                "law": label,
-                "ratio_n": r_n,
-                "ratio_2n": r_2n,
-                "extrapolated": extrap,
-                "tolerance": tol,
-                "ok": abs(extrap - 1.0) <= tol,
-            }
-        )
+        report.append({"law": label, "ratio_n": r_n, "ratio_2n": r_2n,
+                       "extrapolated": extrap, "tolerance": tol,
+                       "ok": abs(extrap - 1.0) <= tol})
     return report

@@ -262,6 +262,16 @@ def test_render(capsys):
     assert code == 0 and out == "##.\n.##\n"
 
 
+def test_render_refuses_a_picture_over_the_cell_bound(capsys):
+    # A width of 10^11 would ask render for 100 GB: refused before drawing.
+    code, out, err = _run(capsys, "render", "--encoding", "0-99999999999")
+    assert code == 2 and out == ""
+    assert err == ("zcx: error: rows x width = 1 x 100000000000 is over the "
+                   "bound of 1000000 cells for a picture\n")
+    code, out, _ = _run(capsys, "render", "--encoding", "0-999")
+    assert code == 0 and out == "#" * 1000 + "\n"
+
+
 def test_render_invalid_encoding(capsys):
     code, _, err = _run(capsys, "render", "--encoding", "0-0;5-5")
     assert code == 2 and "error" in err

@@ -22,7 +22,6 @@ from zcx.series import (
     h_formula,
     one,
     rect_formula,
-    t,
     tpoly,
 )
 
@@ -40,7 +39,7 @@ def test_mul_identity():
 
 
 def test_t_times_t():
-    sq = t(8) * t(8)
+    sq = tpoly(8, [0, 1]) * tpoly(8, [0, 1])
     assert sq.coefficient(2) == 1
     assert all(sq.coefficient(i) == 0 for i in range(8) if i != 2)
 
@@ -177,10 +176,23 @@ def test_expansion_matches_ring_oracle(name, params):
     n = 120
     builder = S._CATALOG[name][0]
     b = one(n) / tpoly(n, [1, -4]).sqrt()
-    ring = S.zero(n)
+    ring = Series([0] * n)
     for c, p, q, e in builder(*params.values()):
         ring = ring + (tpoly(n, p) * b**e / tpoly(n, q)).scale(c)
     assert gf(name, n, **params) == ring
+
+
+@pytest.mark.parametrize("left, right", [
+    (("dCat", {}), ("dCat", {})),
+    (("RectGf", {}), ("C22gf", {})),
+    (("Np", {"z": Fraction(2, 3)}), ("Lgf", {})),
+], ids=["dCat-dCat", "RectGf-C22gf", "Np-Lgf"])
+def test_times_matches_ring_product(left, right):
+    # The term-by-term product, B B folded into Q as 1/(1-4t), expands to
+    # the ring product of the two expansions; each pair has two B terms.
+    n = 120
+    a, b = (S._CATALOG[name][0](*params.values()) for name, params in (left, right))
+    assert S._expand(S._times(a, b), n) == S._expand(a, n) * S._expand(b, n)
 
 
 def test_catalog_term_with_pole_at_zero_rejected():
@@ -382,6 +394,37 @@ def test_kernel_checks_pass():
         assert ok, (desc, fail)
 
 
+def test_kernel_checks_use_no_ring_operation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel check used the Series ring")
+
+    for op in ("__mul__", "sqrt", "inverse", "__truediv__"):
+        monkeypatch.setattr(Series, op, refuse)
+    assert [ok for _, ok, _ in S.kernel_checks()] == [True] * 5
+
+
+def _failing_kernel_checks():
+    return [desc for desc, ok, _ in S.kernel_checks() if not ok]
+
+
+def test_kernel_checks_read_dcat(monkeypatch):
+    # A wrong Catalan series breaks only the identity that reads it.
+    monkeypatch.setattr(S, "_gf_dcat", _first_term_perturbed(S._gf_dcat))
+    assert _failing_kernel_checks() == ["t z0 = d(t) + t"]
+
+
+def test_kernel_checks_need_the_fold_of_b_squared(monkeypatch):
+    # Without B B = 1/(1-4t) the product half * half is wrong, and only the
+    # z0 row multiplies two B terms.
+    def times_unfolded(a, b):
+        return [(c1 * c2, S._pmul(p1, p2), S._pmul(q1, q2), e1 ^ e2)
+                for c1, p1, q1, e1 in a for c2, p2, q2, e2 in b]
+
+    monkeypatch.setattr(S, "_times", times_unfolded)
+    assert _failing_kernel_checks() == [
+        "1 - z + t z^2 vanishes at z0 = (1-sqrt(1-4t))/(2t)"]
+
+
 def test_functional_equations_hold_at_several_parameter_sets():
     for params in (
         (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7)),
@@ -394,7 +437,8 @@ def test_functional_equations_hold_at_several_parameter_sets():
 
 def test_linear_checks_expand_each_row_once(monkeypatch):
     # Every row of linear terms is one expansion: seven per call of the
-    # functional equations, two per call of the size identities.
+    # functional equations, two per call of the size identities, and five
+    # kernel checks, the rows in s = sqrt(t) to order 200.
     calls = []
     real = S._expand
 
@@ -414,19 +458,19 @@ def test_linear_checks_expand_each_row_once(monkeypatch):
     calls.clear()
     assert [ok for _, ok, _ in S.size_identity_checks(300)] == [True] * 2
     assert calls == [300] * 2
+    calls.clear()
+    assert [ok for _, ok, _ in S.kernel_checks()] == [True] * 5
+    assert calls == [102, 200, 200, 102, 102]
 
 
 def _sum_expanded_terms(rows, terms):
-    # The reference: expand each distinct (F, params) pair of the rows
-    # once and sum each row's c t^s F(params) in Fractions.
-    expanded = {}
+    # The reference: expand each entry F of a row on its own and sum the
+    # row's k t^s F in Fractions.
     sums = []
     for _, row in rows:
         delta = [0] * terms
-        for c, s, f, p in row:
-            if (f, p) not in expanded:
-                expanded[f, p] = S._expand(f(*p), terms)
-            delta[s:] = [d + c * a for d, a in zip(delta[s:], expanded[f, p].coeffs)]
+        for k, s, f in row:
+            delta[s:] = [d + k * a for d, a in zip(delta[s:], S._expand(f, terms).coeffs)]
         sums.append(tuple(delta))
     return sums
 
@@ -538,3 +582,14 @@ def test_asymptotic_report_small():
     assert any("256" in law for law in laws)
     for r in rep:
         assert 0.5 < r["extrapolated"] < 1.5
+
+
+@pytest.mark.parametrize("row", range(len(S._LAWS)))
+def test_each_law_constant_is_read_by_its_own_check(monkeypatch, row):
+    # A growth constant 5 percent too large fails its own law, and only it.
+    laws = list(S._LAWS)
+    label, name, k, e, tol = laws[row]
+    laws[row] = (label, name, k * Fraction(21, 20), e, tol)
+    monkeypatch.setattr(S, "_LAWS", tuple(laws))
+    failed = [c.description for c in verify.suite_asymptotics().checks if not c.passed]
+    assert len(failed) == 1 and failed[0].startswith(f"{label}: ")
