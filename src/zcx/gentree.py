@@ -60,11 +60,11 @@ visits the tree depth first on row tuples, holding one root path rather
 than a level and building no Polyomino.  It labels each shape once, when
 ``_kids`` makes it, and grows it from that label with the same step as
 ``children``.  ``constructive_levels`` counts the labels it carries,
-which the gentree and refined suites read, and the gentree suite checks
-each edge with the parent step on the label the walk carries for the
-child.  ``children``, ``label_of`` and ``parent`` stay the per-shape
-oracles, and the tests check that the walk, the enumerator and the label
-DP agree level by level.
+which the refined suite reads; the gentree suite counts the labels of its
+own walk and checks each edge with the parent step on the label the walk
+carries for the child.  ``children``, ``label_of`` and ``parent`` stay
+the per-shape oracles, and the tests check that the walk, the enumerator
+and the label DP agree level by level.
 """
 
 from __future__ import annotations
@@ -195,9 +195,6 @@ def _label_rows(rows: tuple) -> tuple[TreeLabel, int, int]:
         family = "R"
     else:
         family = "S0" if flipped else "S"
-    if family in ("C1", "R"):
-        # These classes hold a single cell in the rightmost column.
-        assert r == 0 and not rect, Polyomino(rows).encode()
     return _valid_label(family, b, w, r, rect), top, last
 
 

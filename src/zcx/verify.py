@@ -3,10 +3,13 @@ and generating functions together.
 
 Each suite runs a fixed list of checks, never aborts on a failure, and
 returns a :class:`SuiteReport` whose failing entries carry a witness (a
-canonical encoding or an (n, expected, got) triple).  A suite's bounds
-follow from its size argument alone, so equal sizes give byte-identical
-reports.  The census readers take a ``census`` argument; :func:`run_suites`
-passes them one memo over one process pool, computing each size once.
+canonical encoding or an (n, expected, got) triple).  Catalog
+coefficients are compared as exact Fractions, so a closed form with a
+fractional coefficient fails its rows like any other wrong value.  A
+suite's bounds follow from its size argument alone, so equal sizes give
+byte-identical reports.  The census readers take a ``census`` argument;
+:func:`run_suites` passes them one memo over one process pool, computing
+each size once.
 """
 
 from __future__ import annotations
@@ -52,15 +55,13 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def record(self, description: str, ok: bool, witness=None) -> None:
-        if not ok and witness is None:
-            witness = "(no witness)"
         self.checks.append(
             CheckResult(description, bool(ok), None if ok else str(witness))
         )
 
     def check(self, description: str, n: int, expected, got) -> None:
         """Record ``got == expected``, with the witness (n, expected, got)."""
-        self.record(description, got == expected, (n, expected, got))
+        self.record(description, got == expected, f"({n}, {expected}, {got})")
 
     def finish(self) -> "SuiteReport":
         """Stop the clock and return the report."""
@@ -88,9 +89,9 @@ class SuiteReport:
 
 
 def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
-    """The counting identity and partition claims for sizes 2..max_n, each
-    census column against its series, and the series forms of the
-    identities to order 300, reading each series from one expansion."""
+    """The identity c = 2a + k - l and the ascending and descending counts
+    for sizes 2..max_n, each census column against its series, and the
+    series identities to order 300, reading each series from one expansion."""
     census = census or classify.census
     rep = SuiteReport("identities")
     order = 300
@@ -104,10 +105,6 @@ def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
         a, k, l = row.ascending, row.c22, row.l_convex
         rep.check(f"n={n}: c(n) = 2a(n) + k(n) - l(n)",
                   n, 2 * a + k - l, row.total_convex)
-        rep.check(f"n={n}: degree histogram sums to the total",
-                  n, row.total_convex, sum(row.by_degree_pair.values()))
-        rep.check(f"n={n}: z(n) = l(n) + c12 + c21 + c22",
-                  n, l + row.c12 + row.c21 + row.c22, row.z_convex)
         for label, got, gf_name in (
             ("total", row.total_convex, "Cgf"),
             ("l_convex", row.l_convex, "Lgf"),
@@ -120,7 +117,7 @@ def suite_identities(max_n: int = 12, census=None) -> SuiteReport:
             ("c12", row.c12, "C21gf"),
         ):
             rep.check(f"n={n}: census {label} = [t^{n}] {gf_name}",
-                      n, gfs[gf_name].integer_coefficient(n), got)
+                      n, gfs[gf_name].coefficient(n), got)
         rep.check(f"n={n}: ascending count = descending count",
                   n, row.ascending, row.descending)
         rep.check(f"n={n}: ascending-and-descending = L-convex",
@@ -220,8 +217,8 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
             ("N'(1)", nc_rect, np1_gf),
             ("N(1)", lv.non_centered_total - nc_rect, n1_gf),
         ):
-            if got != g.integer_coefficient(n):
-                bad = (tag, n, g.integer_coefficient(n), got)
+            if got != g.coefficient(n):
+                bad = f"{tag}: ({n}, {g.coefficient(n)}, {got})"
                 break
     rep.record(
         f"DP totals match A(t), H(t), Rect(t) and the non-centered parts"
@@ -302,7 +299,7 @@ def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
         rep.check(f"n={n}: every degree-(2,2) polyomino is a 4-stack",
                   n, row.c22, row.c22_four_stack)
         rep.check(f"n={n}: 4-stack count matches its generating function",
-                  n, s4.integer_coefficient(n), row.four_stack)
+                  n, s4.coefficient(n), row.four_stack)
         bad = [
             pair for pair in row.by_degree_pair
             if pair[1] < pair[0] and pair[0] > 2 and pair[1] > 1
@@ -435,8 +432,8 @@ def suite_fixtures(
         g = series.gf(name, start + len(values))
         bad = None
         for i, v in enumerate(values):
-            if g.integer_coefficient(start + i) != v:
-                bad = (start + i, v, g.integer_coefficient(start + i))
+            if g.coefficient(start + i) != v:
+                bad = f"({start + i}, {v}, {g.coefficient(start + i)})"
                 break
         rep.record(
             f"{seq_id} prefix matches {name} ({len(values)} terms from n={start})",

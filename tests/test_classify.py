@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import deque
@@ -80,6 +81,41 @@ def test_degree_agrees_with_bruteforce_on_larger_samples():
     assert len(sample) == 205
     for p in sample:
         assert degree_pair(p) == degree_pair_bruteforce(p), p.encode()
+
+
+def _random_convex_rows(rng):
+    """The rows of a convex shape drawn with ``rng``: 8-21 rows, built
+    from the bottom.  The left end falls up to a drawn row and rises after
+    it, the right end rises up to another and falls after it, each by 0-2
+    cells a row, and each row overlaps the one below.  The draws are not
+    uniform, and reach sizes and degrees that no exhaustive test does."""
+    height = rng.randint(8, 21)
+    left_turn, right_turn = rng.randrange(height), rng.randrange(height)
+    rows = [(0, rng.randint(0, 2))]
+    for y in range(1, height):
+        lo, hi = rows[-1]
+        dl, dr = rng.randint(0, 2), rng.randint(0, 2)
+        new_lo = lo - dl if y <= left_turn else min(lo + dl, hi)
+        new_hi = hi + dr if y <= right_turn else max(hi - dr, lo)
+        rows.append((new_lo, max(new_lo, new_hi)))
+    shift = min(l for l, _ in rows)
+    return tuple((l - shift, r - shift) for l, r in rows)
+
+
+def test_kernels_agree_with_the_oracles_on_large_random_shapes():
+    # A shape of size n has degrees <= n - 3, so the exhaustive tests stop
+    # at degree 8.  These 80 draws have sizes 12-53; two of them have a
+    # degree of 16 and 20.
+    rng = random.Random(9)
+    top = 0
+    for _ in range(80):
+        p = from_rows(_random_convex_rows(rng))
+        d = degree_pair(p)
+        assert d == degree_pair_bruteforce(p), p.encode()
+        assert degree_pair(mirror(p)) == (d.nw, d.ne), p.encode()
+        assert is_four_stack(p) == is_four_stack_bruteforce(p), p.encode()
+        top = max(top, *d)
+    assert top >= 15
 
 
 # SHA-256 over "encoding|ne|nw" of every convex shape of size 2..10, in

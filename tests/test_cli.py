@@ -200,6 +200,18 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert "overall: FAIL" in out
 
 
+def test_verify_wrong_closed_form_is_a_failure_not_a_usage_error(
+        capsys, halve_first_term):
+    # C22gf with its first term halved has the coefficient -1/2 at t^4: the
+    # identities suite prints a FAIL row, and the next suite still runs.
+    halve_first_term("C22gf")
+    code, out, err = _run(capsys, "--threads", "1", "verify", "--suite",
+                          "identities,structure", "--max-size", "6")
+    assert code == 1 and err == ""
+    assert "  [FAIL] n=4: census c22 = [t^4] C22gf  <- (4, -1/2, 0)\n" in out
+    assert "suite structure: PASS" in out and "overall: FAIL" in out
+
+
 def test_verify_missing_fixtures_is_usage_error(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, out, err = _run(

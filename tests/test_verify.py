@@ -100,6 +100,41 @@ def test_identities_witnesses_read_n_expected_got(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("name, run, first", [
+    ("C22gf", lambda: verify.suite_identities(max_n=6),
+     ("n=4: census c22 = [t^4] C22gf", "(4, -1/2, 0)")),
+    ("S4gf", lambda: verify.suite_structure(max_n=6),
+     ("n=2: 4-stack count matches its generating function", "(2, 1/2, 1)")),
+    ("Agf", lambda: verify.suite_gentree(max_construct=5, max_labels=10),
+     ("DP totals match A(t), H(t), Rect(t) and the non-centered parts"
+      " for n <= 10", "A: (2, 1/2, 1)")),
+    ("Cgf", lambda: verify.suite_fixtures({"A005436": (2, [1, 2, 7, 28]),
+                                           "A097613": (2, [1, 2, 7, 25, 91])}),
+     ("A005436 prefix matches Cgf (4 terms from n=2)", "(2, 1, 1/2)")),
+], ids=["identities", "structure", "gentree", "fixtures"])
+def test_a_fractional_closed_form_fails_into_the_report(halve_first_term,
+                                                        name, run, first):
+    # The coefficient is compared as an exact Fraction: the suite records
+    # FAIL rows with witnesses and runs its other rows.
+    halve_first_term(name)
+    rep = run()
+    failed = [(c.description, c.witness) for c in rep.checks if not c.passed]
+    assert failed[0] == first
+    assert all(witness for _, witness in failed)
+    assert len(failed) < len(rep.checks)
+
+
+def test_a_wrong_column_rule_fails_its_generating_function_row(monkeypatch):
+    # A COLUMNS rule edited the wrong way shows in the column's own row
+    # against its generating function.
+    place, _ = classify.COLUMNS["c21"]
+    monkeypatch.setitem(classify.COLUMNS, "c21",
+                        (place, lambda s: s.ne == 2 and s.nw < 1))
+    rep = verify.suite_identities(max_n=8)
+    assert _failed(rep) == [f"n={n}: census c21 = [t^{n}] C21gf"
+                            for n in (6, 7, 8)]
+
+
 def test_fixture_suite(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(
