@@ -59,10 +59,10 @@ with ``_grow`` and labels each child with ``_label_rows``.  ``walk``
 visits the tree depth first on row tuples, holding one root path rather
 than a level and building no Polyomino.  It labels each shape once, when
 ``_kids`` makes it, and grows it from that label with the same step as
-``children``.  ``constructive_levels`` counts the labels it carries,
-which the refined suite reads; the gentree suite counts the labels of its
-own walk and checks each edge with the parent step on the label the walk
-carries for the child.  ``children``, ``label_of`` and ``parent`` stay
+``children``.  ``constructive_levels`` counts the labels it carries.  The
+gentree suite ties each level of the walk to the label DP's and checks
+each edge with the parent step on the child's label; the refined suite
+reads the label DP alone.  ``children``, ``label_of`` and ``parent`` stay
 the per-shape oracles, and the tests check that the walk, the enumerator
 and the label DP agree level by level.
 """

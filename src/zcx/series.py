@@ -681,12 +681,13 @@ def functional_equation_checks(
 
 
 def size_identity_checks(terms: int) -> list[tuple[str, bool, int | None]]:
-    """C = 2A + C22 - L and Z = L + 2*C21 + C22 as rows of ``linear_checks``."""
+    """C = 2A + C22 - L and Z = L + 2*C21 + C22 over the ``_CATALOG`` entries
+    that ``gf`` expands, as rows of ``linear_checks``."""
+    c, a, k, l, z, c21 = (_CATALOG[name][0]()
+                          for name in ("Cgf", "Agf", "C22gf", "Lgf", "Zgf", "C21gf"))
     return linear_checks([
-        ("C = 2A + C22 - L", [(1, 0, _gf_convex()), (-2, 0, _gf_ascending()),
-                              (-1, 0, _gf_c22()), (1, 0, _gf_lconvex())]),
-        ("Z = L + 2*C21 + C22", [(1, 0, _gf_zconvex()), (-1, 0, _gf_lconvex()),
-                                 (-2, 0, _gf_c21()), (-1, 0, _gf_c22())]),
+        ("C = 2A + C22 - L", [(1, 0, c), (-2, 0, a), (-1, 0, k), (1, 0, l)]),
+        ("Z = L + 2*C21 + C22", [(1, 0, z), (-1, 0, l), (-2, 0, c21), (-1, 0, k)]),
     ], terms)
 
 

@@ -15,6 +15,7 @@ each size once.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from . import classify, gentree, series
-from .core import Polyomino
+from .core import Polyomino, PolyominoError
 from .enumerate import all_convex
 
 
@@ -229,61 +230,51 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
 
 
 _REFINED_PARAMS = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
+# The label field, b, w or r, that each parameter x, y, z is raised to.
+_EXPONENT = {"x": 1, "y": 2, "z": 3}
 
 
 def suite_refined_gf(max_n: int = 10) -> SuiteReport:
     """Refined (b, w, r)-statistics against the closed class functions.
 
-    The labels are those the tree walk carries, counted per size by
-    ``gentree.constructive_levels``.  The walk makes each ascending shape
-    once from real rows: it checks every child's rows, tests each shape
-    ascending and its label valid, and rejects duplicate children; the
-    gentree suite ties each level's size to the census.  Each check sums a
-    weight over the labels of one (family, rectangular) class: x^b y^w z^r
-    against the class function at ``_REFINED_PARAMS``, z^r against
-    Np, and 1 against the scalar evaluation at x = y = z = 1 for the
-    non-rectangular classes.  Raises ValueError below 2.
+    The labels are the label DP's, ``gentree.levels(max_n)``; the gentree
+    suite at the same size checks each DP level against the labels of the
+    shapes the tree walk makes.  Each check is one row (family,
+    rectangular flag, catalog entry, parameter values) and sums one weight
+    over the labels of that class: x^b y^w z^r over the parameters the
+    entry takes (``series.parameters``), and 1 for the scalar evaluations
+    at x = y = z = 1, which take none.  Raises ValueError below 2.
     """
     x, y, z = _REFINED_PARAMS
+    table = (
+        ("C0", True, "C0p", (x, y)), ("L0", True, "L0p", (x, y)),
+        ("S0", True, "S0p", (x, y)), ("C", True, "Cp", (x, y, z)),
+        ("L", True, "Lp", (x, y, z)), ("S", True, "Sp", (x, y, z)),
+        ("NC", True, "Np", (z,)), ("NC", True, "Np", (Fraction(2, 3),)),
+        ("C", False, "C111", ()), ("L", False, "L111", ()),
+        ("S", False, "S111", ()), ("R", False, "R1", ()),
+        ("C1", False, "C1at1", ()), ("NC", False, "N1", ()),
+    )
     rep = SuiteReport("refined")
-    labels = {lv.level: lv.counts for lv in gentree.constructive_levels(max_n)}
+    labels = {lv.level: lv.counts for lv in gentree.levels(max_n)}
 
-    order = max_n + 1
-    xy, xyz = {"x": x, "y": y}, {"x": x, "y": y, "z": z}
-    checks = []
-    for family, name, kw in (("C0", "C0p", xy), ("L0", "L0p", xy),
-                             ("S0", "S0p", xy), ("C", "Cp", xyz),
-                             ("L", "Lp", xyz), ("S", "Sp", xyz)):
-        checks.append((
-            f"rectangular class {family}: statistic = {name}"
-            f"({', '.join(f'{k}={v}' for k, v in kw.items())}), n <= {max_n}",
-            series.gf(name, order, **kw), (family, True),
-            lambda lab: x ** lab.b * y ** lab.w * z ** lab.r,
-        ))
-    for zz in dict.fromkeys((z, Fraction(2, 3))):
-        checks.append((
-            f"rectangular non-centered: statistic = Np(z={zz}), n <= {max_n}",
-            series.gf("Np", order, z=zz), ("NC", True),
-            lambda lab, zz=zz: zz ** lab.r,
-        ))
-    for family, name in (("C", "C111"), ("L", "L111"), ("S", "S111"),
-                         ("R", "R1"), ("C1", "C1at1"), ("NC", "N1")):
-        checks.append((
-            f"non-rectangular class {family}: count = {name}, n <= {max_n}",
-            series.gf(name, order), (family, False), lambda lab: 1,
-        ))
-
-    for description, g, cls, weight in checks:
+    for family, rect, name, values in table:
+        params = dict(zip(series.parameters(name), values))
+        g = series.gf(name, max_n + 1, **params)
         bad = None
         for n in range(2, max_n + 1):
             got = sum(
-                weight(lab) * m for lab, m in labels[n].items()
-                if (lab.family, lab.rect) == cls
+                math.prod(v ** lab[_EXPONENT[p]] for p, v in params.items()) * m
+                for lab, m in labels[n].items() if (lab[0], lab[4]) == (family, rect)
             )
             if g.coefficient(n) != got:
                 bad = (n, str(g.coefficient(n)), str(got))
                 break
-        rep.record(description, bad is None, bad)
+        cls = "non-centered" if (family, rect) == ("NC", True) else f"class {family}"
+        args = ", ".join(f"{p}={v}" for p, v in params.items())
+        stat = f"statistic = {name}({args})" if params else f"count = {name}"
+        rep.record(f"{'' if rect else 'non-'}rectangular {cls}: {stat}, n <= {max_n}",
+                   bad is None, bad)
     return rep.finish()
 
 
@@ -468,7 +459,10 @@ def run_suites(
     ``census_pool(workers)``, so each size is computed once per call.  No
     names, unknown names, sizes no suite can run and a size for suites
     that take none raise before any suite starts, and so does an
-    unreadable or malformed fixture file.
+    unreadable or malformed fixture file.  A suite stopped by a fault of
+    the program (a shape not convex or not ascending, an invalid label, a
+    failed assertion) is one FAIL row, its witness the fault, and the next
+    suite runs.
     """
     names = [names] if isinstance(names, str) else names
     if "all" in names:
@@ -491,7 +485,15 @@ def run_suites(
         for name in names:
             args = (max_size,) if max_size is not None and name in _SIZE_BOUNDED else ()
             kwargs = {"census": census} if name in _CENSUS_READERS else {}
-            reports.append(SUITES[name](*args, **kwargs))
+            rep = SuiteReport(name)
+            try:
+                rep = SUITES[name](*args, **kwargs)
+            except (PolyominoError, gentree.NotAscending, gentree.InvalidLabel,
+                    AssertionError) as exc:
+                rep.record(f"{name} suite ran to its end", False,
+                           f"{type(exc).__name__}: {exc}")
+                rep.finish()
+            reports.append(rep)
     if table is not None:
         reports.append(suite_fixtures(table))
     return reports

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from zcx import series
+from zcx import gentree, series
+from zcx.core import decode
 
 
 @pytest.fixture
@@ -24,3 +25,22 @@ def halve_first_term(monkeypatch):
         monkeypatch.setitem(series._CATALOG, name, (halved, params))
 
     return halve
+
+
+@pytest.fixture
+def rewrite_children(monkeypatch):
+    """A function that makes the tree grow the shape encoded ``code`` into
+    ``rewrite(kids)`` in place of its (operation, rows) children.  The walk
+    and ``children`` grow each shape through ``_kids``, which calls
+    ``gentree._grow``."""
+
+    def install(code, rewrite):
+        real, victim = gentree._grow, decode(code).rows
+
+        def grow(rows, *info):
+            kids = real(rows, *info)
+            return rewrite(kids) if rows == victim else kids
+
+        monkeypatch.setattr(gentree, "_grow", grow)
+
+    return install

@@ -105,7 +105,8 @@ def _random_convex_rows(rng):
 def test_kernels_agree_with_the_oracles_on_large_random_shapes():
     # A shape of size n has degrees <= n - 3, so the exhaustive tests stop
     # at degree 8.  These 80 draws have sizes 12-53; two of them have a
-    # degree of 16 and 20.
+    # degree of 16 and 20.  The class bits and the transpose lemma of
+    # test_transpose_keeps_signature_but_centered are checked on them too.
     rng = random.Random(9)
     top = 0
     for _ in range(80):
@@ -115,6 +116,11 @@ def test_kernels_agree_with_the_oracles_on_large_random_shapes():
         assert degree_pair(mirror(p)) == (d.nw, d.ne), p.encode()
         assert is_four_stack(p) == is_four_stack_bruteforce(p), p.encode()
         top = max(top, *d)
+        assert is_ascending(p) == _ascending_oracle(p), p.encode()
+        assert is_descending(p) == _ascending_oracle(mirror(p)), p.encode()
+        assert is_directed_convex(p) == _directed_oracle(p), p.encode()
+        assert _signature(_transpose(p)) == _signature(p)._replace(
+            centered=_full_height(p)), p.encode()
     assert top >= 15
 
 
@@ -300,6 +306,10 @@ def _transpose(p):
     return from_rows([p.column(x) for x in range(p.width)])
 
 
+def _full_height(p):
+    return any(p.column(x) == (0, p.n_rows - 1) for x in range(p.width))
+
+
 def _signature(p):
     row = CensusRow(size(p))
     row.add(p)
@@ -313,8 +323,7 @@ def test_transpose_keeps_signature_but_centered():
     # by the full-height-column bit, which is "bottom and top rows overlap".
     for n in range(2, 10):
         for p in all_convex(n):
-            top = p.n_rows - 1
-            full = any(p.column(x) == (0, top) for x in range(p.width))
+            full = _full_height(p)
             (l0, r0), (lt, rt) = p.rows[0], p.rows[-1]
             assert full == (max(l0, lt) <= min(r0, rt)), p.encode()
             t = _transpose(p)

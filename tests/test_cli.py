@@ -14,6 +14,7 @@ import pytest
 import zcx
 from zcx import cli
 from zcx.cli import main
+from zcx.core import decode
 
 
 def _schema(name):
@@ -210,6 +211,28 @@ def test_verify_wrong_closed_form_is_a_failure_not_a_usage_error(
     assert code == 1 and err == ""
     assert "  [FAIL] n=4: census c22 = [t^4] C22gf  <- (4, -1/2, 0)\n" in out
     assert "suite structure: PASS" in out and "overall: FAIL" in out
+
+
+def test_verify_non_ascending_child_is_a_failure_not_a_usage_error(
+        capsys, rewrite_children):
+    rewrite_children("0-1", lambda kids: kids + [("nc", decode("1-2;0-1").rows)])
+    code, out, err = _run(capsys, "--threads", "1", "verify", "--suite",
+                          "gentree", "--max-size", "6")
+    assert code == 1 and err == ""
+    assert "  [FAIL] gentree suite ran to its end  <- NotAscending: 1-2;0-1\n" in out
+
+
+def test_verify_failed_assertion_is_a_failure_not_a_traceback(
+        capsys, rewrite_children):
+    def duplicate(kids):
+        raise AssertionError("duplicate children of 0-1")
+
+    rewrite_children("0-1", duplicate)
+    code, out, err = _run(capsys, "--threads", "1", "verify", "--suite",
+                          "gentree", "--max-size", "6")
+    assert code == 1 and err == ""
+    assert ("  [FAIL] gentree suite ran to its end"
+            "  <- AssertionError: duplicate children of 0-1\n") in out
 
 
 def test_verify_missing_fixtures_is_usage_error(capsys, tmp_path):

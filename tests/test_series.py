@@ -536,8 +536,12 @@ def test_functional_equations_read_their_class_functions(monkeypatch, builder, f
     ("_gf_ascending", {"C"}),
 ])
 def test_size_identities_read_their_class_functions(monkeypatch, builder, failing):
-    # A wrong class function breaks exactly the size identities that read it.
-    monkeypatch.setattr(S, builder, _first_term_perturbed(getattr(S, builder)))
+    # A wrong class function breaks exactly the size identities that read it,
+    # through the catalog entry that ``gf`` and the census rows read too.
+    (name, params), = [(k, p) for k, (b, p) in S._CATALOG.items()
+                       if b is getattr(S, builder)]
+    monkeypatch.setitem(S._CATALOG, name,
+                        (_first_term_perturbed(getattr(S, builder)), params))
     assert {desc.split(" = ")[0]
             for desc, ok, _ in S.size_identity_checks(60) if not ok} == failing
 

@@ -314,21 +314,56 @@ def test_gentree_suite_catches_a_dropped_child(monkeypatch):
     ]
 
 
-def test_refined_suite_catches_a_dropped_child(monkeypatch):
-    # The refined suite counts the labels of the shapes the walk makes.
-    victim = decode("0-2")
-    real = gentree._grow
+def test_a_dropped_dp_label_fails_the_refined_rows_and_the_walk_tie(monkeypatch):
+    # The refined suite reads the label DP; the gentree suite ties each DP
+    # level to the labels of the walked shapes.  The DP's history holds one
+    # entry per level past 2, so depth 3 is level 5.
+    real = gentree._expand
 
-    def grow(rows, *info):
-        kids = real(rows, *info)
-        return kids[:-1] if rows == victim.rows else kids
+    def expand(state, history, depth):
+        counts = real(state, history, depth)
+        if depth == 3:
+            del counts[("C", 2, 1, 1, True)]
+        return counts
 
-    monkeypatch.setattr(gentree, "_grow", grow)
-    rep = verify.suite_refined_gf(max_n=6)
-    assert _failed(rep) == [
-        "rectangular class C0: statistic = C0p(x=2/3, y=3/5), n <= 6",
-        "rectangular class L0: statistic = L0p(x=2/3, y=3/5), n <= 6",
-        "rectangular class S0: statistic = S0p(x=2/3, y=3/5), n <= 6",
-        "rectangular class L: statistic = Lp(x=2/3, y=3/5, z=5/7), n <= 6",
-        "non-rectangular class R: count = R1, n <= 6",
+    monkeypatch.setattr(gentree, "_expand", expand)
+    assert _failed(verify.suite_refined_gf(max_n=6)) == [
+        "rectangular class C: statistic = Cp(x=2/3, y=3/5, z=5/7), n <= 6",
     ]
+    assert _failed(verify.suite_gentree(max_construct=6, max_labels=10)) == [
+        "n=5: DP label multiset = constructive label multiset",
+    ]
+
+
+def test_one_tree_walk_per_run_and_none_for_refined(monkeypatch):
+    calls = []
+    real = gentree.walk
+
+    def walk(max_size):
+        calls.append(max_size)
+        return real(max_size)
+
+    monkeypatch.setattr(gentree, "walk", walk)
+    assert all(r.passed for r in verify.run_suites(["gentree", "refined"], max_size=8))
+    assert calls == [8]
+    calls.clear()
+    assert verify.run_suites(["refined"], max_size=8)[0].passed
+    assert calls == []
+
+
+def test_series_size_identities_read_the_catalog(halve_first_term):
+    halve_first_term("C22gf")
+    failed = _failed(verify.suite_identities(max_n=8))
+    assert "series: C = 2A + C22 - L to order 300" in failed
+    assert "series: Z = L + 2*C21 + C22 to order 300" in failed
+
+
+def test_a_fault_inside_a_suite_is_one_fail_row(rewrite_children):
+    # The next suite still runs.
+    rewrite_children("0-1", lambda kids: kids + [("nc", decode("1-2;0-1").rows)])
+    gentree_rep, refined_rep = verify.run_suites(["gentree", "refined"], max_size=6)
+    assert [(c.description, c.witness) for c in gentree_rep.checks] == [
+        ("gentree suite ran to its end", "NotAscending: 1-2;0-1"),
+    ]
+    assert not gentree_rep.passed and gentree_rep.elapsed > 0
+    assert refined_rep.passed
