@@ -16,8 +16,8 @@ expanded by integer recurrences: the central binomials binom(2k, k) for
 (1-4t)^(-1/2), a sparse multiply by P and the linear recurrence of 1/Q.
 Rational parameters stay in integers too: P and Q are scaled to integer
 polynomials and each coefficient is divided out once, at the end.
-Floating point appears only in the asymptotic-ratio report at the very
-bottom.
+Floating point appears nowhere: the growth laws too are exact, read off
+the terms by the transfer theorem.
 
 Every check is a table read by one function.  The functional equations,
 the size identities and the kernel roots are rows of linear terms c t^s F
@@ -31,7 +31,6 @@ import math
 from fractions import Fraction
 
 DEFAULT_ORDER = 300
-ASYMPTOTIC_N = 1024     # the n of asymptotic_report
 
 
 class SeriesError(ValueError):
@@ -604,7 +603,7 @@ def kernel_checks() -> list[tuple[str, bool, int | None]]:
     (ii) in s with t = s^2, Z = (1 +/- s)/(1 - s^2) annihilates
          (1-z)^2 - t z^2 (the Puiseux roots of the non-centered kernel);
     plus the y-root 1/(1-tz) of 1 - y + tyz and the identity
-    t z0 = d(t) + t relating z0 to the Catalan series.
+    t z0 = d(t) + t relating z0 to the Catalan series, the catalog's dCat.
 
     Each is a row of ``linear_checks``, with sqrt(1-4t) = (1-4t) B.  Row (i)
     is taken times t, on half = t z0: its failure order counts orders of
@@ -629,7 +628,8 @@ def kernel_checks() -> list[tuple[str, bool, int | None]]:
         + linear_checks([
             ("1 - y + t y z vanishes at y0 = 1/(1-tz), z = 1/3",
              [(1, 0, unit), (-1, 0, y0), (zr, 1, y0)]),
-            ("t z0 = d(t) + t", [(1, 0, half), (-1, 0, _gf_dcat()), (-1, 1, unit)]),
+            ("t z0 = d(t) + t",
+             [(1, 0, half), (-1, 0, _CATALOG["dCat"][0]()), (-1, 1, unit)]),
         ], n)
     )
 
@@ -637,8 +637,9 @@ def kernel_checks() -> list[tuple[str, bool, int | None]]:
 def functional_equation_checks(
     x, y, z, terms: int = 60
 ) -> list[tuple[str, bool, int | None]]:
-    """Substitute the closed class functions into the seven rectangular-case
-    equations and report the first order (if any) where a side differs.
+    """Substitute the closed class functions, the ``_CATALOG`` entries that
+    ``gf`` expands, into the seven rectangular-case equations and report
+    the first order (if any) where a side differs.
 
     Each equation is a row of ``linear_checks``, the terms of lhs - rhs.
     The equations do not pin N': its first term t^3 z/(sqrt(1-4t) K), with
@@ -652,7 +653,7 @@ def functional_equation_checks(
         raise ValueError("terms must be >= 4")
 
     c0p, l0p, s0p, cp, lp, sp, np_ = (
-        _gf_c0p, _gf_l0p, _gf_s0p, _gf_cp, _gf_lp, _gf_sp, _gf_np)
+        _CATALOG[name][0] for name in ("C0p", "L0p", "S0p", "Cp", "Lp", "Sp", "Np"))
     c0, l0, s0 = c0p(x, y), l0p(x, y), s0p(x, y)
     c, l, s = cp(x, y, z), lp(x, y, z), sp(x, y, z)
     u, v, w = z / (1 - y), z / (1 - z), x * y / (1 - z)   # divided differences
@@ -692,49 +693,92 @@ def size_identity_checks(terms: int) -> list[tuple[str, bool, int | None]]:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic ratio report (the only floating-point corner of the package)
+# Growth laws
 # ---------------------------------------------------------------------------
 
-def _richardson_half(r_n: float, r_2n: float) -> float:
-    # First-order Richardson extrapolation for an error term ~ n^(-1/2).
-    s = math.sqrt(2.0)
-    return (s * r_2n - r_n) / (s - 1.0)
+def _at_quarter(p) -> Fraction:
+    """The polynomial p at t = 1/4."""
+    return sum(Fraction(a) / 4**k for k, a in enumerate(p))
 
 
-# (law, catalog entry, K, e, tolerance): [t^n] F ~ n^e 4^n / K, each law
-# within 2 percent but C22's, within 5.  A half-integer e has sqrt(pi)
-# beside K, from Gamma(3/2) = sqrt(pi)/2.
-_LAWS = (
-    ("ascending ~ n 4^n / 256", "Agf", 256, 1, 0.02),
-    ("C(2,1) ~ n 4^n / 768", "C21gf", 768, 1, 0.02),
-    ("Z-convex ~ n 4^n / 384", "Zgf", 384, 1, 0.02),
-    ("convex ~ n 4^n / 128", "Cgf", 128, 1, 0.02),
-    ("centered ~ 3 * 4^n / 128", "Egf", Fraction(128, 3), 0, 0.02),
-    ("C(2,2) ~ sqrt(n) 4^n / (64 sqrt(pi))", "C22gf", 64, _H, 0.05),
-)
+def _strip_quarter(p) -> tuple[list, int]:
+    """(p0, m) with p = (1-4t)^m p0 and p0(1/4) != 0, by synthetic division
+    at 1/4: p = (1-4t) r gives r_k = p_k + 4 r_(k-1)."""
+    m = 0
+    while any(p) and _at_quarter(p) == 0:
+        r = [p[0]]
+        for a in p[1:-1]:
+            r.append(a + 4 * r[-1])
+        p, m = r, m + 1
+    return p, m
 
 
-def _law_ratio(c: Fraction, k, e, m: int) -> float:
-    """c K / (m^e 4^m), exact but for the final float and sqrt(pi / m)."""
-    whole = int(e)
-    ratio = float(c * k / (m**whole * 4**m))
-    return ratio * math.sqrt(math.pi / m) if e != whole else ratio
+def _outside_quarter_disc(q) -> bool:
+    """Whether every root of q has |t| > 1/4: the Schur-Cohn recursion on
+    a(z) = 4^d z^d q(1/(4z)), whose roots z = 1/(4t) must all lie in
+    |z| < 1.  Each step needs |a_0| < |a_d| and goes on with
+    (a_d a(z) - a_0 z^d a(1/z)) / z, which has one root fewer in the disc."""
+    a = [b * 4**k for k, b in enumerate(reversed(q))]
+    while len(a) > 1:
+        if abs(a[0]) >= abs(a[-1]):
+            return False
+        a = [a[-1] * x - a[0] * y for x, y in zip(a, reversed(a))][1:]
+    return True
 
 
-def asymptotic_report() -> list[dict]:
-    """Check the growth laws of ``_LAWS``: the ratio of each coefficient to
-    its law at n = ASYMPTOTIC_N (1024) and 2n, extrapolated, within the
-    law's tolerance.  The subleading corrections of the mixed
-    rational/algebraic functions are of order n^(-1/2), which fixes the
-    extrapolation exponent.
+def _gamma(alpha: Fraction) -> Fraction:
+    """Gamma(alpha) for an integer alpha >= 1, and Gamma(alpha) / sqrt(pi)
+    for a half-integer, from Gamma(1/2) = sqrt(pi) and Gamma(a+1) = a Gamma(a)."""
+    g, a = Fraction(1), Fraction(1) if alpha.denominator == 1 else _H
+    while a < alpha:
+        g, a = g * a, a + 1
+    while a > alpha:
+        a -= 1
+        g /= a
+    return g
+
+
+def growth_law(terms) -> tuple[Fraction, Fraction] | None:
+    """The law [t^n] F ~ n^e 4^n / K of a term list F, as (K, e), with
+    sqrt(pi) beside K for a half-integer e.
+
+    A term (c, P, Q, j) is c P/Q (1-4t)^(-j/2) = c P0/Q0 (1-4t)^(-alpha),
+    where P = (1-4t)^m P0 and Q = (1-4t)^h Q0 with P0(1/4), Q0(1/4) != 0
+    and alpha = h - m + j/2.  Terms with alpha a non-positive integer are
+    analytic at 1/4.  Those of the largest alpha among the others sum to
+    v (1-4t)^(-alpha) + O((1-4t)^(1-alpha)), v the sum of their
+    c P0(1/4)/Q0(1/4), and the transfer theorem (Flajolet and Odlyzko
+    1990) gives K = Gamma(alpha) / v and e = alpha - 1.  None when some Q0
+    has a root in |t| <= 1/4, which would take part in the law, or when
+    v = 0 and the leading terms cancel.
     """
-    n = ASYMPTOTIC_N
-    report = []
-    for label, name, k, e, tol in _LAWS:
-        g = gf(name, 2 * n + 1)
-        r_n, r_2n = (_law_ratio(g.coefficient(m), k, e, m) for m in (n, 2 * n))
-        extrap = _richardson_half(r_n, r_2n)
-        report.append({"law": label, "ratio_n": r_n, "ratio_2n": r_2n,
-                       "extrapolated": extrap, "tolerance": tol,
-                       "ok": abs(extrap - 1.0) <= tol})
-    return report
+    leading, alpha = Fraction(0), None
+    for c, p, q, j in terms:
+        p0, m = _strip_quarter(p)
+        q0, h = _strip_quarter(q)
+        if not _outside_quarter_disc(q0):
+            return None
+        a = h - m + Fraction(j, 2)
+        if a <= 0 and a.denominator == 1:
+            continue
+        v = c * _at_quarter(p0) / _at_quarter(q0)
+        if alpha is None or a > alpha:
+            leading, alpha = v, a
+        elif a == alpha:
+            leading += v
+    if not leading:
+        return None
+    return _gamma(alpha) / leading, alpha - 1
+
+
+# (law, catalog entry, K, e): [t^n] F ~ n^e 4^n / K, as ``growth_law`` reads
+# it off the entry.  A half-integer e has sqrt(pi) beside K.
+_LAWS = (
+    ("ascending ~ n 4^n / 256", "Agf", 256, 1),
+    ("C(2,1) ~ n 4^n / 768", "C21gf", 768, 1),
+    ("Z-convex ~ n 4^n / 384", "Zgf", 384, 1),
+    ("convex ~ n 4^n / 128", "Cgf", 128, 1),
+    ("centered ~ 3 * 4^n / 128", "Egf", Fraction(128, 3), 0),
+    ("C(2,2) ~ sqrt(n) 4^n / (64 sqrt(pi))", "C22gf", 64, _H),
+    ("4-stack ~ sqrt(n) 4^n / (64 sqrt(pi))", "S4gf", 64, _H),
+)

@@ -351,17 +351,15 @@ def suite_kernels() -> SuiteReport:
 
 
 def suite_asymptotics() -> SuiteReport:
-    """Growth-constant ratios at n = 1024 and 2n, Richardson-extrapolated."""
+    """Each growth law of ``series._LAWS``, [t^n] F ~ n^e 4^n / K, against
+    the (K, e) that ``series.growth_law`` reads off the closed form of its
+    catalog entry, the terms ``gf`` expands."""
     rep = SuiteReport("asymptotics")
-    n = series.ASYMPTOTIC_N
-    for entry in series.asymptotic_report():
-        rep.record(
-            f"{entry['law']}: extrapolated ratio within {entry['tolerance']:.0%}",
-            entry["ok"],
-            f"ratio({n})={entry['ratio_n']:.5f}"
-            f" ratio({2*n})={entry['ratio_2n']:.5f}"
-            f" extrapolated={entry['extrapolated']:.5f}",
-        )
+    for law, name, k, e in series._LAWS:
+        got = series.growth_law(series._CATALOG[name][0]())
+        rep.record(f"{law}: K and e read off {name} exactly", got == (k, e),
+                   "no law: a pole in |t| <= 1/4 besides 1/4, or the leading"
+                   " terms cancel" if got is None else f"(K, e) = ({got[0]}, {got[1]})")
     return rep.finish()
 
 

@@ -10,6 +10,7 @@ build times are part of the timed budgets.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -290,17 +291,28 @@ def test_remaining_module_invariants_at_full_size(census_rows, ascending_by_size
     print("PASS module invariants at sizes 11/12 (shared fixtures)")
 
 
+def _extrapolated_ratio(name, k, e):
+    """The float oracle of the law [t^n] F ~ n^e 4^n / K (sqrt(pi) beside K
+    for a half-integer e): the ratio of the coefficient to the law at
+    n = 1024 and 2048, Richardson-extrapolated for an error term of order
+    n^(-1/2), the order of the subleading corrections of these functions."""
+    g = series.gf(name, 2049)
+    r_n, r_2n = (float(g.coefficient(n) * k / 4**n) / n**e
+                 * (math.sqrt(math.pi) if e % 1 else 1) for n in (1024, 2048))
+    s = math.sqrt(2)
+    return (s * r_2n - r_n) / (s - 1)
+
+
 def test_criterion_10_asymptotic_constants():
-    report = series.asymptotic_report()
-    for entry in report:
-        assert entry["ok"], entry
-    c22 = next(e for e in report if e["law"].startswith("C(2,2)"))
-    assert abs(c22["extrapolated"] - 1.0) <= 0.05
-    for entry in report:
-        if entry is not c22:
-            assert abs(entry["extrapolated"] - 1.0) <= 0.02
+    for law, name, k, e in series._LAWS:
+        derived = series.growth_law(series._CATALOG[name][0]())
+        assert derived == (k, e), law
+        tolerance = 0.05 if name == "C22gf" else 0.02
+        assert abs(_extrapolated_ratio(name, *derived) - 1) <= tolerance, law
+    assert verify.suite_asymptotics().passed
     _report(
         10,
-        "Richardson-extrapolated growth ratios at n=1024 within 2% "
-        "(C22 sqrt-law within 5%)",
+        f"{len(series._LAWS)} growth laws read off the closed forms exactly, and"
+        " the Richardson-extrapolated ratios at n=1024 within 2% of them"
+        " (C22 sqrt-law within 5%)",
     )

@@ -37,6 +37,7 @@ from zcx.enumerate import (
     blocks,
     count_convex,
 )
+from zcx.gentree import children, parent
 from zcx.series import gf, rect_formula
 
 
@@ -122,6 +123,24 @@ def test_kernels_agree_with_the_oracles_on_large_random_shapes():
         assert _signature(_transpose(p)) == _signature(p)._replace(
             centered=_full_height(p)), p.encode()
     assert top >= 15
+
+
+def test_tree_reaches_the_root_from_large_random_shapes():
+    # Of the 80 draws above, 39 are ascending and the mirrors of the other 41
+    # are.  Each one's parent chain takes size - 2 steps to the root, and
+    # each shape on it is among its parent's children, by the step that
+    # names it.
+    rng = random.Random(9)
+    for _ in range(80):
+        p = from_rows(_random_convex_rows(rng))
+        p = p if is_ascending(p) else mirror(p)
+        assert is_ascending(p), p.encode()
+        steps, shape = 0, p
+        while (step := parent(shape)) is not None:
+            op, up = step
+            assert (op, shape) in children(up), (p.encode(), shape.encode())
+            steps, shape = steps + 1, up
+        assert (steps, shape) == (size(p) - 2, decode("0-0")), p.encode()
 
 
 # SHA-256 over "encoding|ne|nw" of every convex shape of size 2..10, in
@@ -463,3 +482,26 @@ def test_census_csv_shape():
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "2" and first[1] == "1"
+
+
+if __name__ == "__main__":
+    # The class rules against their definitions on every convex shape of
+    # size 11, and the four-stack and degree rules against their brute
+    # forces on every shape of size 10.
+    bad = []
+    shapes = 0
+    for p in all_convex(11):
+        shapes += 1
+        if (is_ascending(p), is_descending(p), is_directed_convex(p)) != (
+                _ascending_oracle(p), _ascending_oracle(mirror(p)), _directed_oracle(p)):
+            bad.append(p.encode())
+    print(f"size 11: ascending, descending, directed convex on {shapes} shapes")
+    stacks = 0
+    for p in all_convex(10):
+        stacks += 1
+        if (is_four_stack(p), degree_pair(p)) != (
+                is_four_stack_bruteforce(p), degree_pair_bruteforce(p)):
+            bad.append(p.encode())
+    print(f"size 10: four-stack and degree rules against the brute forces on {stacks} shapes")
+    print("disagree:", bad[:10] or "none")
+    raise SystemExit(1 if bad or (shapes, stacks) != (203680, 46160) else 0)

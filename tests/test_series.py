@@ -409,7 +409,7 @@ def _failing_kernel_checks():
 
 def test_kernel_checks_read_dcat(monkeypatch):
     # A wrong Catalan series breaks only the identity that reads it.
-    monkeypatch.setattr(S, "_gf_dcat", _first_term_perturbed(S._gf_dcat))
+    _perturb_entry(monkeypatch, "_gf_dcat")
     assert _failing_kernel_checks() == ["t z0 = d(t) + t"]
 
 
@@ -513,6 +513,15 @@ def _first_term_perturbed(builder):
     return perturbed
 
 
+def _perturb_entry(monkeypatch, builder):
+    # The catalog entry that ``builder`` builds, its first term perturbed:
+    # the entry that ``gf`` and every check read.
+    (name, params), = [(k, p) for k, (b, p) in S._CATALOG.items()
+                       if b is getattr(S, builder)]
+    monkeypatch.setitem(S._CATALOG, name,
+                        (_first_term_perturbed(getattr(S, builder)), params))
+
+
 def _failing_equations(x, y, z, terms):
     return {desc.split(" = ")[0]
             for desc, ok, _ in S.functional_equation_checks(x, y, z, terms) if not ok}
@@ -525,7 +534,7 @@ def _failing_equations(x, y, z, terms):
 ])
 def test_functional_equations_read_their_class_functions(monkeypatch, builder, failing):
     # A wrong class function breaks exactly the equations that read it.
-    monkeypatch.setattr(S, builder, _first_term_perturbed(getattr(S, builder)))
+    _perturb_entry(monkeypatch, builder)
     params = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
     assert _failing_equations(*params, 60) == failing
 
@@ -538,10 +547,7 @@ def test_functional_equations_read_their_class_functions(monkeypatch, builder, f
 def test_size_identities_read_their_class_functions(monkeypatch, builder, failing):
     # A wrong class function breaks exactly the size identities that read it,
     # through the catalog entry that ``gf`` and the census rows read too.
-    (name, params), = [(k, p) for k, (b, p) in S._CATALOG.items()
-                       if b is getattr(S, builder)]
-    monkeypatch.setitem(S._CATALOG, name,
-                        (_first_term_perturbed(getattr(S, builder)), params))
+    _perturb_entry(monkeypatch, builder)
     assert {desc.split(" = ")[0]
             for desc, ok, _ in S.size_identity_checks(60) if not ok} == failing
 
@@ -549,10 +555,8 @@ def test_size_identities_read_their_class_functions(monkeypatch, builder, failin
 def test_np_is_pinned_by_the_label_statistics_not_the_equations(monkeypatch):
     # Np's first term t^3 z/(sqrt(1-4t) K), K = 1 - z + t z^2, solves the
     # homogeneous equation K T(z) = tz T(1): the N' equation cannot see it.
-    np_ = _first_term_perturbed(S._gf_np)
-    monkeypatch.setattr(S, "_gf_np", np_)
+    _perturb_entry(monkeypatch, "_gf_np")
     assert _failing_equations(Fraction(2, 3), Fraction(3, 5), Fraction(5, 7), 60) == set()
-    monkeypatch.setitem(S._CATALOG, "Np", (np_, ("z",)))
     failed = [c for c in verify.suite_refined_gf(8).checks if not c.passed]
     assert [c.description for c in failed] == [
         f"rectangular non-centered: statistic = Np(z={z}), n <= 8" for z in ("5/7", "2/3")]
@@ -579,21 +583,69 @@ def test_np_at_z_equal_1_is_well_defined():
 
 
 def test_asymptotic_report_small():
-    # structural smoke test at the fixed n = 1024 (and 2n)
-    rep = S.asymptotic_report()
-    assert len(rep) == 6
-    laws = {r["law"] for r in rep}
-    assert any("256" in law for law in laws)
-    for r in rep:
-        assert 0.5 < r["extrapolated"] < 1.5
+    # structural smoke test: one passing row per law, and at n = 1024 each
+    # coefficient within a factor 1.5 of its law
+    rep = verify.suite_asymptotics()
+    assert rep.passed and len(rep.checks) == len(S._LAWS)
+    assert any("256" in c.description for c in rep.checks)
+    n = 1024
+    for _, name, k, e in S._LAWS:
+        ratio = (float(S.gf(name, n + 1).coefficient(n) * k / 4**n) / n**e
+                 * (math.sqrt(math.pi) if e % 1 else 1))
+        assert 0.5 < ratio < 1.5, name
+
+
+def _failing_laws():
+    return [c for c in verify.suite_asymptotics().checks if not c.passed]
 
 
 @pytest.mark.parametrize("row", range(len(S._LAWS)))
 def test_each_law_constant_is_read_by_its_own_check(monkeypatch, row):
     # A growth constant 5 percent too large fails its own law, and only it.
     laws = list(S._LAWS)
-    label, name, k, e, tol = laws[row]
-    laws[row] = (label, name, k * Fraction(21, 20), e, tol)
+    law, name, k, e = laws[row]
+    laws[row] = (law, name, k * Fraction(21, 20), e)
     monkeypatch.setattr(S, "_LAWS", tuple(laws))
-    failed = [c.description for c in verify.suite_asymptotics().checks if not c.passed]
-    assert len(failed) == 1 and failed[0].startswith(f"{label}: ")
+    failed = _failing_laws()
+    assert len(failed) == 1 and failed[0].description.startswith(f"{law}: ")
+    assert failed[0].witness == f"(K, e) = ({k}, {e})"
+
+
+@pytest.mark.parametrize("row", range(len(S._LAWS)))
+def test_each_law_exponent_is_read_by_its_own_check(monkeypatch, row):
+    laws = list(S._LAWS)
+    law, name, k, e = laws[row]
+    laws[row] = (law, name, k, e + Fraction(1, 2))
+    monkeypatch.setattr(S, "_LAWS", tuple(laws))
+    assert [c.description.split(": ")[0] for c in _failing_laws()] == [law]
+
+
+@pytest.mark.parametrize("terms", [
+    [S._term(1, [], [(1, -5)], 2)],    # 1/((1-5t)(1-4t)): a pole inside
+    [S._term(1, [], [(1, 4)], 2)],     # 1/((1+4t)(1-4t)): a co-dominant pole
+], ids=["inner-pole", "co-dominant-pole"])
+def test_a_pole_in_the_disc_gives_no_law(monkeypatch, terms):
+    assert S.growth_law(terms) is None
+    monkeypatch.setitem(S._CATALOG, "Egf", (lambda: terms, ()))
+    failed = _failing_laws()
+    assert [c.description for c in failed] == [
+        "centered ~ 3 * 4^n / 128: K and e read off Egf exactly"]
+    assert failed[0].witness.startswith("no law: a pole in |t| <= 1/4")
+
+
+def test_cancelling_leading_terms_give_no_other_law():
+    # 1/(1-4t)^2 - 4t/(1-4t)^2 = 1/(1-4t): the alpha = 2 parts cancel.
+    terms = [S._term(1, [], [], 4), S._term(-1, [(0, 4)], [], 4)]
+    assert S.growth_law(terms) in ((1, 0), None)
+
+
+@pytest.mark.parametrize("name, law", [
+    # rect(n) = binom(2n-4, n-2) ~ 4^(n-2) / sqrt(pi n)
+    ("RectGf", (16, Fraction(-1, 2))),
+    # h(n) = (3n-5)/(n-1) binom(2n-5, n-2), and binom(2m-1, m) ~ 4^m / (2 sqrt(pi m))
+    ("Hgf", (Fraction(32, 3), Fraction(-1, 2))),
+    # [t^n] d = Catalan(n-1) ~ 4^(n-1) / (sqrt(pi) n^(3/2))
+    ("dCat", (4, Fraction(-3, 2))),
+])
+def test_growth_law_of_closed_counts_worked_by_hand(name, law):
+    assert S.growth_law(S._CATALOG[name][0]()) == law

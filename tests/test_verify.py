@@ -358,6 +358,19 @@ def test_series_size_identities_read_the_catalog(halve_first_term):
     assert "series: Z = L + 2*C21 + C22 to order 300" in failed
 
 
+@pytest.mark.parametrize("name, failing", [
+    ("Cp", [f"{eq} at (x,y,z)=({point}) to order 60"
+            for point in ("2/3,3/5,5/7", "1/2,1/3,2/5")
+            for eq in ("C' = tx C' + tx L' + tx S'",
+                       "L' = txy C'(1,y,z) + divided differences + ty L' + ty S'",
+                       "N' = tz/(1-z)[C'+L'+S' differences] + tz/(1-z)[N'(1) - z N'(z)]")]),
+    ("dCat", ["t z0 = d(t) + t"]),
+])
+def test_kernels_suite_reads_the_catalog(halve_first_term, name, failing):
+    halve_first_term(name)
+    assert _failed(verify.suite_kernels()) == failing
+
+
 def test_a_fault_inside_a_suite_is_one_fail_row(rewrite_children):
     # The next suite still runs.
     rewrite_children("0-1", lambda kids: kids + [("nc", decode("1-2;0-1").rows)])
