@@ -3,6 +3,10 @@
 All machine-readable output is deterministic: counts are serialized as
 decimal strings (they outgrow 64-bit integers), CSV is plain UTF-8 with no
 locale formatting, and ordering never depends on the worker count.
+Each subcommand's parser binds its handler, which takes the parsed
+arguments and returns (text, exit code).  Only ``census`` and ``verify``
+start workers, so only their handlers read ``--threads`` (default: all
+cores).
 """
 
 from __future__ import annotations
@@ -15,19 +19,6 @@ import sys
 from fractions import Fraction
 
 RENDER_CELLS = 10**6    # the largest picture, rows times width, render draws
-
-
-def _default_workers(parser: argparse.ArgumentParser) -> int:
-    env = os.environ.get("ZCX_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        parser.error("ZCX_THREADS must be an integer >= 1")
-    if workers < 1:
-        parser.error("ZCX_THREADS must be >= 1")
-    return workers
 
 
 def _fraction(text: str) -> Fraction:
@@ -49,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="worker count for census sweeps (default: ZCX_THREADS or all cores)",
+        help="worker count for census sweeps (default: all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -59,10 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--count", action="store_true", help="print the count only (default)")
     group.add_argument("--list", action="store_true", help="list every polyomino")
     p.add_argument("--format", choices=("lines", "json", "ascii"), default="lines")
+    p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("census", help="classification counts for sizes 2..N")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("series", help="expand a catalog generating function")
     p.add_argument("--name", required=True,
@@ -73,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"rational {stat}, e.g. 2/3; write a negative "
                        f"value as --{stat}=-1/2")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("gentree", help="generating-tree levels for ascending polyominoes")
     p.add_argument("--max-size", type=int, required=True)
@@ -80,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-level", type=int, default=None, metavar="K",
                    help="also dump the label multiset at size K")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(handler=_cmd_gentree)
 
     p = sub.add_parser("verify", help="run the cross-check suites")
     p.add_argument(
@@ -91,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", metavar="PATH", default=None,
                    help="JSON file with reference sequence prefixes")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("render", help="ASCII picture of one encoded polyomino")
     p.add_argument("--encoding", required=True)
+    p.set_defaults(handler=_cmd_render)
     return parser
 
 
@@ -122,13 +119,13 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     return f"{count}\n", 0
 
 
-def _cmd_census(args, workers: int) -> tuple[str, int]:
+def _cmd_census(args) -> tuple[str, int]:
     from . import classify
     from .core import PolyominoError
 
     if args.max_size < 2:
         raise PolyominoError("max size must be >= 2")
-    with classify.census_pool(workers) as pool:
+    with classify.census_pool(args.threads or os.cpu_count() or 1) as pool:
         rows = [classify.census(n, pool) for n in range(2, args.max_size + 1)]
     if args.format == "json":
         return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2) + "\n", 0
@@ -211,12 +208,13 @@ def _cmd_gentree(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args, workers: int) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[str, int]:
     from . import verify
 
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     reports = verify.run_suites(names, max_size=args.max_size,
-                                fixtures=args.fixtures, workers=workers)
+                                fixtures=args.fixtures,
+                                workers=args.threads or os.cpu_count() or 1)
     all_pass = all(r.passed for r in reports)
     if args.format == "json":
         text = json.dumps(
@@ -244,24 +242,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
-    workers = args.threads or _default_workers(parser)
     try:
         # Open --out first: a path that cannot be written fails before the
         # command spends its time.
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
-            if args.command == "enumerate":
-                text, code = _cmd_enumerate(args)
-            elif args.command == "census":
-                text, code = _cmd_census(args, workers)
-            elif args.command == "series":
-                text, code = _cmd_series(args)
-            elif args.command == "gentree":
-                text, code = _cmd_gentree(args)
-            elif args.command == "verify":
-                text, code = _cmd_verify(args, workers)
-            else:
-                text, code = _cmd_render(args)
+            text, code = args.handler(args)
             fh.write(text)
     except (KeyError, ValueError, OSError) as exc:
         # Every zcx error class is a ValueError.  str() of a KeyError quotes

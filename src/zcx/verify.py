@@ -237,13 +237,16 @@ _EXPONENT = {"x": 1, "y": 2, "z": 3}
 def suite_refined_gf(max_n: int = 10) -> SuiteReport:
     """Refined (b, w, r)-statistics against the closed class functions.
 
-    The labels are the label DP's, ``gentree.levels(max_n)``; the gentree
-    suite at the same size checks each DP level against the labels of the
-    shapes the tree walk makes.  Each check is one row (family,
-    rectangular flag, catalog entry, parameter values) and sums one weight
-    over the labels of that class: x^b y^w z^r over the parameters the
-    entry takes (``series.parameters``), and 1 for the scalar evaluations
-    at x = y = z = 1, which take none.  Raises ValueError below 2.
+    The labels are the label DP's, ``gentree.levels(max_n)``, read one
+    level at a time: each level's label dict is summed for every row and
+    dropped before the next is built, and each row keeps its first
+    failure.  The gentree suite at the same size checks each DP level
+    against the labels of the shapes the tree walk makes.  Each check is
+    one row (family, rectangular flag, catalog entry, parameter values)
+    and sums one weight over the labels of that class: x^b y^w z^r over
+    the parameters the entry takes (``series.parameters``), and 1 for the
+    scalar evaluations at x = y = z = 1, which take none.  Raises
+    ValueError below 2.
     """
     x, y, z = _REFINED_PARAMS
     table = (
@@ -256,20 +259,24 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
         ("C1", False, "C1at1", ()), ("NC", False, "N1", ()),
     )
     rep = SuiteReport("refined")
-    labels = {lv.level: lv.counts for lv in gentree.levels(max_n)}
-
+    rows = []
     for family, rect, name, values in table:
         params = dict(zip(series.parameters(name), values))
         g = series.gf(name, max_n + 1, **params)
-        bad = None
-        for n in range(2, max_n + 1):
-            got = sum(
-                math.prod(v ** lab[_EXPONENT[p]] for p, v in params.items()) * m
-                for lab, m in labels[n].items() if (lab[0], lab[4]) == (family, rect)
-            )
-            if g.coefficient(n) != got:
-                bad = (n, str(g.coefficient(n)), str(got))
-                break
+        rows.append((family, rect, name, params, g))
+    first_bad = [None] * len(rows)
+    for lv in gentree.levels(max_n):
+        n = lv.level
+        for i, (family, rect, _, params, g) in enumerate(rows):
+            if first_bad[i] is None:
+                got = sum(
+                    math.prod(v ** lab[_EXPONENT[p]] for p, v in params.items()) * m
+                    for lab, m in lv.counts.items() if (lab[0], lab[4]) == (family, rect)
+                )
+                if g.coefficient(n) != got:
+                    first_bad[i] = (n, str(g.coefficient(n)), str(got))
+
+    for (family, rect, name, params, _), bad in zip(rows, first_bad):
         cls = "non-centered" if (family, rect) == ("NC", True) else f"class {family}"
         args = ", ".join(f"{p}={v}" for p, v in params.items())
         stat = f"statistic = {name}({args})" if params else f"count = {name}"

@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -29,7 +29,16 @@ from zcx.classify import (
     is_four_stack,
     is_four_stack_bruteforce,
 )
-from zcx.core import Polyomino, decode, from_rows, mirror, size
+from zcx.core import (
+    Disconnected,
+    NotConvex,
+    Polyomino,
+    check_rows,
+    decode,
+    from_rows,
+    mirror,
+    size,
+)
 from zcx.enumerate import (
     _block_intervals,
     all_convex,
@@ -37,7 +46,7 @@ from zcx.enumerate import (
     blocks,
     count_convex,
 )
-from zcx.gentree import children, parent
+from zcx.gentree import FAMILIES, TreeLabel, _label_rows, children, parent
 from zcx.series import gf, rect_formula
 
 
@@ -141,6 +150,120 @@ def test_tree_reaches_the_root_from_large_random_shapes():
             assert (op, shape) in children(up), (p.encode(), shape.encode())
             steps, shape = steps + 1, up
         assert (steps, shape) == (size(p) - 2, decode("0-0")), p.encode()
+
+
+def _cells(rows):
+    return {(x, y) for y, (l, r) in enumerate(rows) for x in range(l, r + 1)}
+
+
+def _label_oracle(rows):
+    """The label, top base row and last column of an ascending shape whose
+    leftmost column is 0, read off its cell set by the family rules of the
+    ``gentree`` docstring.  The base is the block of full-width rows; a
+    shape without one is non-centered, its r the height of the last column
+    and its "top" the row below that column.  Otherwise b is the base's
+    height, w the number of columns left of the row above the base (all of
+    them when the base is the top row), and r the last column's cells above
+    the base.  rect: the last column reaches the top row.  b > 1 makes C0
+    (base at the top), C1 (w = 0) or C; b = 1 makes L0 or L when the base
+    is the only row in column 0, R when the row above it is in column 0,
+    and S0 or S otherwise."""
+    cells = _cells(rows)
+    height, width = len(rows), 1 + max(x for x, _ in cells)
+
+    def column(x):
+        return {y for y in range(height) if (x, y) in cells}
+
+    full = [y for y in range(height) if all((x, y) in cells for x in range(width))]
+    last = column(width - 1)
+    rect = height - 1 in last
+    if not full:
+        return TreeLabel("NC", 1, 0, len(last), rect), min(last) - 1, width - 1
+    top, b = max(full), len(full)
+    w = min((x for x in range(width) if (x, top + 1) in cells), default=width)
+    r = sum(y > top for y in last)
+    flipped = top == height - 1
+    first = column(0)
+    if b > 1:
+        family = "C0" if flipped else "C1" if w == 0 else "C"
+    elif first == {top}:
+        family = "L0" if flipped else "L"
+    elif top + 1 in first:
+        family = "R"
+    else:
+        family = "S0" if flipped else "S"
+    return TreeLabel(family, b, w, r, rect), top, width - 1
+
+
+def test_labeller_equals_the_family_rules_on_large_random_shapes():
+    # Each of the 80 draws or its mirror, and each of its prefixes of rows
+    # (an ascending shape too, and the one source of bases at the top), and
+    # every ascending shape up to size 8, which has C1 shapes; the draws
+    # have none.
+    rng = random.Random(9)
+    shapes = [p for n in range(2, 9) for p in all_convex(n) if is_ascending(p)]
+    for _ in range(80):
+        p = from_rows(_random_convex_rows(rng))
+        p = p if is_ascending(p) else mirror(p)
+        shapes += [from_rows(p.rows[:k]) for k in range(1, p.n_rows + 1)]
+    seen = set()
+    for p in shapes:
+        got = _label_rows(p.rows)
+        assert got == _label_oracle(p.rows), p.encode()
+        seen.add(got[0].family)
+    assert seen == set(FAMILIES)
+
+
+def _convexity_oracle(rows):
+    """None when the cells of these rows form a convex polyomino, else the
+    exception class it breaks: Disconnected when the cells are not
+    4-connected, NotConvex when they are but a column is not an interval."""
+    cells = _cells(rows)
+    seen, frontier = set(), [next(iter(cells))]
+    while frontier:
+        x, y = cell = frontier.pop()
+        if cell in cells and cell not in seen:
+            seen.add(cell)
+            frontier += [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+    if seen != cells:
+        return Disconnected
+    columns = {}
+    for x, y in cells:
+        columns.setdefault(x, []).append(y)
+    if any(max(ys) - min(ys) + 1 != len(ys) for ys in columns.values()):
+        return NotConvex
+    return None
+
+
+def test_check_rows_equals_the_cell_set_definition_on_large_random_shapes():
+    # Each of the 80 draws, and each shape made from one by moving one
+    # end of one row by a cell or the whole row by two.  check_rows
+    # raises the class the cell set breaks, and on the convex ones returns
+    # the quadratic definition of ascending and the last column.
+    rng = random.Random(9)
+    verdicts = Counter()
+    for _ in range(80):
+        rows = _random_convex_rows(rng)
+        variants = [rows] + [
+            (*rows[:i], (l + dl, r + dr), *rows[i + 1:])
+            for i, (l, r) in enumerate(rows)
+            for dl, dr in ((-1, 0), (1, 0), (0, -1), (0, 1), (-2, -2), (2, 2))
+            if l + dl <= r + dr
+        ]
+        for shape in variants:
+            want = _convexity_oracle(shape)
+            try:
+                got = check_rows(shape)
+            except (Disconnected, NotConvex) as exc:
+                assert type(exc) is want, shape
+            else:
+                assert want is None, shape
+                ascending = not any(
+                    shape[j][0] < shape[i][0] and shape[j][1] < shape[i][1]
+                    for j in range(len(shape)) for i in range(j))
+                assert got == (ascending, max(r for _, r in shape)), shape
+            verdicts[want] += 1
+    assert all(verdicts[k] for k in (None, Disconnected, NotConvex))
 
 
 # SHA-256 over "encoding|ne|nw" of every convex shape of size 2..10, in

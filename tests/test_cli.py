@@ -331,7 +331,7 @@ def test_out_flag_unwritable_is_usage_error(capsys, tmp_path):
 
 
 def test_out_flag_opened_before_the_command_runs(capsys, monkeypatch, tmp_path):
-    def no_census(args, workers):
+    def no_census(args):
         raise AssertionError("the census ran before --out was opened")
 
     monkeypatch.setattr(cli, "_cmd_census", no_census)
@@ -343,13 +343,18 @@ def test_out_flag_opened_before_the_command_runs(capsys, monkeypatch, tmp_path):
     assert err == f"zcx: error: {target}: No such file or directory\n"
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("ZCX_THREADS", "2")
-    code, out, _ = _run(capsys, "census", "--max-size", "5")
-    assert code == 0
-    monkeypatch.setenv("ZCX_THREADS", "1")
-    code, out2, _ = _run(capsys, "census", "--max-size", "5")
-    assert code == 0 and out == out2
+def test_worker_count_is_read_from_threads_alone(capsys, monkeypatch):
+    # ZCX_THREADS is not a setting: set to anything, it changes neither the
+    # output nor the exit code of a command, with workers or without.
+    for argv in (["series", "--name", "A", "--terms", "3"],
+                 ["render", "--encoding", "0-1;1-1"],
+                 ["census", "--max-size", "5"]):
+        monkeypatch.delenv("ZCX_THREADS", raising=False)
+        want = _run(capsys, *argv)
+        assert want[0] == 0, argv
+        for value in ("junk", "0"):
+            monkeypatch.setenv("ZCX_THREADS", value)
+            assert _run(capsys, *argv)[:2] == want[:2], (argv, value)
 
 
 @pytest.mark.parametrize("k", ["0", "-4"])
@@ -358,25 +363,6 @@ def test_threads_below_1_is_usage_error(capsys, k):
         main(["--threads", k, "census", "--max-size", "4"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("zcx: error: --threads must be >= 1\n")
-
-
-@pytest.mark.parametrize("k", ["0", "-4"])
-def test_threads_env_below_1_is_usage_error(capsys, monkeypatch, k):
-    monkeypatch.setenv("ZCX_THREADS", k)
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--max-size", "4"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("zcx: error: ZCX_THREADS must be >= 1\n")
-
-
-@pytest.mark.parametrize("k", ["junk", "2.5"])
-def test_threads_env_not_an_integer_is_usage_error(capsys, monkeypatch, k):
-    monkeypatch.setenv("ZCX_THREADS", k)
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--max-size", "4"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        "zcx: error: ZCX_THREADS must be an integer >= 1\n")
 
 
 def test_usage_error_exit_2():
