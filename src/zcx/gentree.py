@@ -639,13 +639,6 @@ class _LabelDP:
         # A rectangular NC label also grows one cell on top: NC(r + 1).
         self.nc = (plain, _add(top, [0, *self.nc[1]]))
 
-    def _state(self) -> tuple:
-        return self.l, self.s, self.l0, self.s0, self.r, self.nc
-
-    def counts(self) -> dict[tuple, int]:
-        """The label dict of the current level."""
-        return _expand(self._state(), self.history, len(self.history))
-
     def level(self, n: int) -> LabelLevel:
         """The current level as level n: totals from row sums, ``counts``
         built from the history on first read."""
@@ -657,7 +650,8 @@ class _LabelDP:
         total = rect + l_plain + s_plain + c_plain + self.c1 + self.r + nc - nc_rect
         return LabelLevel(
             n,
-            partial(_expand, self._state(), self.history, len(self.history)),
+            partial(_expand, (self.l, self.s, self.l0, self.s0, self.r, self.nc),
+                    self.history, len(self.history)),
             (total, total - nc, nc, rect, nc_rect),
         )
 

@@ -230,23 +230,25 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
 
 
 _REFINED_PARAMS = (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7))
-# The label field, b, w or r, that each parameter x, y, z is raised to.
-_EXPONENT = {"x": 1, "y": 2, "z": 3}
 
 
 def suite_refined_gf(max_n: int = 10) -> SuiteReport:
     """Refined (b, w, r)-statistics against the closed class functions.
 
-    The labels are the label DP's, ``gentree.levels(max_n)``, read one
-    level at a time: each level's label dict is summed for every row and
-    dropped before the next is built, and each row keeps its first
-    failure.  The gentree suite at the same size checks each DP level
-    against the labels of the shapes the tree walk makes.  Each check is
-    one row (family, rectangular flag, catalog entry, parameter values)
-    and sums one weight over the labels of that class: x^b y^w z^r over
-    the parameters the entry takes (``series.parameters``), and 1 for the
-    scalar evaluations at x = y = z = 1, which take none.  Raises
-    ValueError below 2.
+    Each check is one row (family, rectangular flag, catalog entry,
+    parameter values) and sums x^b y^w z^r over the labels of that class,
+    with 1 for a parameter the entry does not take (``series.parameters``),
+    so the scalar evaluations at x = y = z = 1 count the labels.  The
+    labels are the label DP's, ``gentree.levels(max_n)``, each level read
+    in one pass that adds each label's weight to the rows of its class;
+    each row keeps its first failure.  The gentree suite at the same size
+    ties each DP level to the labels of the shapes the tree walk makes.
+
+    The sums are integers: with v = p/q for each of x, y, z, a label of
+    count m at level n weighs m p_x^b q_x^(n-b) p_y^w q_y^(n-w) p_z^r
+    q_z^(n-r), over (q_x q_y q_z)^n.  A shape of size n has rows + columns
+    = n, b <= rows, w < columns and r <= rows, so every exponent is below
+    n and each power table has n entries.  Raises ValueError below 2.
     """
     x, y, z = _REFINED_PARAMS
     table = (
@@ -259,24 +261,28 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
         ("C1", False, "C1at1", ()), ("NC", False, "N1", ()),
     )
     rep = SuiteReport("refined")
-    rows = []
-    for family, rect, name, values in table:
+    rows, by_class = [], {}
+    for i, (family, rect, name, values) in enumerate(table):
         params = dict(zip(series.parameters(name), values))
-        g = series.gf(name, max_n + 1, **params)
-        rows.append((family, rect, name, params, g))
+        xyz = [params.get(p, 1) for p in "xyz"]
+        rows.append((params, series.gf(name, max_n + 1, **params), xyz))
+        by_class.setdefault((family, rect), []).append(i)
     first_bad = [None] * len(rows)
     for lv in gentree.levels(max_n):
         n = lv.level
-        for i, (family, rect, _, params, g) in enumerate(rows):
-            if first_bad[i] is None:
-                got = sum(
-                    math.prod(v ** lab[_EXPONENT[p]] for p, v in params.items()) * m
-                    for lab, m in lv.counts.items() if (lab[0], lab[4]) == (family, rect)
-                )
-                if g.coefficient(n) != got:
-                    first_bad[i] = (n, str(g.coefficient(n)), str(got))
+        powers = [[[v.numerator ** k * v.denominator ** (n - k) for k in range(n)]
+                   for v in xyz] for _, _, xyz in rows]
+        totals = [0] * len(rows)
+        for (family, b, w, r, rect), m in lv.counts.items():
+            for i in by_class.get((family, rect), ()):
+                px, py, pz = powers[i]
+                totals[i] += m * px[b] * py[w] * pz[r]
+        for i, (_, g, xyz) in enumerate(rows):
+            got = Fraction(totals[i], math.prod(v.denominator for v in xyz) ** n)
+            if first_bad[i] is None and g.coefficient(n) != got:
+                first_bad[i] = (n, str(g.coefficient(n)), str(got))
 
-    for (family, rect, name, params, _), bad in zip(rows, first_bad):
+    for (family, rect, name, _), (params, *_), bad in zip(table, rows, first_bad):
         cls = "non-centered" if (family, rect) == ("NC", True) else f"class {family}"
         args = ", ".join(f"{p}={v}" for p, v in params.items())
         stat = f"statistic = {name}({args})" if params else f"count = {name}"

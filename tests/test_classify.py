@@ -134,6 +134,25 @@ def test_kernels_agree_with_the_oracles_on_large_random_shapes():
     assert top >= 15
 
 
+def test_structural_laws_on_random_shapes_past_the_census():
+    # The three laws the class formulas rest on, far past the census: both
+    # degrees >= 2 only as (2, 2); ascending exactly when nw <= 1 (Prop. 4);
+    # every (2, 2) shape a four-stack.  Of these 6 000 draws (sizes 9-68),
+    # 103 have both degrees >= 2, of sizes 14-60.
+    both = []
+    for seed in range(1000, 1004):
+        rng = random.Random(seed)
+        for _ in range(1500):
+            p = from_rows(_random_convex_rows(rng))
+            d = degree_pair(p)
+            assert is_ascending(p) == (d.nw <= 1), p.encode()
+            if min(d) >= 2:
+                both.append(size(p))
+                assert d == (2, 2), p.encode()
+                assert is_four_stack(p), p.encode()
+    assert len(both) >= 100 and max(both) > 14
+
+
 def test_tree_reaches_the_root_from_large_random_shapes():
     # Of the 80 draws above, 39 are ascending and the mirrors of the other 41
     # are.  Each one's parent chain takes size - 2 steps to the root, and

@@ -365,9 +365,9 @@ def test_step_equals_succ_label_by_label():
         for child, mult in succ(lab):
             want[child] += mult
         dp = _LabelDP({lab: 1})
-        assert dp.counts() == {lab: 1}, lab
+        assert dp.level(2).counts == {lab: 1}, lab
         dp.step()
-        assert dp.counts() == want, lab
+        assert dp.level(3).counts == want, lab
 
 
 def _five_totals(lv):

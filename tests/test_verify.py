@@ -335,6 +335,32 @@ def test_a_dropped_dp_label_fails_the_refined_rows_and_the_walk_tie(monkeypatch)
     ]
 
 
+def test_the_refined_witness_is_the_dropped_weight_at_the_largest_exponent(monkeypatch):
+    # At level 20 (history depth 18) the rectangular C0 label with b = 19
+    # has the largest exponent a label can have, one below the level: a
+    # power table one entry short cannot weigh it, and a power or
+    # denominator exponent off by one fails more rows or another witness.
+    label, (x, y, _) = ("C0", 19, 1, 0, True), verify._REFINED_PARAMS
+    real = gentree._expand
+    dropped = []
+
+    def expand(state, history, depth):
+        counts = real(state, history, depth)
+        if depth == 18:
+            dropped.append(counts.pop(label))
+        return counts
+
+    monkeypatch.setattr(gentree, "_expand", expand)
+    rep = verify.suite_refined_gf(max_n=20)
+    assert dropped == [1]
+    expected = series.gf("C0p", 21, x=x, y=y).coefficient(20)
+    got = expected - dropped[0] * x ** 19 * y ** 1
+    assert [(c.description, c.witness) for c in rep.checks if not c.passed] == [
+        ("rectangular class C0: statistic = C0p(x=2/3, y=3/5), n <= 20",
+         str((20, str(expected), str(got)))),
+    ]
+
+
 def test_one_tree_walk_per_run_and_none_for_refined(monkeypatch):
     calls = []
     real = gentree.walk
