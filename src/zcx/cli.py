@@ -95,12 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
-    from .core import PolyominoError
     from .enumerate import all_convex, count_convex
 
     n = args.size
-    if n < 2:
-        raise PolyominoError("size must be >= 2")
     if args.list:
         polys = list(all_convex(n))
         if args.format == "json":

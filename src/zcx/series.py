@@ -512,8 +512,6 @@ _ALIASES = {
     "C21": "C21gf",
 }
 
-GF_NAMES = tuple(_CATALOG)
-
 
 def resolve_name(name: str) -> str:
     canon = _ALIASES.get(name, name)

@@ -396,7 +396,10 @@ def load_fixtures(path: str) -> dict[str, tuple[int, list[int]] | None]:
     negative start and an empty list or one with a non-integer value.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: fixtures must be a JSON object")
     table: dict[str, tuple[int, list[int]] | None] = {}
@@ -476,14 +479,14 @@ def run_suites(
     suite runs.
     """
     names = [names] if isinstance(names, str) else names
-    if "all" in names:
-        names = list(SUITES)
     choices = f"choose from all,{','.join(SUITES)}"
     if not names:
         raise ValueError(f"no suite named; {choices}")
     for name in names:
-        if name not in SUITES:
+        if name != "all" and name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; {choices}")
+    if "all" in names:
+        names = list(SUITES)
     if max_size is not None and max_size < 2:
         raise ValueError("max size must be >= 2")
     if max_size is not None and not set(names) & set(_SIZE_BOUNDED):

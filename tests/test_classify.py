@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -49,6 +49,8 @@ from zcx.enumerate import (
 from zcx.gentree import FAMILIES, TreeLabel, _label_rows, children, parent
 from zcx.series import gf, rect_formula
 
+from oracles import convexity, directed
+
 
 def test_degree_examples():
     assert degree_pair(decode("0-0")) == degree_pair_bruteforce(decode("0-0"))
@@ -77,8 +79,8 @@ def test_degree_walk_bound_raises_on_unreachable_target():
         degree_pair(Polyomino(((0, 0), (1, 1))))
 
 
-def test_degree_agrees_with_bruteforce_exhaustively():
-    for n in range(2, 10):
+def test_degree_agrees_with_bruteforce_exhaustively(sizes=range(2, 10)):
+    for n in sizes:
         for p in all_convex(n):
             assert degree_pair(p) == degree_pair_bruteforce(p), p.encode()
 
@@ -128,7 +130,7 @@ def test_kernels_agree_with_the_oracles_on_large_random_shapes():
         top = max(top, *d)
         assert is_ascending(p) == _ascending_oracle(p), p.encode()
         assert is_descending(p) == _ascending_oracle(mirror(p)), p.encode()
-        assert is_directed_convex(p) == _directed_oracle(p), p.encode()
+        assert is_directed_convex(p) == directed(p.cell_set()), p.encode()
         assert _signature(_transpose(p)) == _signature(p)._replace(
             centered=_full_height(p)), p.encode()
     assert top >= 15
@@ -171,10 +173,6 @@ def test_tree_reaches_the_root_from_large_random_shapes():
         assert (steps, shape) == (size(p) - 2, decode("0-0")), p.encode()
 
 
-def _cells(rows):
-    return {(x, y) for y, (l, r) in enumerate(rows) for x in range(l, r + 1)}
-
-
 def _label_oracle(rows):
     """The label, top base row and last column of an ascending shape whose
     leftmost column is 0, read off its cell set by the family rules of the
@@ -187,7 +185,7 @@ def _label_oracle(rows):
     (base at the top), C1 (w = 0) or C; b = 1 makes L0 or L when the base
     is the only row in column 0, R when the row above it is in column 0,
     and S0 or S otherwise."""
-    cells = _cells(rows)
+    cells = Polyomino(rows).cell_set()
     height, width = len(rows), 1 + max(x for x, _ in cells)
 
     def column(x):
@@ -233,27 +231,6 @@ def test_labeller_equals_the_family_rules_on_large_random_shapes():
     assert seen == set(FAMILIES)
 
 
-def _convexity_oracle(rows):
-    """None when the cells of these rows form a convex polyomino, else the
-    exception class it breaks: Disconnected when the cells are not
-    4-connected, NotConvex when they are but a column is not an interval."""
-    cells = _cells(rows)
-    seen, frontier = set(), [next(iter(cells))]
-    while frontier:
-        x, y = cell = frontier.pop()
-        if cell in cells and cell not in seen:
-            seen.add(cell)
-            frontier += [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
-    if seen != cells:
-        return Disconnected
-    columns = {}
-    for x, y in cells:
-        columns.setdefault(x, []).append(y)
-    if any(max(ys) - min(ys) + 1 != len(ys) for ys in columns.values()):
-        return NotConvex
-    return None
-
-
 def test_check_rows_equals_the_cell_set_definition_on_large_random_shapes():
     # Each of the 80 draws, and each shape made from one by moving one
     # end of one row by a cell or the whole row by two.  check_rows
@@ -270,7 +247,7 @@ def test_check_rows_equals_the_cell_set_definition_on_large_random_shapes():
             if l + dl <= r + dr
         ]
         for shape in variants:
-            want = _convexity_oracle(shape)
+            want = convexity(Polyomino(shape).cell_set())
             try:
                 got = check_rows(shape)
             except (Disconnected, NotConvex) as exc:
@@ -329,8 +306,8 @@ def test_four_stack_examples():
     assert not is_four_stack(decode("0-1;1-2;2-3"))
 
 
-def test_four_stack_agrees_with_bruteforce():
-    for n in range(2, 10):
+def test_four_stack_agrees_with_bruteforce(sizes=range(2, 10)):
+    for n in sizes:
         for p in all_convex(n):
             assert is_four_stack(p) == is_four_stack_bruteforce(p), p.encode()
 
@@ -363,34 +340,19 @@ def _ascending_oracle(p):
                    for j in range(len(rows)) for i in range(j))
 
 
-def test_ascending_and_descending_agree_with_the_definition():
-    for n in range(2, 11):
+def test_ascending_and_descending_agree_with_the_definition(sizes=range(2, 11)):
+    for n in sizes:
         for p in all_convex(n):
             assert is_ascending(p) == _ascending_oracle(p), p.encode()
             assert is_descending(p) == _ascending_oracle(mirror(p)), p.encode()
 
 
-def _directed_oracle(p):
-    cells = p.cell_set()
-    if (0, 0) not in cells:
-        return False
-    seen = {(0, 0)}
-    frontier = deque(seen)
-    while frontier:
-        x, y = frontier.popleft()
-        for nxt in ((x + 1, y), (x, y + 1)):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen == cells
-
-
-def test_directed_convex_examples_and_oracle():
+def test_directed_convex_examples_and_oracle(sizes=range(2, 10)):
     assert is_directed_convex(decode("0-0"))
     assert not is_directed_convex(decode("1-2;0-1"))
-    for n in range(2, 10):
+    for n in sizes:
         for p in all_convex(n):
-            assert is_directed_convex(p) == _directed_oracle(p), p.encode()
+            assert is_directed_convex(p) == directed(p.cell_set()), p.encode()
 
 
 def test_directed_convex_counts_are_central_binomials():
@@ -627,23 +589,13 @@ def test_census_csv_shape():
 
 
 if __name__ == "__main__":
-    # The class rules against their definitions on every convex shape of
-    # size 11, and the four-stack and degree rules against their brute
-    # forces on every shape of size 10.
-    bad = []
-    shapes = 0
-    for p in all_convex(11):
-        shapes += 1
-        if (is_ascending(p), is_descending(p), is_directed_convex(p)) != (
-                _ascending_oracle(p), _ascending_oracle(mirror(p)), _directed_oracle(p)):
-            bad.append(p.encode())
-    print(f"size 11: ascending, descending, directed convex on {shapes} shapes")
-    stacks = 0
-    for p in all_convex(10):
-        stacks += 1
-        if (is_four_stack(p), degree_pair(p)) != (
-                is_four_stack_bruteforce(p), degree_pair_bruteforce(p)):
-            bad.append(p.encode())
-    print(f"size 10: four-stack and degree rules against the brute forces on {stacks} shapes")
-    print("disagree:", bad[:10] or "none")
-    raise SystemExit(1 if bad or (shapes, stacks) != (203680, 46160) else 0)
+    # The tests above past their own bounds: the class rules against their
+    # definitions on every convex shape of size 11, and the four-stack and
+    # degree rules against their brute forces on every shape of size 10.
+    assert (count_convex(11), count_convex(10)) == (203680, 46160)
+    test_ascending_and_descending_agree_with_the_definition(sizes=[11])
+    test_directed_convex_examples_and_oracle(sizes=[11])
+    test_four_stack_agrees_with_bruteforce(sizes=[10])
+    test_degree_agrees_with_bruteforce_exhaustively(sizes=[10])
+    print("size 11: ascending, descending, directed convex on 203680 shapes")
+    print("size 10: four-stack and degree rules against the brute forces on 46160 shapes")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -52,6 +53,13 @@ def test_enumerate_json_schema(capsys):
 def test_enumerate_ascii(capsys):
     code, out, _ = _run(capsys, "enumerate", "--size", "2", "--list", "--format", "ascii")
     assert code == 0 and out == "#\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["--list"]], ids=["count", "list"])
+def test_enumerate_size_below_2_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, "enumerate", "--size", "1", *argv)
+    assert code == 2 and out == ""
+    assert err == "zcx: error: size must be >= 2\n"
 
 
 def test_census_csv_example(capsys):
@@ -153,6 +161,15 @@ def test_gentree_labels_json(capsys):
     jsonschema.validate(payload, _schema("gentree"))
     assert [lv["total"] for lv in payload["levels"]] == ["1", "2", "7", "26", "101"]
     assert len(payload["labels"]) == 7
+
+
+def test_gentree_labels_equal_the_frozen_references(capsys):
+    # The benchmark's references: the label DP's level totals to 40.
+    refs = Path(__file__).parents[1] / "perfbench" / "refs" / "labels.json"
+    code, out, _ = _run(capsys, "gentree", "--mode", "labels", "--max-size", "40",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["levels"] == json.loads(refs.read_text())["levels"]
 
 
 def test_gentree_construct_matches_labels(capsys):
@@ -261,11 +278,27 @@ def test_verify_malformed_fixture_is_usage_error(capsys, tmp_path, entry):
                    f'{{"start": <int>, "values": [<int>, ...]}}\n')
 
 
-def test_verify_unknown_suite_is_usage_error(capsys):
-    code, out, err = _run(capsys, "verify", "--suite", "nope")
+@pytest.mark.parametrize("content, reason", [
+    (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["not_json", "not_utf8"])
+def test_verify_fixtures_not_json_is_usage_error(capsys, tmp_path, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = _run(
+        capsys, "verify", "--suite", "kernels", "--fixtures", str(bad)
+    )
     assert code == 2 and out == ""
-    assert err == ("zcx: error: unknown suite 'nope'; choose from "
-                   "all,identities,gentree,refined,structure,kernels,asymptotics\n")
+    assert err == f"zcx: error: {bad}: not JSON: {reason}\n"
+
+
+def test_verify_unknown_suite_is_usage_error(capsys):
+    # A name beside all is checked too, before all runs every suite.
+    for suites, name in (("nope", "nope"), ("all,bogus", "bogus")):
+        code, out, err = _run(capsys, "verify", "--suite", suites)
+        assert code == 2 and out == ""
+        assert err == (f"zcx: error: unknown suite '{name}'; choose from "
+                       "all,identities,gentree,refined,structure,kernels,asymptotics\n")
 
 
 @pytest.mark.parametrize("suites", ["", " , "])

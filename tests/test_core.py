@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,36 +23,23 @@ from zcx.core import (
 )
 from zcx.enumerate import all_convex
 
+from oracles import convexity
 
-def cellset_oracle_is_convex(intervals) -> bool:
-    """Independent acceptance test on the raw cell set: rows and columns
-    must be contiguous and the cells 4-connected."""
-    if not intervals or any(l > r for l, r in intervals):
-        return False
-    cells = {
-        (x, y) for y, (l, r) in enumerate(intervals) for x in range(l, r + 1)
-    }
-    xs = sorted({x for x, _ in cells})
-    ys = sorted({y for _, y in cells})
-    for y in ys:
-        row = sorted(x for x, yy in cells if yy == y)
-        if row != list(range(row[0], row[0] + len(row))):
-            return False
-    for x in xs:
-        col = sorted(y for xx, y in cells if xx == x)
-        if col != list(range(col[0], col[0] + len(col))):
-            return False
-    if len(ys) != len(intervals):  # an implicit empty row
-        return False
-    seen = {next(iter(cells))}
-    frontier = deque(seen)
-    while frontier:
-        x, y = frontier.popleft()
-        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if (nx, ny) in cells and (nx, ny) not in seen:
-                seen.add((nx, ny))
-                frontier.append((nx, ny))
-    return seen == cells
+
+def _cellset_fault(intervals):
+    """The class from_rows must raise for these nonempty intervals, or None:
+    EmptyRow for a row with left > right, else what their cell set breaks."""
+    if any(l > r for l, r in intervals):
+        return EmptyRow
+    return convexity(Polyomino(intervals).cell_set())
+
+
+def _from_rows_fault(intervals):
+    try:
+        from_rows(intervals)
+    except PolyominoError as exc:
+        return type(exc)
+    return None
 
 
 def test_from_rows_single_cell():
@@ -145,7 +132,7 @@ def test_check_rows_returns_ascent_and_last_column():
     seen = Counter()
     for height in range(1, 5):
         for rows in itertools.product(spans, repeat=height):
-            if not cellset_oracle_is_convex(rows):
+            if convexity(Polyomino(rows).cell_set()) is not None:
                 continue
             ascending = not any(
                 rows[j][0] < rows[i][0] and rows[j][1] < rows[i][1]
@@ -214,13 +201,7 @@ def _exhaustive_interval_lists(max_rows, max_col):
 
 def test_from_rows_matches_cellset_oracle_exhaustively():
     for intervals in _exhaustive_interval_lists(3, 2):
-        ok_oracle = cellset_oracle_is_convex(intervals)
-        try:
-            from_rows(intervals)
-            ok_impl = True
-        except PolyominoError:
-            ok_impl = False
-        assert ok_impl == ok_oracle, intervals
+        assert _from_rows_fault(intervals) is _cellset_fault(intervals), intervals
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,16 +213,12 @@ def test_from_rows_matches_cellset_oracle_exhaustively():
     )
 )
 def test_from_rows_matches_cellset_oracle_random(intervals):
-    ok_oracle = cellset_oracle_is_convex(intervals)
-    try:
-        p = from_rows(intervals)
-        ok_impl = True
-    except PolyominoError:
-        ok_impl = False
-    assert ok_impl == ok_oracle
-    if ok_impl:
+    want = _cellset_fault(intervals)
+    assert _from_rows_fault(intervals) is want
+    if want is None:
         shift = min(l for l, _ in intervals)
-        assert p.rows == tuple((l - shift, r - shift) for l, r in intervals)
+        assert from_rows(intervals).rows == tuple(
+            (l - shift, r - shift) for l, r in intervals)
 
 
 def test_encoding_order_is_total():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product
 
 from zcx.core import size
@@ -16,24 +15,26 @@ from zcx.enumerate import (
 )
 from zcx.series import gf
 
+from oracles import convexity
 
-def _oracle_convex_encodings(n: int) -> set[str]:
+
+def _oracle_convex_encodings(n: int) -> list[str]:
     """Completely independent generator: all cell subsets of every r x c
     bounding box with r + c = n, kept when the subset is a connected
-    HV-convex polyomino spanning the box."""
-    found = set()
+    HV-convex polyomino spanning the box, sorted."""
+    found = []
     for r in range(1, n):
         c = n - r
         grid = list(product(range(c), range(r)))
         for mask in range(1, 1 << (r * c)):
             cells = {grid[i] for i in range(r * c) if mask >> i & 1}
-            if _spans(cells, r, c) and _hv_convex(cells) and _connected(cells):
+            if _spans(cells, r, c) and convexity(cells) is None:
                 rows = []
                 for y in range(r):
                     xs = [x for x, yy in cells if yy == y]
                     rows.append(f"{min(xs)}-{max(xs)}")
-                found.add(";".join(rows))
-    return found
+                found.append(";".join(rows))
+    return sorted(found)
 
 
 def _spans(cells, r, c):
@@ -42,30 +43,6 @@ def _spans(cells, r, c):
     return (
         ys == set(range(r)) and min(xs) == 0 and max(xs) == c - 1
     )
-
-
-def _hv_convex(cells):
-    for y in {yy for _, yy in cells}:
-        xs = sorted(x for x, yy in cells if yy == y)
-        if xs != list(range(xs[0], xs[0] + len(xs))):
-            return False
-    for x in {xx for xx, _ in cells}:
-        ys = sorted(y for xx, y in cells if xx == x)
-        if ys != list(range(ys[0], ys[0] + len(ys))):
-            return False
-    return True
-
-
-def _connected(cells):
-    seen = {next(iter(cells))}
-    frontier = deque(seen)
-    while frontier:
-        x, y = frontier.popleft()
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen == cells
 
 
 def test_smallest_sizes():
@@ -87,7 +64,7 @@ def test_every_emitted_polyomino_has_the_right_size():
 
 def test_completeness_against_subset_oracle():
     for n in range(2, 9):
-        got = {p.encode() for p in all_convex(n)}
+        got = sorted(p.encode() for p in all_convex(n))
         assert got == _oracle_convex_encodings(n)
 
 

@@ -425,14 +425,19 @@ def test_kernel_checks_need_the_fold_of_b_squared(monkeypatch):
         "1 - z + t z^2 vanishes at z0 = (1-sqrt(1-4t))/(2t)"]
 
 
-def test_functional_equations_hold_at_several_parameter_sets():
+def test_functional_equations_hold_at_several_parameter_sets(order=40):
     for params in (
         (Fraction(2, 3), Fraction(3, 5), Fraction(5, 7)),
         (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
         (Fraction(-1, 2), Fraction(2, 7), Fraction(3, 4)),
     ):
-        for desc, ok, fail in S.functional_equation_checks(*params, 40):
+        for desc, ok, fail in S.functional_equation_checks(*params, order):
             assert ok, (params, desc, fail)
+
+
+def test_size_identities_hold(order=300):
+    for desc, ok, fail in S.size_identity_checks(order):
+        assert ok, (desc, fail)
 
 
 def test_linear_checks_expand_each_row_once(monkeypatch):
@@ -649,3 +654,11 @@ def test_cancelling_leading_terms_give_no_other_law():
 ])
 def test_growth_law_of_closed_counts_worked_by_hand(name, law):
     assert S.growth_law(S._CATALOG[name][0]()) == law
+
+
+if __name__ == "__main__":
+    # The tests above past their own bounds.
+    test_functional_equations_hold_at_several_parameter_sets(order=200)
+    test_size_identities_hold(order=2049)
+    print("functional equations at three points to order 200: pass")
+    print("size identities to order 2049: pass")

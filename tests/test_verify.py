@@ -21,8 +21,8 @@ def test_identities_suite_passes_and_is_deterministic():
     assert da == db
 
 
-def test_gentree_suite_passes():
-    rep = verify.suite_gentree(max_construct=8, max_labels=20)
+def test_gentree_suite_passes(max_construct=8, max_labels=20):
+    rep = verify.suite_gentree(max_construct=max_construct, max_labels=max_labels)
     assert rep.passed, rep.to_text()
 
 
@@ -163,6 +163,15 @@ def test_fixture_suite(tmp_path):
 def test_run_suites_unknown_name():
     with pytest.raises(KeyError):
         verify.run_suites(["nope"])
+
+
+def test_run_suites_checks_every_name_before_expanding_all(monkeypatch):
+    def identities(*args, **kwargs):
+        raise RuntimeError("identities suite ran")
+
+    monkeypatch.setitem(verify.SUITES, "identities", identities)
+    with pytest.raises(KeyError, match="unknown suite 'bogus'"):
+        verify.run_suites(["all", "bogus"])
 
 
 def test_run_suites_refuses_an_empty_list():
@@ -406,3 +415,10 @@ def test_a_fault_inside_a_suite_is_one_fail_row(rewrite_children):
     ]
     assert not gentree_rep.passed and gentree_rep.elapsed > 0
     assert refined_rep.passed
+
+
+if __name__ == "__main__":
+    # The gentree suite past its Tier-1 bounds: the tree walk to size 6 and
+    # the label DP totals against the series to size 200.
+    test_gentree_suite_passes(max_construct=6, max_labels=200)
+    print("gentree suite, walk to 6 and label DP totals to 200: pass")
