@@ -166,8 +166,6 @@ def _cmd_gentree(args) -> tuple[str, int]:
     from . import gentree
     from .core import PolyominoError
 
-    if args.max_size < 2:
-        raise PolyominoError("max size must be >= 2")
     if args.dump_level is not None and not 2 <= args.dump_level <= args.max_size:
         raise PolyominoError(
             f"--dump-level {args.dump_level} outside 2..{args.max_size}"

@@ -197,10 +197,9 @@ def decode(text: str) -> Polyomino:
     intervals = []
     for part in text.split(";"):
         l, sep, r = part.partition("-")
-        if not sep:
+        # ASCII digits alone: int() also takes signs, spaces, underscores
+        # and other scripts' digits, which encode never writes.
+        if not (sep and (l + r).isascii() and l.isdigit() and r.isdigit()):
             raise PolyominoError(f"malformed row {part!r}")
-        try:
-            intervals.append((int(l), int(r)))
-        except ValueError:
-            raise PolyominoError(f"malformed row {part!r}") from None
+        intervals.append((int(l), int(r)))
     return from_rows(intervals)

@@ -669,7 +669,7 @@ def levels(max_size: int) -> Iterator[LabelLevel]:
     dict entries.  Raises ValueError below 2.
     """
     if max_size < 2:
-        raise ValueError("max_size must be >= 2")
+        raise ValueError("max size must be >= 2")
     dp = _LabelDP({ROOT_LABEL: 1})
     for n in range(2, max_size + 1):
         if n > 2:
@@ -695,7 +695,7 @@ def walk(max_size: int) -> Iterator[tuple[int, tuple, TreeLabel, list[tuple]]]:
     grows with the depth, not with a level.  Raises ValueError below 2.
     """
     if max_size < 2:
-        raise ValueError("max_size must be >= 2")
+        raise ValueError("max size must be >= 2")
     # The size rides on the stack: recomputing it per shape costs more.
     root = ((0, 0),)
     stack = [(2, root, *_label_rows(root))]

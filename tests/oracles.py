@@ -42,3 +42,10 @@ def convexity(cells):
 def directed(cells):
     """Whether every cell is reached from (0, 0) by north and east steps."""
     return (0, 0) in cells and _reached(cells, (0, 0), ((1, 0), (0, 1))) == cells
+
+
+def centered(cells):
+    """Whether some row covers every column."""
+    columns = {x for x, _ in cells}
+    return any(all((x, y) in cells for x in columns)
+               for y in {y for _, y in cells})

@@ -4,16 +4,18 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete.  The full-census sweep (sizes 2..12), the label multisets of the
 constructive tree levels and the enumerator's ascending shapes (sizes
 2..11) are built once and shared by the criteria that need them; their
-build times are part of the timed budgets.
+build times are part of the timed budgets.  Criteria 3 and 4 run the
+identities and structure suites of ``zcx verify`` on the shared census,
+and criterion 8 runs the kernels suite.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -77,9 +79,11 @@ def test_criterion_1_series_catalog_reference_values():
     assert [c22.integer_coefficient(n) for n in range(8, 15)] == [
         2, 32, 308, 2320, 15094, 89104, 491012,
     ]
+    assert [c22.integer_coefficient(n) for n in range(2, 8)] == [0] * 6
     assert [c21.integer_coefficient(n) for n in range(5, 14)] == [
         2, 17, 102, 532, 2576, 11919, 53504, 235115, 1017218,
     ]
+    assert [c21.integer_coefficient(n) for n in range(2, 5)] == [0] * 3
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"criterion 1 must finish in under 1s, took {elapsed:.2f}s"
     _report(1, f"A/H/Rect/C22/C21 match every reference value ({elapsed:.3f}s)")
@@ -134,29 +138,16 @@ def test_criterion_2_triple_cross_check(tree_levels, ascending_by_size):
 
 def test_criterion_3_counting_identity(census_rows):
     rows, _, _ = census_rows
-    for n in range(2, MAX_CENSUS + 1):
-        row = rows[n]
-        assert row.total_convex == 2 * row.ascending + row.c22 - row.l_convex, n
-    order = 300
-    delta = (
-        series.gf("Cgf", order)
-        - series.gf("Agf", order).scale(2)
-        - series.gf("C22gf", order)
-        + series.gf("Lgf", order)
-    )
-    assert delta.is_zero()
-    _report(3, "c(n) = 2a(n) + k(n) - l(n) for n<=12 and as series to order 300")
+    rep = verify.suite_identities(MAX_CENSUS, census=rows.__getitem__)
+    assert rep.passed, rep.to_text()
+    _report(3, "c(n) = 2a(n) + k(n) - l(n) and every census column equals its"
+               " series for n<=12, and the series identities hold to order 300")
 
 
 def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
     rows, t_through_11, t_total = census_rows
-    s4 = series.gf("S4gf", MAX_CENSUS + 1)
-    for n in range(2, MAX_CENSUS + 1):
-        row = rows[n]
-        assert row.c22_four_stack == row.c22, (
-            n, "a degree-(2,2) polyomino is not a 4-stack",
-        )
-        assert row.four_stack == s4.integer_coefficient(n), n
+    rep = verify.suite_structure(MAX_CENSUS, census=rows.__getitem__)
+    assert rep.passed, rep.to_text()
     assert t_through_11 < 60.0, f"census through n=11 took {t_through_11:.1f}s"
     assert t_total < 600.0, f"census through n=12 took {t_total:.1f}s"
     _report(
@@ -170,10 +161,11 @@ def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
 # SHA-256 over the full signature histogram of each frontier size: one line
 # "ne|nw|centered|four_stack|ascending|descending|directed_convex|top_rect|
 # count" per signature, bits as 0/1, in sorted signature order.  The
-# columns above check sizes 11 and 12 one marginal at a time; these pin
-# every joint count.  Size 13 was frozen from the walk before its
+# suites of criteria 3 and 4 check sizes 11 and 12 one marginal at a time;
+# these pin every joint count.  Size 13 was frozen from the walk before its
 # enumerator, row check and degree kernel were rewritten; run
-# ``python tests/test_acceptance.py 13`` to check it.
+# ``python tests/test_acceptance.py 13`` to check it, with the identities
+# and structure suites to size 13.
 CENSUS_SHA256 = {
     11: "52c2818098d9e00aae5a9a4d6409776e903383716ca5b2ef434be4c7d535cdf1",
     12: "db7c94a517569fa55e435e02f2519d2f2f650bb7be66defee007adf857492ed9",
@@ -242,18 +234,13 @@ def test_criterion_7_refined_generating_functions():
 
 
 def test_criterion_8_functional_equations_and_kernels():
-    eq = series.functional_equation_checks(
-        Fraction(2, 3), Fraction(3, 5), Fraction(5, 7), 60
-    )
-    assert len(eq) == 7
-    for desc, ok, fail in eq:
-        assert ok, (desc, fail)
-    for desc, ok, fail in series.kernel_checks():
-        assert ok, (desc, fail)
+    rep = verify.suite_kernels()
+    assert rep.passed, rep.to_text()
+    assert len(rep.checks) == 19
     _report(
         8,
-        "all seven rectangular-case equations hold to order 60 and the "
-        "kernel identities hold (order 100 / exact)",
+        "all seven rectangular-case equations hold to order 60 at two points"
+        " and the kernel identities hold (order 100 / exact)",
     )
 
 
@@ -269,34 +256,17 @@ def test_criterion_9_closed_formulas_to_500():
     _report(9, f"h(n) and rect(n) match their series for n<=500 ({elapsed:.1f}s)")
 
 
-def test_remaining_module_invariants_at_full_size(census_rows, ascending_by_size):
-    """Module invariants stated at sizes 11/12 that share the criteria's
-    fixtures: directed-convex counts, the C21 spec value, degree-histogram
-    structure, the ascending characterization, and set-level bijection."""
-    rows, _, _ = census_rows
-    c21 = series.gf("C21gf", MAX_CENSUS + 1)
-    for n in range(2, MAX_CENSUS + 1):
-        row = rows[n]
-        assert row.directed_convex == series.rect_formula(n) == row.rect_ascending
-        assert row.c21 == c21.integer_coefficient(n) == row.c12
-        assert row.z_convex == row.l_convex + row.c12 + row.c21 + row.c22
-        assert all(
-            row.by_degree_pair.get((b, a), 0) == v
-            for (a, b), v in row.by_degree_pair.items()
-        )
-        assert not any(
-            nw > 1 and nw < ne and ne > 2 for ne, nw in row.by_degree_pair
-        )
-        assert row.prop4_mismatch == 0
-    assert rows[10].c21 == 11919
-
+def test_remaining_module_invariants_at_full_size(ascending_by_size):
+    """The tree walk to size 11 makes each ascending shape of the
+    enumerator once, and grows none at the last size."""
     brute, _ = ascending_by_size
     tree = {n: [] for n in range(2, MAX_TREE + 1)}
-    for n, rows, _, _ in gentree.walk(MAX_TREE):
+    for n, rows, _, kids in gentree.walk(MAX_TREE):
+        assert (kids == []) == (n == MAX_TREE), rows
         tree[n].append(rows)
     for n, shapes in tree.items():
         assert sorted(shapes) == sorted(p.rows for p in brute[n])
-    print("PASS module invariants at sizes 11/12 (shared fixtures)")
+    print("PASS module invariants at size 11 (shared fixtures)")
 
 
 def _extrapolated_ratio(name, k, e):
@@ -327,11 +297,18 @@ def test_criterion_10_asymptotic_constants():
 
 
 if __name__ == "__main__":
-    # The census of one size, on a pool of 2, against its frozen hash.  A
-    # file, not stdin: the spawned workers import the main script.
+    # The census of one size against its frozen hash, and the identities
+    # and structure suites to that size, over one census memo on a pool of
+    # 2.  A file, not stdin: the spawned workers import the main script.
     n = int(sys.argv[1])
     with classify.census_pool(2) as pool:
-        row = classify.census(n, pool)
-    got = _histogram_sha256(row)
-    print(f"size {n}: {row.total_convex} shapes, sha256 {got}")
-    raise SystemExit(0 if got == CENSUS_SHA256[n] else 1)
+        census = functools.cache(functools.partial(classify.census, pool=pool))
+        got = _histogram_sha256(census(n))
+        reports = [verify.suite_identities(n, census=census),
+                   verify.suite_structure(n, census=census)]
+    print(f"size {n}: {census(n).total_convex} shapes, sha256 {got}")
+    for rep in reports:
+        text = rep.to_text()
+        print(text if not rep.passed else text.splitlines()[0])
+    ok = got == CENSUS_SHA256[n] and all(rep.passed for rep in reports)
+    raise SystemExit(0 if ok else 1)

@@ -343,6 +343,11 @@ def test_render_refuses_a_picture_over_the_cell_bound(capsys):
 def test_render_invalid_encoding(capsys):
     code, _, err = _run(capsys, "render", "--encoding", "0-0;5-5")
     assert code == 2 and "error" in err
+    # int() reads each of these rows; encode writes none of them.
+    for row in ("+0-0", "0-+1", " 0-0", "0_0-1", "\u0660-\u0660"):
+        code, out, err = _run(capsys, "render", "--encoding", row)
+        assert code == 2 and out == ""
+        assert err == f"zcx: error: malformed row {row!r}\n"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -405,9 +410,12 @@ def test_usage_error_exit_2():
 
 
 def test_gentree_construct_below_2_is_usage_error(capsys):
-    code, out, err = _run(capsys, "gentree", "--max-size", "1", "--mode", "construct")
-    assert code == 2 and out == ""
-    assert "max size must be >= 2" in err
+    # The library refuses the size, in both modes, with one message.
+    for mode in ("construct", "labels"):
+        for size in ("1", "0"):
+            code, out, err = _run(capsys, "gentree", "--max-size", size, "--mode", mode)
+            assert code == 2 and out == ""
+            assert err == "zcx: error: max size must be >= 2\n", (mode, size)
 
 
 _FOOTPRINT = (

@@ -202,42 +202,14 @@ def test_catalog_term_with_pole_at_zero_rejected():
 
 # ---- frozen catalog reference values ---------------------------------------
 
-A_PREFIX = [1, 2, 7, 26, 101, 404, 1649, 6824, 28498]
 H_PREFIX = [1, 2, 7, 25, 91, 336, 1254, 4719, 17875]
 RECT_PREFIX = [1, 2, 6, 20, 70, 252, 924, 3432, 12870]
-C22_PREFIX = [2, 32, 308, 2320, 15094, 89104, 491012]       # from t^8
-C21_PREFIX = [2, 17, 102, 532, 2576, 11919, 53504, 235115, 1017218]  # from t^5
-
-
-def _ints(name, lo, hi):
-    g = gf(name, hi + 1)
-    return [g.integer_coefficient(n) for n in range(lo, hi + 1)]
-
-
-def test_ascending_series_prefix():
-    assert _ints("Agf", 2, 10) == A_PREFIX
-
-
-def test_centered_ascending_series_prefix():
-    assert _ints("Hgf", 2, 10) == H_PREFIX
-
-
-def test_rectangular_series_prefix():
-    assert _ints("RectGf", 2, 10) == RECT_PREFIX
-
-
-def test_c22_series_prefix():
-    assert _ints("C22gf", 2, 7) == [0] * 6
-    assert _ints("C22gf", 8, 14) == C22_PREFIX
-
-
-def test_c21_series_prefix():
-    assert _ints("C21gf", 2, 4) == [0] * 3
-    assert _ints("C21gf", 5, 13) == C21_PREFIX
 
 
 def test_convex_series_prefix():
-    assert _ints("Cgf", 2, 9) == [1, 2, 7, 28, 120, 528, 2344, 10416]
+    g = gf("Cgf", 10)
+    assert [g.integer_coefficient(n) for n in range(2, 10)] == [
+        1, 2, 7, 28, 120, 528, 2344, 10416]
 
 
 # Polynomial hashes sum(c_k * R^k) mod 2^61 - 1 of every coefficient, with a
@@ -318,14 +290,6 @@ def test_rect_formula_values():
     assert [rect_formula(n) for n in range(2, 11)] == RECT_PREFIX
 
 
-def test_formulas_match_series_to_100():
-    h = gf("Hgf", 101)
-    r = gf("RectGf", 101)
-    for n in range(2, 101):
-        assert h_formula(n) == h.integer_coefficient(n)
-        assert rect_formula(n) == r.integer_coefficient(n)
-
-
 def test_c22_identity_order_300():
     order = 300
     delta = gf("Cgf", order) - gf("Agf", order).scale(2) + gf("Lgf", order) - gf("C22gf", order)
@@ -387,11 +351,6 @@ def test_unknown_name():
 def test_aliases():
     assert gf("A", 12).coeffs == gf("Agf", 12).coeffs
     assert gf("Rect", 12).coeffs == gf("RectGf", 12).coeffs
-
-
-def test_kernel_checks_pass():
-    for desc, ok, fail in S.kernel_checks():
-        assert ok, (desc, fail)
 
 
 def test_kernel_checks_use_no_ring_operation(monkeypatch):
