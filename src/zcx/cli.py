@@ -16,12 +16,13 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 RENDER_CELLS = 10**6    # the largest picture, rows times width, render draws
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -155,10 +156,10 @@ def _cmd_series(args) -> tuple[str, int]:
     return json.dumps(payload, indent=2) + "\n", 0
 
 
-def _label_lines(counts: dict[tuple, int]) -> list[str]:
+def _label_lines(level) -> list[str]:
     return sorted(
         f"{f},{b},{w},{r},{str(rect).lower()},{cnt}"
-        for (f, b, w, r, rect), cnt in counts.items()
+        for (f, b, w, r, rect), cnt in level
     )
 
 
@@ -185,7 +186,7 @@ def _cmd_gentree(args) -> tuple[str, int]:
             "rectangular": str(lv.rectangular_total),
         })
         if lv.level == args.dump_level:
-            dump = _label_lines(lv.counts)
+            dump = _label_lines(lv)
     if args.format == "json":
         payload = {"mode": args.mode, "max_size": args.max_size, "levels": summary}
         if dump is not None:

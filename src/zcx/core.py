@@ -196,10 +196,10 @@ def decode(text: str) -> Polyomino:
     """Inverse of Polyomino.encode; validates through from_rows."""
     intervals = []
     for part in text.split(";"):
-        l, sep, r = part.partition("-")
-        # ASCII digits alone: int() also takes signs, spaces, underscores
-        # and other scripts' digits, which encode never writes.
-        if not (sep and (l + r).isascii() and l.isdigit() and r.isdigit()):
+        l, _, r = part.partition("-")
+        # Rows as encode writes them alone: int() also reads signs, spaces,
+        # underscores, other scripts' digits and leading zeros.
+        if not (l.isdecimal() and r.isdecimal() and part == f"{int(l)}-{int(r)}"):
             raise PolyominoError(f"malformed row {part!r}")
         intervals.append((int(l), int(r)))
     return from_rows(intervals)

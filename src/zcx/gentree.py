@@ -41,11 +41,10 @@ j <= w, are suffix sums of the S rows over w, and the Left Cell runs
 L(1, r + j), j < b, of the C, C0 and C1 labels are one running vector,
 shifted by one in r at each level.  A step at level m so costs O(m^2)
 additions done by ``map``, against O(m^3) labels in the level, and no
-Python statement per label.  Each level's totals are row sums; its label
-dict, keyed by plain (family, b, w, r, rect) tuples that compare and hash
-as the TreeLabels, is built from the vectors and the history only when
-read.  ``succ`` stays the per-label oracle the tests compare the step
-with.
+Python statement per label.  Each level's totals are row sums; iterating
+it reads its labels, keyed by plain (family, b, w, r, rect) tuples that
+compare and hash as the TreeLabels, from the vectors and the history.
+``succ`` stays the per-label oracle the tests compare the step with.
 
 ``children`` and ``parent`` realize the same tree on actual polyominoes.
 Both read the label, the base position and the last column from
@@ -72,7 +71,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cache, partial, reduce
 from operator import add
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Polyomino, check_rows, from_rows
 
@@ -395,11 +394,11 @@ def succ(label: TreeLabel) -> list[tuple[TreeLabel, int]]:
     return [(child, m) for child, m in out if m > 0]
 
 
-def _totals(items) -> tuple[int, int, int, int, int]:
+def _totals(pairs) -> tuple[int, int, int, int, int]:
     """The five totals of ``LabelLevel``, in that order, over
-    ((family, b, w, r, rect), count) items."""
+    ((family, b, w, r, rect), count) pairs."""
     total = nc = rect = nc_rect = 0
-    for (f, _, _, _, rc), v in items:
+    for (f, _, _, _, rc), v in pairs:
         total += v
         if rc:
             rect += v
@@ -415,44 +414,41 @@ class LabelLevel:
     totals: all labels, the centered, non-centered and rectangular ones,
     and the non-centered rectangular ones.
 
-    ``counts`` is a plain dict keyed by TreeLabels or the equal plain
-    (family, b, w, r, rect) tuples.  ``counts`` may also be given as a
-    function that builds that dict, with the totals given beside it: it
-    is then called on the first read of ``counts``, and not at all when
-    only the totals are read.  Levels compare equal when their level
-    numbers and label multisets are equal.
+    Iterating a level calls ``labels``, a function of no arguments, again
+    and yields each label once, as a (label, count) pair keyed by a
+    TreeLabel or the equal plain (family, b, w, r, rect) tuple; a level
+    holds no dict.  Without ``totals`` they are summed over one call.
+    Levels compare equal when their level numbers and label multisets are
+    equal.
     """
 
-    __slots__ = ("level", "_counts", "total", "centered_total",
+    __slots__ = ("level", "_labels", "total", "centered_total",
                  "non_centered_total", "rectangular_total",
                  "non_centered_rectangular_total")
 
     def __init__(
         self,
         level: int,
-        counts: dict[tuple, int] | Callable[[], dict[tuple, int]],
+        labels: Callable[[], Iterable[tuple[tuple, int]]],
         totals: tuple[int, int, int, int, int] | None = None,
     ):
         self.level = level
-        self._counts = counts
+        self._labels = labels
         if totals is None:
-            totals = _totals(counts.items())
+            totals = _totals(labels())
         (self.total, self.centered_total, self.non_centered_total,
          self.rectangular_total, self.non_centered_rectangular_total) = totals
 
-    @property
-    def counts(self) -> dict[tuple, int]:
-        if callable(self._counts):
-            self._counts = self._counts()
-        return self._counts
+    def __iter__(self) -> Iterator[tuple[tuple, int]]:
+        return iter(self._labels())
 
     def __eq__(self, other):
         if not isinstance(other, LabelLevel):
             return NotImplemented
-        return self.level == other.level and self.counts == other.counts
+        return self.level == other.level and dict(self) == dict(other)
 
     def __repr__(self) -> str:
-        return f"LabelLevel(level={self.level}, counts={self.counts!r})"
+        return f"LabelLevel(level={self.level}, labels={dict(self)!r})"
 
 
 def _add(a: list, b: list, op: Callable = add) -> list:
@@ -476,10 +472,10 @@ def _put(vec: list, i: int, x: int) -> None:
     vec[i] += x
 
 
-def _expand(state: tuple, history: list[tuple], depth: int) -> dict[tuple, int]:
-    """The label dict of a level: the L, S, L0, S0, R and NC labels of
-    ``state`` plus the C, C0 and C1 labels of the first ``depth`` history
-    entries, the last of them at b = 2.  Zero counts are left out."""
+def _labels(state: tuple, history: list[tuple], depth: int) -> Iterator[tuple[tuple, int]]:
+    """The (label, count) pairs of a level: the L, S, L0, S0, R and NC
+    labels of ``state`` plus the C, C0 and C1 labels of the first ``depth``
+    history entries, the last of them at b = 2.  Zero counts are left out."""
     l, s, l0, s0, r_count, nc = state
     rows = [("L", 1, l), ("S", 1, s)]           # pairs of lists of rows
     by_w = [("L0", 1, l0), ("S0", 1, s0)]       # vectors over w
@@ -489,18 +485,17 @@ def _expand(state: tuple, history: list[tuple], depth: int) -> dict[tuple, int]:
         rows.append(("C", b, (c_plain, c_rect)))
         by_w.append(("C0", b, c0))
         single.append((("C1", b, 0, 0, False), c1))
-    counts = {(f, b, w, r, rect): x
-              for f, b, pair in rows
-              for rect, vecs in zip((False, True), pair)
-              for w, vec in enumerate(vecs, 1)
-              for r, x in enumerate(vec) if x}
-    counts.update({(f, b, w, 0, True): x
-                   for f, b, vec in by_w for w, x in enumerate(vec, 1) if x})
-    counts.update({("NC", 1, 0, r, rect): x
-                   for rect, vec in zip((False, True), nc)
-                   for r, x in enumerate(vec) if x})
-    counts.update({key: x for key, x in single if x})
-    return counts
+    yield from (((f, b, w, r, rect), x)
+                for f, b, pair in rows
+                for rect, vecs in zip((False, True), pair)
+                for w, vec in enumerate(vecs, 1)
+                for r, x in enumerate(vec) if x)
+    yield from (((f, b, w, 0, True), x)
+                for f, b, vec in by_w for w, x in enumerate(vec, 1) if x)
+    yield from ((("NC", 1, 0, r, rect), x)
+                for rect, vec in zip((False, True), nc)
+                for r, x in enumerate(vec) if x)
+    yield from ((key, x) for key, x in single if x)
 
 
 class _LabelDP:
@@ -525,14 +520,15 @@ class _LabelDP:
       and C1 labels, summed over the labels, as a pair of vectors over r;
       ``runs_total`` is their sum, the R children of those runs.
 
-    Lists are never changed once built, so a level's ``counts`` may keep
-    references to them.  A step is a few vector additions over the O(m^2)
-    (w, r) entries at level m, not a dict update per label.
+    Lists are never changed once built, so a level may keep references to
+    them and read its labels from them on every iteration.  A step is a
+    few vector additions over the O(m^2) (w, r) entries at level m, not a
+    dict update per label.
     """
 
-    def __init__(self, counts: dict[tuple, int]):
-        """Seed the state from any label dict: its C, C0 and C1 labels go
-        into the history by base height."""
+    def __init__(self, labels: Iterable[tuple[tuple, int]]):
+        """Seed the state from (label, count) pairs, such as a level's: its
+        C, C0 and C1 labels go into the history by base height."""
         self.l: tuple[list, list] = ([], [])
         self.s: tuple[list, list] = ([], [])
         self.l0: list[int] = []
@@ -540,7 +536,7 @@ class _LabelDP:
         self.r = 0
         self.nc: tuple[list, list] = ([], [])
         by_b: dict[int, list] = defaultdict(lambda: [[], [], [], 0])
-        for (f, b, w, r, rect), x in counts.items():
+        for (f, b, w, r, rect), x in labels:
             if f in ("C", "L", "S"):
                 pair = by_b[b][:2] if f == "C" else (self.l if f == "L" else self.s)
                 rows = pair[rect]
@@ -640,8 +636,8 @@ class _LabelDP:
         self.nc = (plain, _add(top, [0, *self.nc[1]]))
 
     def level(self, n: int) -> LabelLevel:
-        """The current level as level n: totals from row sums, ``counts``
-        built from the history on first read."""
+        """The current level as level n: totals from row sums, labels read
+        from the vectors and the history on each iteration."""
         l_plain, l_rect, s_plain, s_rect, c_plain, c_rect = (
             sum(map(sum, by_w)) for by_w in (*self.l, *self.s, *self.acc))
         nc, nc_rect = sum(self.nc[0]) + sum(self.nc[1]), sum(self.nc[1])
@@ -650,7 +646,7 @@ class _LabelDP:
         total = rect + l_plain + s_plain + c_plain + self.c1 + self.r + nc - nc_rect
         return LabelLevel(
             n,
-            partial(_expand, (self.l, self.s, self.l0, self.s0, self.r, self.nc),
+            partial(_labels, (self.l, self.s, self.l0, self.s0, self.r, self.nc),
                     self.history, len(self.history)),
             (total, total - nc, nc, rect, nc_rect),
         )
@@ -663,14 +659,14 @@ def levels(max_size: int) -> Iterator[LabelLevel]:
     asked for; the totals per level are the numbers of ascending
     polyominoes.  A step at level m is O(m^2) vector additions over rows
     of counts, by ``_LabelDP``, and the totals are row sums; a level's
-    ``counts`` is built from the vectors and the history only when read.
+    labels are read from the vectors and the history on each iteration.
     The state holds the level's L, S, L0, S0, R and NC counts and, as the
     history, each C, C0 and C1 count once, in lists of counts rather than
     dict entries.  Raises ValueError below 2.
     """
     if max_size < 2:
         raise ValueError("max size must be >= 2")
-    dp = _LabelDP({ROOT_LABEL: 1})
+    dp = _LabelDP([(ROOT_LABEL, 1)])
     for n in range(2, max_size + 1):
         if n > 2:
             dp.step()
@@ -678,8 +674,8 @@ def levels(max_size: int) -> Iterator[LabelLevel]:
 
 
 def count_levels(max_size: int) -> list[LabelLevel]:
-    """Every level of ``levels(max_size)``, as a list; each level's
-    ``counts`` is built when first read."""
+    """Every level of ``levels(max_size)``, as a list; each level reads its
+    labels when iterated."""
     return list(levels(max_size))
 
 
@@ -714,4 +710,4 @@ def constructive_levels(max_size: int) -> list[LabelLevel]:
     counts = [Counter() for _ in range(max_size - 1)]
     for n, _, label, _ in walk(max_size):
         counts[n - 2][label] += 1
-    return [LabelLevel(n, dict(c)) for n, c in enumerate(counts, 2)]
+    return [LabelLevel(n, c.items) for n, c in enumerate(counts, 2)]

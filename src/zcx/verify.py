@@ -201,12 +201,12 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
     for lv in gentree.levels(max_labels):
         n = lv.level
         if n <= max_construct:
-            counts = tree[n - 2]
+            counts, got = tree[n - 2], dict(lv)
             rep.record(
                 f"n={n}: DP label multiset = constructive label multiset",
-                lv.counts == counts,
-                f"n={n}: tree has {sorted(counts.items() - lv.counts.items())[:3]}"
-                f" where the DP has {sorted(lv.counts.items() - counts.items())[:3]}",
+                got == counts,
+                f"n={n}: tree has {sorted(counts.items() - got.items())[:3]}"
+                f" where the DP has {sorted(got.items() - counts.items())[:3]}",
             )
         if bad:
             continue
@@ -273,7 +273,7 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
         powers = [[[v.numerator ** k * v.denominator ** (n - k) for k in range(n)]
                    for v in xyz] for _, _, xyz in rows]
         totals = [0] * len(rows)
-        for (family, b, w, r, rect), m in lv.counts.items():
+        for (family, b, w, r, rect), m in lv:
             for i in by_class.get((family, rect), ()):
                 px, py, pz = powers[i]
                 totals[i] += m * px[b] * py[w] * pz[r]

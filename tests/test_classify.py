@@ -378,12 +378,6 @@ def test_census_spec_examples():
         assert sum(row.by_degree_pair.values()) == row.total_convex, n
 
 
-def test_census_parallel_equals_serial(monkeypatch):
-    monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
-    with classify.census_pool(2) as pool:
-        assert census(7, pool).to_dict() == census(7).to_dict()
-
-
 def test_census_pool_only_where_it_pays():
     with classify.census_pool(1) as pool:
         assert pool is None

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import zcx
-from zcx import cli
+from zcx import classify, cli
 from zcx.cli import main
 from zcx.core import decode
 
@@ -82,9 +82,11 @@ def test_census_json_schema(capsys):
     assert payload["rows"][0]["total_convex"] == "1"
 
 
-def test_census_output_independent_of_threads(capsys):
-    _, out1, _ = _run(capsys, "--threads", "1", "census", "--max-size", "6")
-    _, out2, _ = _run(capsys, "--threads", "2", "census", "--max-size", "6")
+def test_census_output_independent_of_threads(capsys, monkeypatch):
+    # Past POOL_MIN_SIZE two workers take the pooled path, one the serial.
+    monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
+    _, out1, _ = _run(capsys, "--threads", "1", "census", "--max-size", "7")
+    _, out2, _ = _run(capsys, "--threads", "2", "census", "--max-size", "7")
     assert out1 == out2
 
 
@@ -344,7 +346,8 @@ def test_render_invalid_encoding(capsys):
     code, _, err = _run(capsys, "render", "--encoding", "0-0;5-5")
     assert code == 2 and "error" in err
     # int() reads each of these rows; encode writes none of them.
-    for row in ("+0-0", "0-+1", " 0-0", "0_0-1", "\u0660-\u0660"):
+    for row in ("+0-0", "0-+1", " 0-0", "0_0-1", "\u0660-\u0660",
+                "00-01", "0-01", "01-1"):
         code, out, err = _run(capsys, "render", "--encoding", row)
         assert code == 2 and out == ""
         assert err == f"zcx: error: malformed row {row!r}\n"
@@ -424,8 +427,8 @@ _FOOTPRINT = (
     "if sys.argv[1:]:\n"
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        assert cli.main(sys.argv[1:]) == 0\n"
-    "print(' '.join(sorted(m for m in sys.modules\n"
-    "                      if m.split('.')[0] == 'zcx' or m == 'dataclasses')))\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'zcx'\n"
+    "                      or m in ('dataclasses', 'fractions'))))\n"
 )
 
 
@@ -446,6 +449,9 @@ def test_each_command_imports_only_its_modules(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     expected = {"zcx", "zcx.cli"} | {f"zcx.{m}" for m in loaded}
+    # fractions comes with zcx.series; cli imports it only to parse a
+    # rational option.
+    expected |= {"fractions"} if "series" in loaded else set()
     modules = set(proc.stdout.split())
     # ``import dataclasses`` alone costs more than 10 ms (it loads inspect).
     assert "dataclasses" not in modules

@@ -159,7 +159,8 @@ def test_encode_decode_examples():
     assert decode("0-1").rows == ((0, 1),)
 
 
-@pytest.mark.parametrize("bad", ["", "0", "0-", "-1", "a-b", "0-0;;0-0", "0-0;"])
+@pytest.mark.parametrize("bad", ["", "0", "0-", "-1", "a-b", "0-0;;0-0", "0-0;",
+                                 "00-01", "0-01", "01-1", "0-01;1-1"])
 def test_decode_rejects_malformed(bad):
     with pytest.raises(PolyominoError):
         decode(bad)

@@ -317,27 +317,27 @@ def test_count_levels_matches_series_to_35():
 def _succ_dp(max_size):
     """The label DP that expands every label by ``succ`` and merges the
     children: the oracle for ``count_levels``."""
-    levels = [LabelLevel(2, {ROOT_LABEL: 1})]
+    levels = [LabelLevel(2, {ROOT_LABEL: 1}.items)]
     while levels[-1].level < max_size:
         nxt = Counter()
-        for label, cnt in levels[-1].counts.items():
+        for label, cnt in levels[-1]:
             for child, mult in succ(label):
                 nxt[child] += cnt * mult
-        levels.append(LabelLevel(levels[-1].level + 1, dict(nxt)))
+        levels.append(LabelLevel(levels[-1].level + 1, nxt.items))
     return levels
 
 
 def test_step_equals_succ_label_by_label():
-    labels = set().union(*(lv.counts for lv in count_levels(20)))
+    labels = {label for lv in count_levels(20) for label, _ in lv}
     assert len(labels) == 2296
     for lab in labels:
         want = Counter()
         for child, mult in succ(lab):
             want[child] += mult
-        dp = _LabelDP({lab: 1})
-        assert dp.level(2).counts == {lab: 1}, lab
+        dp = _LabelDP([(lab, 1)])
+        assert dict(dp.level(2)) == {lab: 1}, lab
         dp.step()
-        assert dp.level(3).counts == want, lab
+        assert dict(dp.level(3)) == want, lab
 
 
 def _five_totals(lv):
@@ -351,7 +351,7 @@ def test_dp_resumed_from_a_whole_level_equals_levels():
     root nor a single label does."""
     want = list(levels(20))
     for k in range(2, 13):
-        dp = _LabelDP(want[k - 2].counts)
+        dp = _LabelDP(want[k - 2])
         for n in range(k + 1, k + 9):
             dp.step()
             got = dp.level(n)
@@ -364,20 +364,22 @@ def test_count_levels_equals_succ_expansion_to_24():
         assert got == want, got.level
 
 
-def test_levels_stream_one_plain_dict_per_level():
-    assert next(levels(10**6)) == LabelLevel(2, {ROOT_LABEL: 1})
-    streamed = []
-    for lv in levels(40):
-        assert type(lv.counts) is dict, lv.level
-        streamed.append(lv)
-    assert streamed == count_levels(40)
+def test_levels_stream_plain_pairs_on_every_iteration():
+    # A level holds no dict: each iteration reads its labels again.
+    assert next(levels(10**6)) == LabelLevel(2, {ROOT_LABEL: 1}.items)
+    for lv, listed in zip(levels(40), count_levels(40), strict=True):
+        pairs = list(lv)
+        assert all(type(label) is tuple for label, _ in pairs), lv.level
+        assert list(lv) == pairs, lv.level
+        assert len(dict(lv)) == len(pairs), lv.level
+        assert dict(lv) == dict(listed), lv.level
 
 
 def test_level_totals_equal_sums_over_counts_to_40():
     for lv in levels(40):
         totals = (lv.total, lv.centered_total, lv.non_centered_total,
                   lv.rectangular_total, lv.non_centered_rectangular_total)
-        counts = lv.counts
+        counts = dict(lv)
         assert totals == (
             sum(counts.values()),
             sum(v for (f, *_), v in counts.items() if f != "NC"),
@@ -389,7 +391,7 @@ def test_level_totals_equal_sums_over_counts_to_40():
 
 def test_label_multiplicities_are_positive():
     for lv in count_levels(12):
-        assert all(v >= 1 for v in lv.counts.values())
+        assert all(v >= 1 for _, v in lv)
 
 
 def test_constructive_levels_refuse_sizes_below_2():
@@ -410,7 +412,7 @@ def test_label_dp_frozen_hash_up_to_40():
     for lv in count_levels(40):
         lines = sorted(
             f"{f},{b},{w},{r},{str(rect).lower()},{cnt}"
-            for (f, b, w, r, rect), cnt in lv.counts.items()
+            for (f, b, w, r, rect), cnt in lv
         )
         labels += len(lines)
         h.update(f"level {lv.level}\n".encode())

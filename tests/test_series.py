@@ -302,15 +302,6 @@ def test_c21_identity_order_300():
     assert delta.is_zero()
 
 
-def test_counting_gfs_have_nonneg_integer_coefficients():
-    for name in ("Lgf", "Egf", "Zgf", "S4gf", "Cgf", "Hgf", "RectGf",
-                 "Agf", "C22gf", "C21gf"):
-        g = gf(name, 300)
-        for i in range(300):
-            c = g.coefficient(i)
-            assert c.denominator == 1 and c >= 0, (name, i, c)
-
-
 def test_class_sum_identities():
     n = 200
     rect_classes = (

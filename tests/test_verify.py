@@ -317,15 +317,14 @@ def test_a_dropped_dp_label_fails_the_refined_rows_and_the_walk_tie(monkeypatch)
     # The refined suite reads the label DP; the gentree suite ties each DP
     # level to the labels of the walked shapes.  The DP's history holds one
     # entry per level past 2, so depth 3 is level 5.
-    real = gentree._expand
+    real = gentree._labels
 
-    def expand(state, history, depth):
-        counts = real(state, history, depth)
-        if depth == 3:
-            del counts[("C", 2, 1, 1, True)]
-        return counts
+    def labels(state, history, depth):
+        for label, m in real(state, history, depth):
+            if depth != 3 or label != ("C", 2, 1, 1, True):
+                yield label, m
 
-    monkeypatch.setattr(gentree, "_expand", expand)
+    monkeypatch.setattr(gentree, "_labels", labels)
     assert _failed(verify.suite_refined_gf(max_n=6)) == [
         "rectangular class C: statistic = Cp(x=2/3, y=3/5, z=5/7), n <= 6",
     ]
@@ -340,16 +339,17 @@ def test_the_refined_witness_is_the_dropped_weight_at_the_largest_exponent(monke
     # power table one entry short cannot weigh it, and a power or
     # denominator exponent off by one fails more rows or another witness.
     label, (x, y, _) = ("C0", 19, 1, 0, True), verify._REFINED_PARAMS
-    real = gentree._expand
+    real = gentree._labels
     dropped = []
 
-    def expand(state, history, depth):
-        counts = real(state, history, depth)
-        if depth == 18:
-            dropped.append(counts.pop(label))
-        return counts
+    def labels(state, history, depth):
+        for pair in real(state, history, depth):
+            if depth == 18 and pair[0] == label:
+                dropped.append(pair[1])
+            else:
+                yield pair
 
-    monkeypatch.setattr(gentree, "_expand", expand)
+    monkeypatch.setattr(gentree, "_labels", labels)
     rep = verify.suite_refined_gf(max_n=20)
     assert dropped == [1]
     expected = series.gf("C0p", 21, x=x, y=y).coefficient(20)
