@@ -119,9 +119,6 @@ class Series:
             tuple(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n]))
         )
 
-    def __neg__(self) -> "Series":
-        return Series._raw(tuple(-c for c in self.coeffs))
-
     def scale(self, k) -> "Series":
         k = Fraction(k)
         return Series._raw(tuple(k * c for c in self.coeffs))

@@ -1,12 +1,12 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete.  The full-census sweep (sizes 2..12), the label multisets of the
-constructive tree levels and the enumerator's ascending shapes (sizes
-2..11) are built once and shared by the criteria that need them; their
-build times are part of the timed budgets.  Criteria 3 and 4 run the
-identities and structure suites of ``zcx verify`` on the shared census,
-and criterion 8 runs the kernels suite.
+complete.  The full-census sweep (sizes 2..12) is built once and shared
+by the criteria that need it; its build time is part of the timed
+budgets.  Criteria 3 and 4 run the identities and structure suites of
+``zcx verify`` on the shared census, criteria 2, 5 and 6 read their rows
+of one gentree suite report on it (the tree walked to size 11, the label
+DP to 100), and criterion 8 runs the kernels suite.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import time
 import pytest
 
 from zcx import classify, gentree, series, verify
-from zcx.enumerate import all_convex
 
 MAX_CENSUS = 12
 MAX_TREE = 11
@@ -40,20 +39,19 @@ def census_rows():
 
 
 @pytest.fixture(scope="module")
-def tree_levels():
-    t0 = time.perf_counter()
-    levels = gentree.constructive_levels(MAX_TREE)
-    return levels, time.perf_counter() - t0
+def gentree_report(census_rows):
+    """The gentree suite on the shared census: the tree walked to size 11
+    once, and the label DP against the series to 100."""
+    rows, _, _ = census_rows
+    return verify.suite_gentree(MAX_TREE, 100, census=rows.__getitem__)
 
 
-@pytest.fixture(scope="module")
-def ascending_by_size():
-    """Ascending polyominoes per size, straight from the enumerator."""
-    t0 = time.perf_counter()
-    out = {}
-    for n in range(2, MAX_TREE + 1):
-        out[n] = [p for p in all_convex(n) if classify.is_ascending(p)]
-    return out, time.perf_counter() - t0
+def _assert_rows(rep, marker, want):
+    """The rows of ``rep`` whose descriptions hold ``marker`` are exactly
+    ``want``, in order, and all pass."""
+    got = [c for c in rep.checks if marker in c.description]
+    assert [c.description for c in got] == want, rep.to_text()
+    assert all(c.passed for c in got), rep.to_text()
 
 
 def _report(num, text):
@@ -89,50 +87,33 @@ def test_criterion_1_series_catalog_reference_values():
     _report(1, f"A/H/Rect/C22/C21 match every reference value ({elapsed:.3f}s)")
 
 
-def test_criterion_2_triple_cross_check(tree_levels, ascending_by_size):
+def test_criterion_2_triple_cross_check(census_rows, gentree_report):
+    """Census = constructive tree = label DP = series.  The gentree suite
+    ties the walk to the census's ascending count and the DP's label
+    multisets, and the DP totals to A, H and Rect; the census histogram
+    ties its centered and rectangular ascending shapes to the DP."""
     t0 = time.perf_counter()
-    levels, t_tree = tree_levels
-    brute_by_size, t_brute = ascending_by_size
-    dp = gentree.count_levels(MAX_TREE)
-    a = series.gf("Agf", MAX_TREE + 1)
-    h = series.gf("Hgf", MAX_TREE + 1)
-    r = series.gf("RectGf", MAX_TREE + 1)
-    assert [lv.level for lv in levels] == list(range(2, MAX_TREE + 1))
-    for level, dp_level in zip(levels, dp):
-        n = level.level
-        brute = brute_by_size[n]
-        counts = (
-            len(brute),
-            level.total,
-            dp_level.total,
-            a.integer_coefficient(n),
-        )
-        assert len(set(counts)) == 1, (n, "ascending", counts)
-
-        brute_centered = sum(classify.is_centered(p) for p in brute)
-        counts = (
-            brute_centered,
-            level.centered_total,
-            dp_level.centered_total,
-            h.integer_coefficient(n),
-        )
-        assert len(set(counts)) == 1, (n, "centered", counts)
-
-        brute_rect = sum(p.rows[-1][1] == p.width - 1 for p in brute)
-        counts = (
-            brute_rect,
-            level.rectangular_total,
-            dp_level.rectangular_total,
-            r.integer_coefficient(n),
-        )
-        assert len(set(counts)) == 1, (n, "rectangular", counts)
-        assert level == dp_level, (n, "label multiset")
-    elapsed = time.perf_counter() - t0 + t_tree + t_brute
+    rows, _, _ = census_rows
+    rep = gentree_report
+    sizes = range(2, MAX_TREE + 1)
+    _assert_rows(rep, "constructive level", [
+        f"n={n}: constructive level = ascending polyominoes" for n in sizes])
+    _assert_rows(rep, "DP label multiset", [
+        f"n={n}: DP label multiset = constructive label multiset" for n in sizes])
+    _assert_rows(rep, "DP totals", [
+        "DP totals match A(t), H(t), Rect(t) and the non-centered parts"
+        " for n <= 100"])
+    for lv in gentree.levels(MAX_TREE):
+        n, counts = lv.level, rows[lv.level].counts
+        centered = sum(v for s, v in counts.items() if s.ascending and s.centered)
+        assert centered == lv.centered_total, (n, "centered")
+        assert rows[n].rect_ascending == lv.rectangular_total, (n, "rectangular")
+    elapsed = time.perf_counter() - t0 + rep.elapsed
     assert elapsed < 120.0, f"criterion 2 exceeded 2 minutes: {elapsed:.1f}s"
     _report(
         2,
-        "brute force = constructive tree = label DP = series for "
-        f"ascending/centered/rectangular, n<=11 ({elapsed:.1f}s)",
+        "census = constructive tree = label DP = series for "
+        f"ascending/centered/rectangular, n<={MAX_TREE} ({elapsed:.1f}s)",
     )
 
 
@@ -164,8 +145,8 @@ def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
 # suites of criteria 3 and 4 check sizes 11 and 12 one marginal at a time;
 # these pin every joint count.  Size 13 was frozen from the walk before its
 # enumerator, row check and degree kernel were rewritten; run
-# ``python tests/test_acceptance.py 13`` to check it, with the identities
-# and structure suites to size 13.
+# ``python tests/test_acceptance.py 13`` to check it, with the identities,
+# structure and gentree suites to size 13.
 CENSUS_SHA256 = {
     11: "52c2818098d9e00aae5a9a4d6409776e903383716ca5b2ef434be4c7d535cdf1",
     12: "db7c94a517569fa55e435e02f2519d2f2f650bb7be66defee007adf857492ed9",
@@ -188,39 +169,23 @@ def test_census_histograms_frozen_at_the_frontier(census_rows):
     print("PASS census histograms at sizes 11/12 equal the frozen ones")
 
 
-def test_criterion_5_unique_parentage(ascending_by_size):
-    """Grow every ascending shape of size 2..10 once: each shape of the
-    next size appears exactly once among all the children, under the
-    (operation, parent) that ``parent`` names."""
-    brute, _ = ascending_by_size
-    for n in range(2, MAX_TREE):
-        grown = {}
-        for p in brute[n]:
-            for op, child in gentree.children(p):
-                enc = child.encode()
-                assert enc not in grown, (enc, "grown twice")
-                grown[enc] = (op, p)
-        assert len(grown) == len(brute[n + 1]), n + 1
-        for q in brute[n + 1]:
-            assert grown.get(q.encode()) == gentree.parent(q), q.encode()
-    _report(5, "every ascending polyomino of size 3..11 is grown once, from its parent")
+def test_criterion_5_unique_parentage(gentree_report):
+    """The walk grows each ascending shape once, and each edge is the one
+    ``parent`` names for the child."""
+    _assert_rows(gentree_report, "unique parent", [
+        f"n={n}: unique parent reconstruction" for n in range(3, MAX_TREE + 1)])
+    _report(5, f"every ascending polyomino of size 3..{MAX_TREE} is grown once,"
+               " from its parent")
 
 
-def test_criterion_6_tree_geometry_consistency(ascending_by_size):
-    brute, _ = ascending_by_size
-    checked = 0
-    for n in range(2, 11):
-        for p in brute[n]:
-            got: dict = {}
-            for _, child in gentree.children(p):
-                lab = gentree.label_of(child)
-                got[lab] = got.get(lab, 0) + 1
-            want: dict = {}
-            for lab, mult in gentree.succ(gentree.label_of(p)):
-                want[lab] = want.get(lab, 0) + mult
-            assert got == want, p.encode()
-            checked += 1
-    _report(6, f"children labels equal succ(label) for {checked} polyominoes, n<=10")
+def test_criterion_6_tree_geometry_consistency(census_rows, gentree_report):
+    rows, _, _ = census_rows
+    expanded = sum(rows[n].ascending for n in range(2, MAX_TREE))
+    _assert_rows(gentree_report, "children labels", [
+        f"children labels match succ(label) for {expanded} polyominoes"
+        f" up to n={MAX_TREE - 1}"])
+    _report(6, f"children labels equal succ(label) for {expanded} polyominoes,"
+               f" n<={MAX_TREE - 1}")
 
 
 def test_criterion_7_refined_generating_functions():
@@ -256,19 +221,6 @@ def test_criterion_9_closed_formulas_to_500():
     _report(9, f"h(n) and rect(n) match their series for n<=500 ({elapsed:.1f}s)")
 
 
-def test_remaining_module_invariants_at_full_size(ascending_by_size):
-    """The tree walk to size 11 makes each ascending shape of the
-    enumerator once, and grows none at the last size."""
-    brute, _ = ascending_by_size
-    tree = {n: [] for n in range(2, MAX_TREE + 1)}
-    for n, rows, _, kids in gentree.walk(MAX_TREE):
-        assert (kids == []) == (n == MAX_TREE), rows
-        tree[n].append(rows)
-    for n, shapes in tree.items():
-        assert sorted(shapes) == sorted(p.rows for p in brute[n])
-    print("PASS module invariants at size 11 (shared fixtures)")
-
-
 def _extrapolated_ratio(name, k, e):
     """The float oracle of the law [t^n] F ~ n^e 4^n / K (sqrt(pi) beside K
     for a half-integer e): the ratio of the coefficient to the law at
@@ -297,18 +249,22 @@ def test_criterion_10_asymptotic_constants():
 
 
 if __name__ == "__main__":
-    # The census of one size against its frozen hash, and the identities
-    # and structure suites to that size, over one census memo on a pool of
-    # 2.  A file, not stdin: the spawned workers import the main script.
+    # The census of one size against its frozen hash, and the identities,
+    # structure and gentree suites to that size (the label DP to 200), over
+    # one census memo on a pool of 2.  A file, not stdin: the spawned
+    # workers import the main script.
     n = int(sys.argv[1])
     with classify.census_pool(2) as pool:
         census = functools.cache(functools.partial(classify.census, pool=pool))
         got = _histogram_sha256(census(n))
         reports = [verify.suite_identities(n, census=census),
-                   verify.suite_structure(n, census=census)]
+                   verify.suite_structure(n, census=census),
+                   verify.suite_gentree(n, 200, census=census)]
     print(f"size {n}: {census(n).total_convex} shapes, sha256 {got}")
+    bounds = {"gentree": f", walk to {n} and label DP to 200"}
     for rep in reports:
         text = rep.to_text()
-        print(text if not rep.passed else text.splitlines()[0])
+        print(text if not rep.passed
+              else text.splitlines()[0] + bounds.get(rep.suite, ""))
     ok = got == CENSUS_SHA256[n] and all(rep.passed for rep in reports)
     raise SystemExit(0 if ok else 1)

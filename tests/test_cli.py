@@ -340,6 +340,13 @@ def test_render_refuses_a_picture_over_the_cell_bound(capsys):
                    "bound of 1000000 cells for a picture\n")
     code, out, _ = _run(capsys, "render", "--encoding", "0-999")
     assert code == 0 and out == "#" * 1000 + "\n"
+    # The bound itself is drawn; one cell more is refused.
+    code, out, _ = _run(capsys, "render", "--encoding", "0-999999")
+    assert code == 0 and out == "#" * 10**6 + "\n"
+    code, out, err = _run(capsys, "render", "--encoding", "0-1000000")
+    assert code == 2 and out == ""
+    assert err == ("zcx: error: rows x width = 1 x 1000001 is over the "
+                   "bound of 1000000 cells for a picture\n")
 
 
 def test_render_invalid_encoding(capsys):

@@ -21,11 +21,6 @@ def test_identities_suite_passes_and_is_deterministic():
     assert da == db
 
 
-def test_gentree_suite_passes(max_construct=8, max_labels=20):
-    rep = verify.suite_gentree(max_construct=max_construct, max_labels=max_labels)
-    assert rep.passed, rep.to_text()
-
-
 def test_refined_suite_refuses_sizes_below_2():
     # Size 1 has no shape, so no check would look at anything.
     with pytest.raises(ValueError, match=">= 2"):
@@ -35,6 +30,26 @@ def test_refined_suite_refuses_sizes_below_2():
 def test_structure_suite_passes():
     rep = verify.suite_structure(max_n=8)
     assert rep.passed, rep.to_text()
+
+
+def test_a_degree_3_2_shape_fails_only_its_structure_row():
+    # A shape of degrees (3, 2), with its (2, 3) mirror so that the
+    # histogram stays symmetric: only the law "ne > 2 and nw < ne give
+    # nw <= 1" is broken, at its size, with the pair as witness.
+    real = classify.census
+
+    def census(n):
+        row = real(n)
+        if n == 7:
+            row = classify.CensusRow(n, row.counts.copy())
+            for ne, nw in ((3, 2), (2, 3)):
+                row.counts[classify.Signature(ne, nw, *[False] * 6)] += 1
+        return row
+
+    rep = verify.suite_structure(max_n=8, census=census)
+    assert [(c.description, c.witness) for c in rep.checks if not c.passed] == [
+        ("n=7: degrees with ne > 2 and nw < ne have nw <= 1", "[(3, 2)]"),
+    ]
 
 
 def test_suites_expand_each_series_once_per_call(monkeypatch):
@@ -406,9 +421,3 @@ def test_a_fault_inside_a_suite_is_one_fail_row(rewrite_children):
     assert not gentree_rep.passed and gentree_rep.elapsed > 0
     assert refined_rep.passed
 
-
-if __name__ == "__main__":
-    # The gentree suite past its Tier-1 bounds: the tree walk to size 6 and
-    # the label DP totals against the series to size 200.
-    test_gentree_suite_passes(max_construct=6, max_labels=200)
-    print("gentree suite, walk to 6 and label DP totals to 200: pass")
