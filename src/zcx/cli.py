@@ -238,19 +238,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
+    target = None   # the --out file, once the command has run
     try:
         # Open --out first: a path that cannot be written fails before the
         # command spends its time.
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             text, code = args.handler(args)
+            target = args.out
             fh.write(text)
     except (KeyError, ValueError, OSError) as exc:
         # Every zcx error class is a ValueError.  str() of a KeyError quotes
         # its message and str() of an OSError leads with its errno, so print
-        # the message itself, after the file name if there is one.
-        if isinstance(exc, OSError) and exc.filename:
-            msg = f"{exc.filename}: {exc.strerror}"
+        # the message itself, after the file name: --out's for a failed write.
+        if isinstance(exc, OSError) and exc.strerror:
+            name = exc.filename or target
+            msg = f"{name}: {exc.strerror}" if name else exc.strerror
         else:
             msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"zcx: error: {msg}", file=sys.stderr)

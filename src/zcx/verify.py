@@ -149,11 +149,12 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
     The walk visits and labels each shape once: it rejects duplicate
     children and shapes outside the ascending class, so a level as large
     as the ascending count of ``census(n)`` (a walk with its own test) is
-    that class.  Every edge is checked to be the one ``parent`` names, by
-    its parent step on the label, top row and last column the walk
-    carries for the child.  The label DP is read one level at a time: its
-    multisets are compared with the walk's up to ``max_construct``, its
-    totals with the series up to ``max_labels``.
+    that class; the same row checks its centered (not NC) and rectangular
+    labels against the census.  Every edge is checked to be the one
+    ``parent`` names, by its parent step on the label, top row and last
+    column the walk carries for the child.  The label DP is read one level
+    at a time: its multisets are compared with the walk's up to
+    ``max_construct``, its totals with the series up to ``max_labels``.
     """
     census = census or classify.census
     rep = SuiteReport("gentree")
@@ -180,8 +181,13 @@ def suite_gentree(max_construct: int = 11, max_labels: int = 100,
             bad_succ = bad_succ or Polyomino(rows).encode()
 
     for n, counts in enumerate(tree, 2):
-        rep.check(f"n={n}: constructive level = ascending polyominoes",
-                  n, census(n).ascending, sum(counts.values()))
+        row = census(n)
+        total, centered, _, rect, _ = gentree._totals(counts.items())
+        rep.check(f"n={n}: constructive level = ascending polyominoes"
+                  " (all, centered, rectangular)", n,
+                  (row.ascending, sum(v for s, v in row.counts.items()
+                                      if s.ascending and s.centered),
+                   row.rect_ascending), (total, centered, rect))
     for n in range(3, max_construct + 1):
         rep.record(f"n={n}: unique parent reconstruction",
                    n not in bad_parent, bad_parent.get(n))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -376,6 +378,31 @@ def test_out_flag_unwritable_is_usage_error(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err == f"zcx: error: {target}: No such file or directory\n"
+
+
+class _FullWriter(io.StringIO):
+    """A file whose writes fail the way /dev/full's do."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_out_flag_failed_write_names_the_file(capsys, monkeypatch):
+    # The OSError of a failed write carries no file name; zcx names --out.
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullWriter(), raising=False)
+    code, out, err = _run(capsys, "--out", "full.txt", "enumerate", "--size", "3")
+    assert code == 2 and out == ""
+    assert err == f"zcx: error: full.txt: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_an_os_error_without_a_file_prints_its_message_alone(capsys, monkeypatch):
+    def no_space(args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_cmd_render", no_space)
+    code, out, err = _run(capsys, "render", "--encoding", "0-0")
+    assert code == 2 and out == ""
+    assert err == f"zcx: error: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_out_flag_opened_before_the_command_runs(capsys, monkeypatch, tmp_path):

@@ -222,13 +222,6 @@ def test_from_rows_matches_cellset_oracle_random(intervals):
             (l - shift, r - shift) for l, r in intervals)
 
 
-def test_encoding_order_is_total():
-    polys = list(all_convex(5))
-    encodings = [p.encode() for p in polys]
-    assert len(set(encodings)) == len(encodings)
-    assert sorted(encodings) == sorted(set(encodings))
-
-
 def test_column_accessor():
     p = from_rows([(1, 2), (0, 1)])
     assert p.column(0) == (1, 1)

@@ -278,17 +278,6 @@ def test_production_child_counts():
     assert sum(m for _, m in succ(lab)) == math.comb(5, 2) + 1
 
 
-def test_count_levels_totals():
-    levels = count_levels(6)
-    assert [lv.total for lv in levels] == [1, 2, 7, 26, 101]
-    assert [lv.centered_total for lv in levels] == [1, 2, 7, 25, 91]
-    assert [lv.rectangular_total for lv in levels] == [1, 2, 6, 20, 70]
-    assert [lv.non_centered_total for lv in levels] == [0, 0, 0, 1, 10]
-    assert count_levels(2) == levels[:1]
-    with pytest.raises(ValueError, match=">= 2"):
-        count_levels(1)
-
-
 def _succ_dp(max_size):
     """The label DP that expands every label by ``succ`` and merges the
     children: the oracle for ``count_levels``."""
@@ -362,11 +351,6 @@ def test_level_totals_equal_sums_over_counts_to_40():
             sum(v for (*_, rect), v in counts.items() if rect),
             sum(v for (f, *_, rect), v in counts.items() if f == "NC" and rect),
         ), lv.level
-
-
-def test_label_multiplicities_are_positive():
-    for lv in count_levels(12):
-        assert all(v >= 1 for _, v in lv)
 
 
 def test_constructive_levels_refuse_sizes_below_2():

@@ -12,24 +12,10 @@ from zcx import classify, gentree, series, verify
 from zcx.core import decode
 
 
-def test_identities_suite_passes_and_is_deterministic():
-    a = verify.suite_identities(max_n=7)
-    b = verify.suite_identities(max_n=7)
-    assert a.passed
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("elapsed_seconds"), db.pop("elapsed_seconds")
-    assert da == db
-
-
 def test_refined_suite_refuses_sizes_below_2():
     # Size 1 has no shape, so no check would look at anything.
     with pytest.raises(ValueError, match=">= 2"):
         verify.suite_refined_gf(max_n=1)
-
-
-def test_structure_suite_passes():
-    rep = verify.suite_structure(max_n=8)
-    assert rep.passed, rep.to_text()
 
 
 def test_a_degree_3_2_shape_fails_only_its_structure_row():
@@ -308,6 +294,32 @@ def test_gentree_suite_catches_a_wrong_parent(monkeypatch):
     assert _failed(rep) == ["n=5: unique parent reconstruction"]
 
 
+@pytest.mark.parametrize("bit", ["centered", "top_rect"])
+def test_a_census_bit_off_fails_only_its_constructive_level_row(bit):
+    # One ascending shape of size 7 moved out of the centered class, or out
+    # of the rectangular one: the total stays, and the walked level's
+    # (all, centered, rectangular) counts differ from the census in one place.
+    real = classify.census
+
+    def census(n):
+        row = real(n)
+        if n == 7:
+            row = classify.CensusRow(n, row.counts.copy())
+            sig = next(s for s in sorted(row.counts) if s.ascending and getattr(s, bit))
+            row.counts[sig] -= 1
+            row.counts[sig._replace(**{bit: False})] += 1
+        return row
+
+    rep = verify.suite_gentree(max_construct=8, max_labels=10, census=census)
+    walked = (404, 336, 252)
+    expected = list(walked)
+    expected[1 if bit == "centered" else 2] -= 1
+    assert [(c.description, c.witness) for c in rep.checks if not c.passed] == [
+        ("n=7: constructive level = ascending polyominoes (all, centered, rectangular)",
+         f"(7, {tuple(expected)}, {walked})"),
+    ]
+
+
 def test_gentree_suite_catches_a_dropped_child(monkeypatch):
     # The walk grows each shape through ``_kids``, which calls ``_grow``.
     victim = decode("0-2")
@@ -320,8 +332,8 @@ def test_gentree_suite_catches_a_dropped_child(monkeypatch):
     monkeypatch.setattr(gentree, "_grow", grow)
     rep = verify.suite_gentree(max_construct=6, max_labels=10)
     assert _failed(rep) == [
-        "n=5: constructive level = ascending polyominoes",
-        "n=6: constructive level = ascending polyominoes",
+        "n=5: constructive level = ascending polyominoes (all, centered, rectangular)",
+        "n=6: constructive level = ascending polyominoes (all, centered, rectangular)",
         "children labels match succ(label) for 35 polyominoes up to n=5",
         "n=5: DP label multiset = constructive label multiset",
         "n=6: DP label multiset = constructive label multiset",
