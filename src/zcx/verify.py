@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from . import classify, gentree, series
 from .core import Polyomino, PolyominoError
-from .enumerate import all_convex
 
 
 class CheckResult(NamedTuple):
@@ -299,17 +298,13 @@ def suite_refined_gf(max_n: int = 10) -> SuiteReport:
 
 def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
     """Structural laws of the degree classes over the census for sizes
-    2..max_n, plus brute-force oracle comparisons for sizes 2..7."""
+    2..max_n."""
     census = census or classify.census
     rep = SuiteReport("structure")
-    s4 = series.gf("S4gf", max_n + 1)
-    oracle_max_n = 7
     for n in range(2, max_n + 1):
         row = census(n)
         rep.check(f"n={n}: every degree-(2,2) polyomino is a 4-stack",
                   n, row.c22, row.c22_four_stack)
-        rep.check(f"n={n}: 4-stack count matches its generating function",
-                  n, s4.coefficient(n), row.four_stack)
         bad = [
             pair for pair in row.by_degree_pair
             if pair[1] < pair[0] and pair[0] > 2 and pair[1] > 1
@@ -335,20 +330,6 @@ def suite_structure(max_n: int = 12, census=None) -> SuiteReport:
             row.rect_ascending == row.directed_convex == series.rect_formula(n),
             (n, series.rect_formula(n), row.rect_ascending, row.directed_convex),
         )
-
-    bad = None
-    for p in (p for n in range(2, oracle_max_n + 1) for p in all_convex(n)):
-        fast, slow = classify.degree_pair(p), classify.degree_pair_bruteforce(p)
-        if fast != slow:
-            bad = f"{p.encode()}: fast {fast} oracle {slow}"
-        elif classify.is_four_stack(p) != classify.is_four_stack_bruteforce(p):
-            bad = f"{p.encode()}: four-stack tests disagree"
-        if bad:
-            break
-    rep.record(
-        f"degree and 4-stack tests agree with brute-force oracles, n <= {oracle_max_n}",
-        bad is None, bad,
-    )
     return rep.finish()
 
 

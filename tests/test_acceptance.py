@@ -134,9 +134,11 @@ def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
     assert t_total < 600.0, f"census through n=12 took {t_total:.1f}s"
     _report(
         4,
-        "all (2,2)-polyominoes are 4-stacks and the 4-stack census matches "
-        f"its generating function, n<=12 (n<=11: {t_through_11:.1f}s, "
-        f"total: {t_total:.1f}s)",
+        "all (2,2)-polyominoes are 4-stacks, degrees with ne > 2 and nw < ne"
+        " have nw <= 1, the degree histogram is mirror-symmetric, ascending ="
+        " (nw <= 1) and rectangular-ascending = directed-convex ="
+        f" binom(2n-4, n-2), n<=12 (n<=11: {t_through_11:.1f}s,"
+        f" total: {t_total:.1f}s)",
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 from zcx.core import size
 from zcx.enumerate import (
@@ -110,3 +111,23 @@ def test_bottom_row_split_is_the_block_walk_in_order():
                 parts += part
             assert parts == whole, (r, c)
             assert len(set(whole)) == len(whole), (r, c)
+
+
+def _gessel(r: int, c: int) -> int:
+    """Gessel's count of convex polyominoes with r rows and c columns:
+    ((m+n+mn)/(m+n)) C(2m+2n, 2m) - (2mn/(m+n)) C(m+n, m)^2 with m = c - 1
+    and n = r - 1, and 1 for the single cell."""
+    m, n = c - 1, r - 1
+    if m + n == 0:
+        return 1
+    top = (m + n + m * n) * comb(2 * m + 2 * n, 2 * m) - 2 * m * n * comb(m + n, m) ** 2
+    assert top % (m + n) == 0, (r, c)
+    return top // (m + n)
+
+
+def test_every_block_holds_gessels_count():
+    # Each (r, c) block on its own, r > c included, which the census does
+    # not walk: it reads those blocks off their transposes.
+    for r in range(1, 11):
+        for c in range(1, 12 - r):
+            assert sum(1 for _ in _block_intervals(r, c)) == _gessel(r, c), (r, c)

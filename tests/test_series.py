@@ -290,18 +290,6 @@ def test_rect_formula_values():
     assert [rect_formula(n) for n in range(2, 11)] == RECT_PREFIX
 
 
-def test_c22_identity_order_300():
-    order = 300
-    delta = gf("Cgf", order) - gf("Agf", order).scale(2) + gf("Lgf", order) - gf("C22gf", order)
-    assert delta.is_zero()
-
-
-def test_c21_identity_order_300():
-    order = 300
-    delta = gf("C21gf", order).scale(2) + gf("C22gf", order) + gf("Lgf", order) - gf("Zgf", order)
-    assert delta.is_zero()
-
-
 def test_class_sum_identities():
     n = 200
     rect_classes = (
