@@ -286,19 +286,6 @@ def test_degree_frozen_hash_up_to_10():
     assert h.hexdigest() == DEGREE_SHA256
 
 
-def test_mirror_swaps_degrees():
-    for n in range(2, 10):
-        for p in all_convex(n):
-            d = degree_pair(p)
-            m = degree_pair(mirror(p))
-            assert (m.ne, m.nw) == (d.nw, d.ne), p.encode()
-    for i, p in enumerate(all_convex(10)):
-        if i % 11 == 0:
-            d = degree_pair(p)
-            m = degree_pair(mirror(p))
-            assert (m.ne, m.nw) == (d.nw, d.ne), p.encode()
-
-
 def test_is_centered():
     assert is_centered(decode("0-0"))
     assert not is_centered(decode("1-2;0-1"))
@@ -324,12 +311,6 @@ def test_ascending_examples():
     assert is_ascending(decode("0-1;1-2"))
     # nested rows via different partners must not be flagged
     assert is_ascending(from_rows([(2, 2), (0, 5), (1, 3)]))
-
-
-def test_descending_is_mirror_ascending():
-    for n in range(2, 8):
-        for p in all_convex(n):
-            assert is_descending(p) == is_ascending(mirror(p))
 
 
 def _ascending_oracle(p):
@@ -413,14 +394,14 @@ def test_transpose_keeps_signature_but_centered():
             assert _signature(t) == _signature(p)._replace(centered=full), p.encode()
 
 
-def test_orbit_images_share_the_representative_signature():
+def test_orbit_images_share_the_representative_signature(sizes=range(2, 10)):
     # The lemma behind the census walk's orbits: each image of a shape under
     # the mirror, the vertical flip and the 180 degree rotation has the
     # representative's signature with the degrees and the ascending and
     # descending bits swapped by the mirror and the flip, four_stack,
     # centered and the full-height-column bit shared, and only the directed
     # and top-right bits depending on the image's own rows.
-    for n in range(2, 10):
+    for n in sizes:
         images_total = 0
         for r, c in blocks(n):
             for p in block_polyominoes(r, c):
@@ -505,7 +486,8 @@ def test_census_pool_fails_fast_without_main_guard(tmp_path):
 def test_census_pool_refuses_a_main_script_without_a_file(monkeypatch):
     # ``python - <<EOF`` sets __main__.__file__ to '<stdin>', which spawned
     # workers cannot import; the pool refuses it before it starts anything.
-    monkeypatch.setattr(sys.modules["__main__"], "__file__", "<stdin>")
+    # Under ``python -c`` __main__ has no __file__ to replace.
+    monkeypatch.setattr(sys.modules["__main__"], "__file__", "<stdin>", raising=False)
     monkeypatch.setattr(classify, "POOL_MIN_SIZE", 2)
     with classify.census_pool(2) as pool:
         with pytest.raises(ValueError, match="save the script to a file"):
@@ -550,17 +532,20 @@ def test_census_csv_shape():
 if __name__ == "__main__":
     # The tests above past their own bounds: the class rules against their
     # definitions on every convex shape of size 11, the four-stack and
-    # degree rules against their brute forces on every shape of size 10,
-    # and the four tests on random draws with 500 draws in place of 80.
+    # degree rules against their brute forces and the orbit images'
+    # signatures on every shape of size 10, and the four tests on random
+    # draws with 500 draws in place of 80.
     assert (count_convex(11), count_convex(10)) == (203680, 46160)
     test_ascending_and_descending_agree_with_the_definition(sizes=[11])
     test_directed_convex_examples_and_oracle(sizes=[11])
     test_four_stack_agrees_with_bruteforce(sizes=[10])
     test_degree_agrees_with_bruteforce_exhaustively(sizes=[10])
+    test_orbit_images_share_the_representative_signature(sizes=[10])
     test_kernels_agree_with_the_oracles_on_large_random_shapes(draws=500)
     test_tree_reaches_the_root_from_large_random_shapes(draws=500)
     test_labeller_equals_the_family_rules_on_large_random_shapes(draws=500)
     test_check_rows_equals_the_cell_set_definition_on_large_random_shapes(draws=500)
     print("size 11: ascending, descending, directed convex on 203680 shapes")
-    print("size 10: four-stack and degree rules against the brute forces on 46160 shapes")
+    print("size 10: four-stack and degree rules against the brute forces, and the"
+          " orbit images' signatures, on 46160 shapes")
     print("500 random draws: kernels, class bits, parent chains, labeller and row checks")

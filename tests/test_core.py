@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zcx.core import (
     Disconnected,
@@ -205,21 +204,26 @@ def test_from_rows_matches_cellset_oracle_exhaustively():
         assert _from_rows_fault(intervals) is _cellset_fault(intervals), intervals
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 6), st.integers(0, 6)),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_from_rows_matches_cellset_oracle_random(intervals):
-    want = _cellset_fault(intervals)
-    assert _from_rows_fault(intervals) is want
-    if want is None:
-        shift = min(l for l, _ in intervals)
-        assert from_rows(intervals).rows == tuple(
-            (l - shift, r - shift) for l, r in intervals)
+def test_from_rows_matches_cellset_oracle_random(draws=1000):
+    # 1 to 6 rows whose two ends are drawn from 0-6 independently, so some
+    # rows are empty; every verdict is reached, and a valid draw that
+    # needs a shift.
+    rng = random.Random(4)
+    verdicts, shifted = Counter(), 0
+    for i in range(draws):
+        intervals = [(rng.randint(0, 6), rng.randint(0, 6))
+                     for _ in range(rng.randint(1, 6))]
+        want = _cellset_fault(intervals)
+        why = f"draw {i}: {intervals}"
+        assert _from_rows_fault(intervals) is want, why
+        if want is None:
+            shift = min(l for l, _ in intervals)
+            assert from_rows(intervals).rows == tuple(
+                (l - shift, r - shift) for l, r in intervals), why
+            shifted += shift > 0
+        verdicts[want] += 1
+    assert all(verdicts[k] for k in (None, EmptyRow, Disconnected, NotConvex))
+    assert shifted
 
 
 def test_column_accessor():
