@@ -12,10 +12,8 @@ kernels suite.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-import sys
 import time
 
 import pytest
@@ -37,6 +35,12 @@ def census_rows():
     rows[MAX_CENSUS] = classify.census(MAX_CENSUS)
     t_total = time.perf_counter() - t0
     return rows, t_through_11, t_total
+
+
+@pytest.fixture(scope="module")
+def census(census_rows):
+    """The shared census as a function of the size, as the suites take it."""
+    return census_rows[0].__getitem__
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +151,8 @@ def test_criterion_4_degree_22_is_four_stack_and_census(census_rows):
 # count" per signature, bits as 0/1, in sorted signature order.  The
 # suites of criteria 3 and 4 check sizes 11 and 12 one marginal at a time;
 # these pin every joint count.  Size 13 was frozen from the walk before its
-# enumerator, row check and degree kernel were rewritten; run
-# ``python tests/test_acceptance.py 13`` to check sizes 11-13 on one census
-# memo, with the identities, structure and gentree suites to size 13.
+# enumerator, row check and degree kernel were rewritten; ``tests/ci.py``
+# checks it.
 CENSUS_SHA256 = {
     11: "52c2818098d9e00aae5a9a4d6409776e903383716ca5b2ef434be4c7d535cdf1",
     12: "db7c94a517569fa55e435e02f2519d2f2f650bb7be66defee007adf857492ed9",
@@ -165,11 +168,10 @@ def _histogram_sha256(row):
     return hashlib.sha256(lines.encode()).hexdigest()
 
 
-def test_census_histograms_frozen_at_the_frontier(census_rows):
-    rows, _, _ = census_rows
-    for n in (11, MAX_CENSUS):
-        assert _histogram_sha256(rows[n]) == CENSUS_SHA256[n], n
-    print("PASS census histograms at sizes 11/12 equal the frozen ones")
+def test_census_histograms_frozen_at_the_frontier(census, sizes=(11, MAX_CENSUS)):
+    for n in sizes:
+        assert _histogram_sha256(census(n)) == CENSUS_SHA256[n], n
+    print(f"PASS census histograms at sizes {list(sizes)} equal the frozen ones")
 
 
 def test_criterion_5_unique_parentage(gentree_report):
@@ -251,28 +253,3 @@ def test_criterion_10_asymptotic_constants():
         " the Richardson-extrapolated ratios at n=1024 within 2% of them"
         " (C22 sqrt-law within 5%)",
     )
-
-
-if __name__ == "__main__":
-    # The censuses of sizes 11 to n against their frozen hashes, and the
-    # identities, structure and gentree suites to n (the label DP to 200),
-    # over one census memo on a pool of 2.  A file, not stdin: the spawned
-    # workers import the main script.
-    n = int(sys.argv[1])
-    with classify.census_pool(2) as pool:
-        census = functools.cache(functools.partial(classify.census, pool=pool))
-        reports = [verify.suite_identities(n, census=census),
-                   verify.suite_structure(n, census=census),
-                   verify.suite_gentree(n, 200, census=census)]
-        hashes = {m: _histogram_sha256(census(m)) for m in range(11, n + 1)}
-    for m, got in hashes.items():
-        print(f"size {m}: {census(m).total_convex} shapes, sha256 {got}"
-              f"{'' if got == CENSUS_SHA256[m] else ' (not the frozen one)'}")
-    bounds = {"gentree": f", walk to {n} and label DP to 200"}
-    for rep in reports:
-        text = rep.to_text()
-        print(text if not rep.passed
-              else text.splitlines()[0] + bounds.get(rep.suite, ""))
-    ok = (all(got == CENSUS_SHA256[m] for m, got in hashes.items())
-          and all(rep.passed for rep in reports))
-    raise SystemExit(0 if ok else 1)

@@ -527,25 +527,3 @@ def test_census_csv_shape():
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "2" and first[1] == "1"
-
-
-if __name__ == "__main__":
-    # The tests above past their own bounds: the class rules against their
-    # definitions on every convex shape of size 11, the four-stack and
-    # degree rules against their brute forces and the orbit images'
-    # signatures on every shape of size 10, and the four tests on random
-    # draws with 500 draws in place of 80.
-    assert (count_convex(11), count_convex(10)) == (203680, 46160)
-    test_ascending_and_descending_agree_with_the_definition(sizes=[11])
-    test_directed_convex_examples_and_oracle(sizes=[11])
-    test_four_stack_agrees_with_bruteforce(sizes=[10])
-    test_degree_agrees_with_bruteforce_exhaustively(sizes=[10])
-    test_orbit_images_share_the_representative_signature(sizes=[10])
-    test_kernels_agree_with_the_oracles_on_large_random_shapes(draws=500)
-    test_tree_reaches_the_root_from_large_random_shapes(draws=500)
-    test_labeller_equals_the_family_rules_on_large_random_shapes(draws=500)
-    test_check_rows_equals_the_cell_set_definition_on_large_random_shapes(draws=500)
-    print("size 11: ascending, descending, directed convex on 203680 shapes")
-    print("size 10: four-stack and degree rules against the brute forces, and the"
-          " orbit images' signatures, on 46160 shapes")
-    print("500 random draws: kernels, class bits, parent chains, labeller and row checks")

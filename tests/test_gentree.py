@@ -6,12 +6,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import sys
 from collections import Counter
 
 import pytest
 
-from zcx.classify import degree_pair, is_ascending
+from zcx.classify import _column_ends, _ne_max_turns, is_ascending
 from zcx.core import (
     Disconnected,
     NotConvex,
@@ -237,22 +236,29 @@ def test_parent_step_on_the_carried_label_equals_parent_up_to_9():
     assert edges == sum(len(_ascending(n)) for n in range(3, 10))
 
 
-# The edges of the walk to a size (10 in Tier-1, 13 in CI) on which the
-# child's NE-degree equals its parent's, and on which it is one more.
+# The edges of the walk to a size (Tier-1's, and the one tests/ci.py gives)
+# on which the child's NE-degree equals its parent's, and on which it is
+# one more.
 NE_EDGE_SPLIT = {10: (29315, 8196), 13: (2222924, 569588)}
 
 
 def test_a_child_keeps_its_parents_ne_degree_or_adds_one(max_size=10):
     # No growth step lowers the NE-degree or raises it by 2, so the
-    # ascending shapes with NE <= k are closed under parents.
+    # ascending shapes with NE <= k are closed under parents.  Each child's
+    # NE-degree is computed once, by the kernel behind ``degree_pair.ne``,
+    # and kept in ``pending`` until the walk visits the child.  The root,
+    # a single cell, has NE-degree 0.
     split = Counter()
+    pending = {((0, 0),): 0}
     for _, rows, _, kids in walk(max_size):
-        ne = degree_pair(Polyomino(rows)).ne
-        for _, child, *_ in kids:
-            split[degree_pair(Polyomino(child)).ne - ne] += 1
+        ne = pending.pop(rows)
+        for _, child, _, _, last in kids:
+            pending[child] = _ne_max_turns(child, *_column_ends(child, last + 1))
+            split[pending[child] - ne] += 1
+    assert not pending
     assert set(split) <= {0, 1}, split
     if max_size in NE_EDGE_SPLIT:
-        assert (split[0], split[1]) == NE_EDGE_SPLIT[max_size]
+        assert (split[0], split[1]) == NE_EDGE_SPLIT[max_size], split
 
 
 # ---- productions -----------------------------------------------------------
@@ -397,9 +403,3 @@ def test_label_dp_frozen_hash_up_to_40():
         h.update("".join(line + "\n" for line in lines).encode())
     assert labels == 202468
     assert h.hexdigest() == LABEL_DP_SHA256
-
-
-if __name__ == "__main__":
-    # The NE-degree step on every edge of the walk to the size given.
-    test_a_child_keeps_its_parents_ne_degree_or_adds_one(int(sys.argv[1]))
-    print(f"NE-degree kept or raised by one on every edge to size {sys.argv[1]}: pass")

@@ -1,12 +1,16 @@
-"""The package namespace: public names and submodules resolve on first use."""
+"""The package namespace: public names and submodules resolve on first use.
+And each row of the table in ``tests/ci.py`` names a check and reaches at
+least as far as its Tier-1 defaults."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import types
 
 import pytest
 
+import ci
 import zcx
 
 
@@ -31,3 +35,18 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from zcx import *", namespace)
     assert all(namespace[name] is getattr(zcx, name) for name in zcx.__all__)
+
+
+def _reach(bound):
+    """The largest size, or the draw count, order or tree size itself."""
+    return bound if isinstance(bound, int) else max(bound)
+
+
+def test_ci_rows_name_checks_and_reach_at_least_their_tier1_defaults():
+    for module, name, args in ci.CHECKS:
+        fn = getattr(importlib.import_module(module), name)
+        params = inspect.signature(fn).parameters
+        for key, value in args.items():
+            default = params[key].default
+            assert default is not inspect.Parameter.empty, (name, key)
+            assert _reach(value) >= _reach(default), (name, key, value, default)

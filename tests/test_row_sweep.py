@@ -24,14 +24,10 @@ its profiles carry to its extensions, so each shape costs one row step.
 Equal profiles merge, since their futures are equal.  Nothing else is
 dropped: the sweep shares no code with the census kernel, and has no greedy
 walk, no pruning by the running maximum and no run bound.
-
-Run as a script, it compares the sweep with the census at one size, the
-census on two workers: ``PYTHONPATH=src python tests/test_row_sweep.py 12``.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 from zcx import classify
@@ -102,24 +98,13 @@ def histograms(max_size: int, every_cell: bool = False) -> list[Counter]:
     return hist
 
 
-def test_sweep_histogram_equals_the_census_up_to_9():
-    hist = histograms(9)
-    for n in range(2, 10):
-        assert dict(sorted(hist[n].items())) == classify.census(n).by_degree_pair, n
+def test_sweep_histogram_equals_the_census_up_to_9(max_size=9, census=classify.census):
+    hist = histograms(max_size)
+    for n in range(2, max_size + 1):
+        assert dict(sorted(hist[n].items())) == census(n).by_degree_pair, n
 
 
 def test_column_bottoms_are_enough_starts_up_to_8():
     # The kernel's first lemma: moving a path's start to the bottom of its
     # column never lowers the turns it needs.
     assert histograms(8, every_cell=True) == histograms(8)
-
-
-if __name__ == "__main__":
-    n = int(sys.argv[1])
-    with classify.census_pool(2) as pool:
-        want = classify.census(n, pool).by_degree_pair
-    got = dict(sorted(histograms(n)[n].items()))
-    print(f"size {n}: {sum(got.values())} shapes by the row sweep,"
-          f" {sum(want.values())} in the census")
-    print("equal" if got == want else f"differ: sweep {got}, census {want}")
-    raise SystemExit(0 if got == want else 1)

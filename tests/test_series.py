@@ -620,11 +620,3 @@ def test_cancelling_leading_terms_give_no_other_law():
 ])
 def test_growth_law_of_closed_counts_worked_by_hand(name, law):
     assert S.growth_law(S._CATALOG[name][0]()) == law
-
-
-if __name__ == "__main__":
-    # The tests above past their own bounds.
-    test_functional_equations_hold_at_several_parameter_sets(order=200)
-    test_size_identities_hold(order=2049)
-    print("functional equations at three points to order 200: pass")
-    print("size identities to order 2049: pass")
